@@ -1,234 +1,77 @@
-"""Numeric hot kernels: phase sums, a Hermitian Jacobi eigensolver, RK4 transport.
+"""Numeric kernels of the torus-sampling verifiers, in numpy.
 
-Each kernel has a pure-numpy implementation (suffix ``_np``); when numba is
-importable the same loops are compiled (suffix ``_nb``).  The public names
-dispatch on the environment flag ``JACKTORUS_DISABLE_NUMBA``: set it to a
-nonempty value to force the numpy path.  ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+Phase sums over an index set, eigenvalues of a Hermitian matrix (LAPACK,
+through ``np.linalg.eigvalsh``) and RK4 transport of the connection as
+products of per-step propagator matrices.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = bool(os.environ.get("JACKTORUS_DISABLE_NUMBA"))
-
-try:  # pragma: no cover - exercised implicitly by the dispatch below
-    if _DISABLED:
-        raise ImportError("numba disabled by JACKTORUS_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
+# RK4 steps whose propagators are built at once.  Building a whole path's
+# propagators in one array raises the peak memory of a 20000-step transport
+# by a fifth; blocks of this size keep it flat at no cost in speed.
+_BLOCK = 256
 
 
-# -- phase sums ------------------------------------------------------------
-
-
-def phase_matrix_sum_np(gammas: np.ndarray, mats: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     """sum_k exp(i <gamma_k, theta>) mats[k]."""
-    phases = np.exp(1j * (gammas.astype(np.float64) @ theta))
-    return np.tensordot(phases, mats, axes=(0, 0))
+    phases = np.exp(1j * (np.asarray(gammas, np.float64) @ np.asarray(theta, np.float64)))
+    # einsum, not a BLAS product: on a few thousand 5x5 terms the threaded
+    # BLAS call is no faster, doubles the CPU time and can stall for ~1 s
+    # while its worker threads start.
+    return np.einsum("k,kab->ab", phases, mats)
 
 
-def phase_sum_np(gammas: np.ndarray, theta: np.ndarray) -> complex:
-    return complex(np.exp(1j * (gammas.astype(np.float64) @ theta)).sum())
+def phase_sum(gammas, theta) -> complex:
+    """sum_k exp(i <gamma_k, theta>)."""
+    return complex(np.exp(1j * (np.asarray(gammas, np.float64) @ np.asarray(theta, np.float64))).sum())
 
 
-def _phase_matrix_sum_loop(gammas, mats, theta):
-    m, dim, _ = mats.shape
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(m):
-        arg = 0.0
-        for j in range(gammas.shape[1]):
-            arg += gammas[k, j] * theta[j]
-        ph = np.exp(1j * arg)
-        for a in range(dim):
-            for b in range(dim):
-                out[a, b] += ph * mats[k, a, b]
-    return out
+def jacobi_eigvals(a) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending."""
+    return np.linalg.eigvalsh(np.asarray(a, np.complex128))
 
 
-def _phase_sum_loop(gammas, theta):
-    total = 0.0 + 0.0j
-    for k in range(gammas.shape[0]):
-        arg = 0.0
-        for j in range(gammas.shape[1]):
-            arg += gammas[k, j] * theta[j]
-        total += np.exp(1j * arg)
-    return total
+def _product(mats: np.ndarray) -> np.ndarray:
+    """mats[0] @ mats[1] @ ... @ mats[-1], multiplying neighbours pairwise."""
+    while len(mats) > 1:
+        even = len(mats) // 2 * 2
+        paired = mats[0:even:2] @ mats[1:even:2]
+        mats = paired if even == len(mats) else np.concatenate([paired, mats[-1:]])
+    return mats[0]
 
 
-# -- cyclic Jacobi eigenvalues ----------------------------------------------
-
-
-def _jacobi_eigvals_loop(a):
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, ascending."""
-    n = a.shape[0]
-    h = a.copy()
-    if n == 1:
-        return np.array([h[0, 0].real])
-    scale = 0.0
-    for p in range(n):
-        for q in range(n):
-            mag = abs(h[p, q])
-            if mag > scale:
-                scale = mag
-    if scale == 0.0:
-        return np.zeros(n)
-    tol = 1e-15 * scale
-    for _ in range(60):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += abs(h[p, q])
-        if off <= n * tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = h[p, q]
-                mag = abs(apq)
-                if mag <= tol:
-                    continue
-                u = apq / mag
-                tau = (h[q, q].real - h[p, p].real) / (2.0 * mag)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns p, q of h @ R
-                for k in range(n):
-                    hkp = h[k, p]
-                    hkq = h[k, q]
-                    h[k, p] = c * hkp - s * np.conj(u) * hkq
-                    h[k, q] = s * u * hkp + c * hkq
-                # rows p, q of R* @ h
-                for k in range(n):
-                    hpk = h[p, k]
-                    hqk = h[q, k]
-                    h[p, k] = c * hpk - s * u * hqk
-                    h[q, k] = s * np.conj(u) * hpk + c * hqk
-    vals = np.empty(n)
-    for p in range(n):
-        vals[p] = h[p, p].real
-    return np.sort(vals)
-
-
-def jacobi_eigvals_np(a: np.ndarray) -> np.ndarray:
-    return _jacobi_eigvals_loop(np.asarray(a, dtype=np.complex128))
-
-
-# -- RK4 transport of the connection ----------------------------------------
-
-
-def _rk4_transport_loop(theta0, theta1, steps, kappa, gconst, pair_mats, pair_i, pair_j):
-    """Transport L along the angle-space segment, dL = kappa L (sum_i M_i dx_i).
+def rk4_transport(theta0, theta1, steps, kappa, gconst, pair_mats, pair_i, pair_j):
+    """Transport L from the identity along the angle-space segment, dL = kappa L conn.
 
     pair_mats[p] is the transposition matrix for the pair (pair_i[p], pair_j[p]);
-    the combined field is
-        sum_p pair_mats[p] (dx_i - dx_j)/(x_i - x_j) - gconst (sum_j dx_j/x_j) I.
+    the connection is
+        conn = sum_p pair_mats[p] (dx_i - dx_j)/(x_i - x_j) - gconst (sum_j dx_j/x_j) I,
+    where sum_j dx_j/x_j = i sum_j dtheta_j.  The field is linear in L, so the
+    classical RK4 step with A = kappa conn is L -> L P_k, where
+        P_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4),   B2 = (I + h/2 A0) A1,
+        B3 = (I + h/2 B2) A1,   B4 = (I + h B3) A2,
+    and A0, A1, A2 are A at t_k, t_k + h/2 and t_k + h.
     """
-    n = theta0.shape[0]
-    dim = pair_mats.shape[1]
-    npairs = pair_mats.shape[0]
-    dtheta = theta1 - theta0
-    el = np.zeros((dim, dim), dtype=np.complex128)
-    for a in range(dim):
-        el[a, a] = 1.0
-
-    def field(t, lmat):
-        x = np.exp(1j * (theta0 + t * dtheta))
+    theta0 = np.asarray(theta0, np.float64)
+    dtheta = np.asarray(theta1, np.float64) - theta0
+    pair_mats = np.asarray(pair_mats, np.complex128)
+    eye = np.eye(pair_mats.shape[1], dtype=np.complex128)
+    shift = kappa * gconst * 1j * dtheta.sum() * eye
+    h = 1.0 / steps
+    el = eye
+    for k0 in range(0, steps, _BLOCK):
+        nb = min(_BLOCK, steps - k0)
+        t = (2 * k0 + np.arange(2 * nb + 1)) * (h / 2)
+        x = np.exp(1j * (theta0 + t[:, None] * dtheta))
         dx = 1j * dtheta * x
-        conn = np.zeros((dim, dim), dtype=np.complex128)
-        for p in range(npairs):
-            i = pair_i[p]
-            j = pair_j[p]
-            w = (dx[i] - dx[j]) / (x[i] - x[j])
-            for a in range(dim):
-                for b in range(dim):
-                    conn[a, b] += pair_mats[p, a, b] * w
-        trace_term = 0.0 + 0.0j
-        for j in range(n):
-            trace_term += dx[j] / x[j]
-        for a in range(dim):
-            conn[a, a] -= gconst * trace_term
-        return kappa * (lmat @ conn)
-
-    hstep = 1.0 / steps
-    for k in range(steps):
-        t = k * hstep
-        k1 = field(t, el)
-        k2 = field(t + hstep / 2, el + (hstep / 2) * k1)
-        k3 = field(t + hstep / 2, el + (hstep / 2) * k2)
-        k4 = field(t + hstep, el + hstep * k3)
-        el = el + (hstep / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        w = (dx[:, pair_i] - dx[:, pair_j]) / (x[:, pair_i] - x[:, pair_j])
+        a = np.einsum("tp,pab->tab", kappa * w, pair_mats) - shift
+        a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
+        b2 = a1 + (h / 2) * a0 @ a1
+        b3 = a1 + (h / 2) * b2 @ a1
+        b4 = a2 + h * b3 @ a2
+        el = el @ _product(eye + (h / 6) * (a0 + 2 * b2 + 2 * b3 + b4))
     return el
-
-
-def rk4_transport_np(theta0, theta1, steps, kappa, gconst, pair_mats, pair_i, pair_j):
-    return _rk4_transport_loop(
-        np.asarray(theta0, float),
-        np.asarray(theta1, float),
-        steps,
-        kappa,
-        gconst,
-        np.asarray(pair_mats, np.complex128),
-        np.asarray(pair_i, np.int64),
-        np.asarray(pair_j, np.int64),
-    )
-
-
-if HAS_NUMBA:
-    _phase_matrix_sum_nb = njit(cache=True)(_phase_matrix_sum_loop)
-    _phase_sum_nb = njit(cache=True)(_phase_sum_loop)
-    _jacobi_eigvals_nb = njit(cache=True)(_jacobi_eigvals_loop)
-    _rk4_transport_nb = njit(cache=True)(_rk4_transport_loop)
-
-    def phase_matrix_sum(gammas, mats, theta):
-        return _phase_matrix_sum_nb(
-            np.ascontiguousarray(gammas, np.int64),
-            np.ascontiguousarray(mats, np.complex128),
-            np.ascontiguousarray(theta, np.float64),
-        )
-
-    def phase_sum(gammas, theta):
-        return complex(
-            _phase_sum_nb(
-                np.ascontiguousarray(gammas, np.int64),
-                np.ascontiguousarray(theta, np.float64),
-            )
-        )
-
-    def jacobi_eigvals(a):
-        return _jacobi_eigvals_nb(np.ascontiguousarray(a, np.complex128))
-
-    def rk4_transport(theta0, theta1, steps, kappa, gconst, pair_mats, pair_i, pair_j):
-        return _rk4_transport_nb(
-            np.ascontiguousarray(theta0, np.float64),
-            np.ascontiguousarray(theta1, np.float64),
-            steps,
-            float(kappa),
-            float(gconst),
-            np.ascontiguousarray(pair_mats, np.complex128),
-            np.ascontiguousarray(pair_i, np.int64),
-            np.ascontiguousarray(pair_j, np.int64),
-        )
-
-else:
-    phase_matrix_sum = phase_matrix_sum_np
-    phase_sum = phase_sum_np
-    jacobi_eigvals = jacobi_eigvals_np
-    rk4_transport = rk4_transport_np

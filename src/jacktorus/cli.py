@@ -25,7 +25,7 @@ from .diffsystem import (
     integrability_residual,
     integrate_loop,
 )
-from .errors import JackTorusError
+from .errors import JackTorusError, VerificationFailed
 from .kernels import TorusPoint, psd_report, sigma_identity_residual
 from .scalars import complex_pair, make_kappa, rational
 from .tableaux import Partition
@@ -214,11 +214,21 @@ def cmd_gram(cfg, args) -> int:
     )
 
 
+def _kernel_failures(rep) -> list[str]:
+    """The gates a positivity report fails: PSD, Hermiticity, covariance."""
+    gates = {
+        "min_eigenvalue >= -1e-9": rep.worst["min_eigenvalue"] >= -1e-9,
+        "hermiticity_residual < 1e-10": rep.hermiticity_residual < 1e-10,
+        "covariance_residual < 1e-10": rep.covariance_residual < 1e-10,
+    }
+    return [gate for gate, ok in gates.items() if not ok]
+
+
 def cmd_kernel(cfg, args) -> int:
     shape, kap = _validated(cfg)
     store = CoeffStore(shape, kap)
     rep = psd_report(store, range(1, args.max_order + 1), args.samples, cfg.seed)
-    ok = rep.worst["min_eigenvalue"] >= -1e-9 and rep.hermiticity_residual < 1e-10
+    ok = not _kernel_failures(rep)
     return _emit("kernel", cfg, {"report": rep.to_dict(), "passed": ok}, code=0 if ok else 1)
 
 
@@ -278,6 +288,12 @@ def _random_regular(rng, n: int):
             return tuple(vals)
 
 
+def _require(ok, what: str) -> None:
+    """A verification check that also holds under ``python -O``, unlike assert."""
+    if not ok:
+        raise VerificationFailed(what)
+
+
 def cmd_verify(cfg, args) -> int:
     shape, kap = _validated(cfg)
     degree = args.max_degree
@@ -296,22 +312,25 @@ def cmd_verify(cfg, args) -> int:
         dmat = np.diag(np.array(tableaux.norm0_diag(shape), dtype=object))
         for i in range(1, shape.N):
             s = tableaux.simple_reflection(shape, i)
-            assert np.all(s @ s == ident)
-            assert np.all(s.T @ dmat @ s == dmat), "D-orthogonality"
+            _require(np.all(s @ s == ident), f"s_{i} is not an involution")
+            _require(np.all(s.T @ dmat @ s == dmat), f"s_{i} is not D-orthogonal")
         for i in range(1, shape.N - 1):
             a = tableaux.simple_reflection(shape, i)
             b = tableaux.simple_reflection(shape, i + 1)
-            assert np.all(a @ b @ a == b @ a @ b)
+            _require(np.all(a @ b @ a == b @ a @ b), f"braid relation fails at {i}")
         for i in range(1, shape.N + 1):
             jm = tableaux.jucys_murphy(shape, i)
             for k, t in enumerate(basis):
-                assert jm[k, k] == t.content[i - 1]
-            assert np.all(jm * (1 - np.eye(shape.dim, dtype=object)) == 0)
+                _require(jm[k, k] == t.content[i - 1], f"Jucys-Murphy {i} diagonal at tableau {k}")
+            _require(np.all(jm * (1 - np.eye(shape.dim, dtype=object)) == 0), f"Jucys-Murphy {i} not diagonal")
         return f"dim {shape.dim}, generators {shape.N - 1}"
 
     def count_suite():
         for n in range(0, 5):
-            assert compositions.count_Z(shape.N, n) == len(compositions.enumerate_Z(shape.N, n))
+            _require(
+                compositions.count_Z(shape.N, n) == len(compositions.enumerate_Z(shape.N, n)),
+                f"count differs from enumeration at n={n}",
+            )
         return "counts match enumeration for n <= 4"
 
     def eigen_suite():
@@ -322,7 +341,10 @@ def cmd_verify(cfg, args) -> int:
         for dd in range(degree + 1):
             for node in graph.build_degree(dd):
                 for i in range(1, shape.N + 1):
-                    assert cherednik(i, node.poly) == node.poly.scale(node.spectral[i - 1])
+                    _require(
+                        cherednik(i, node.poly) == node.poly.scale(node.spectral[i - 1]),
+                        f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}",
+                    )
                 total += 1
         graph.check_genericity(degree)
         return f"{total} nodes eigen-checked to degree {degree}"
@@ -338,9 +360,9 @@ def cmd_verify(cfg, args) -> int:
         ]
         mat = gram(graph, nodes, ctx)
         for i, (a, ti) in enumerate(nodes):
-            assert mat[i, i] == nsjp_norm(a, graph.basis[ti], kap)
+            _require(mat[i, i] == nsjp_norm(a, graph.basis[ti], kap), f"norm of {a}, tableau {ti}")
             for j in range(len(nodes)):
-                assert i == j or mat[i, j] == 0
+                _require(i == j or mat[i, j] == 0, f"gram entry ({i}, {j}) is nonzero")
         return f"gram of {len(nodes)} polynomials exactly diagonal"
 
     def selfadjoint_suite():
@@ -352,23 +374,25 @@ def cmd_verify(cfg, args) -> int:
             beta = _random_composition(rng, shape.N, d)
             i = int(rng.integers(1, shape.N + 1))
             res = store.verify_selfadjoint(alpha, beta, i)
-            assert np.all(res == Fraction(0))
+            _require(np.all(res == Fraction(0)), f"residual at {alpha}, {beta}, i={i}")
         return "10 random identities with zero residual"
 
     def kernel_suite():
         store = CoeffStore(shape, kap)
         rep = psd_report(store, range(1, 4), 20, cfg.seed)
-        assert rep.worst["min_eigenvalue"] >= -1e-9
-        assert rep.hermiticity_residual < 1e-10
-        assert rep.covariance_residual < 1e-10
+        failures = _kernel_failures(rep)
+        _require(not failures, f"gates failed: {', '.join(failures)}")
         return rep.worst
 
     def diffsys_suite():
         rng = np.random.default_rng(cfg.seed)
         for _ in range(5):
             x = _random_regular(rng, shape.N)
-            assert np.all(euler_residual(x, shape) == Fraction(0))
-            assert np.all(integrability_residual(1, 2, x, shape, kap) == Fraction(0))
+            _require(np.all(euler_residual(x, shape) == Fraction(0)), f"Euler residual at {x}")
+            _require(
+                np.all(integrability_residual(1, 2, x, shape, kap) == Fraction(0)),
+                f"integrability residual at {x}",
+            )
         gamma_const(shape)
         return "exact at 5 random rational points"
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import compositions, perms, tableaux
 from .compositions import Vec
-from .errors import NotYetComputable, PoleExcluded
+from .errors import NotYetComputable, PoleExcluded, StoreCorrupt
 from .scalars import KappaParam, rational
 from .tableaux import Partition
 
@@ -276,6 +276,11 @@ class CoeffStore:
 
     @classmethod
     def load(cls, path: str | Path, kappa: KappaParam | None = None) -> "CoeffStore":
+        """Read a saved store; raises StoreCorrupt when it does not fit the request.
+
+        The checks are structural (parameter, shape, basis order, grades
+        present, matrix sizes); stored entries are not recomputed.
+        """
         doc = json.loads(Path(path).read_text())
         head = doc["header"]
         shape = Partition(tuple(head["shape"]))
@@ -284,21 +289,34 @@ class CoeffStore:
 
             val = rational(head["kappa"])
             kappa = make_kappa(val.numerator, val.denominator, shape.parts)
+        elif kappa.shape != shape.parts:
+            raise StoreCorrupt(f"store file was built for shape {shape.parts}, not {kappa.shape}")
         store = cls(shape, kappa)
         if kappa.value != rational(head["kappa"]):
-            raise ValueError("store file was built with a different parameter")
+            raise StoreCorrupt(
+                f"store file was built with parameter {head['kappa']}, not {kappa.value}"
+            )
         expected = [list(t.content) for t in store.basis]
         if head["basis_order"] != expected:
-            raise ValueError("store file uses a different basis order")
+            raise StoreCorrupt("store file uses a different basis order")
         for rec in doc["grades"]:
             n = rec["n"]
             entries = {}
             for e in rec["entries"]:
-                mat = np.array(
-                    [[rational(x) for x in row] for row in e["matrix"]], dtype=object
-                )
+                rows = e["matrix"]
+                if len(rows) != store.dim or any(len(row) != store.dim for row in rows):
+                    raise StoreCorrupt(
+                        f"matrix at {e['gamma']} is not {store.dim}x{store.dim}"
+                    )
+                mat = np.array([[rational(x) for x in row] for row in rows], dtype=object)
                 entries[tuple(e["gamma"])] = mat
             store.grades[n] = entries
+        present = {rec["n"] for rec in doc["grades"]}
+        missing = [n for n in range(head["sealed_grade"] + 1) if n not in present]
+        if missing:
+            raise StoreCorrupt(
+                f"store file claims sealed grade {head['sealed_grade']} but lacks grades {missing}"
+            )
         store.sealed_grade = head["sealed_grade"]
         return store
 

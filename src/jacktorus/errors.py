@@ -57,3 +57,11 @@ class SingularPoint(JackTorusError, ValueError):
 
 class PathNearSingular(JackTorusError, ValueError):
     """Integration path passes closer to the singular set than the configured clearance."""
+
+
+class VerificationFailed(JackTorusError):
+    """An invariant that a verification checks does not hold."""
+
+
+class StoreCorrupt(JackTorusError, ValueError):
+    """A coefficient store file does not match the requested store or is incomplete."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _accel, compositions, tableaux
 from .coeffs import CoeffStore
-from .errors import NotYetComputable
+from .errors import NotYetComputable, VerificationFailed
 
 
 class TorusPoint:
@@ -121,7 +121,7 @@ def kernel_eval(n: int, x: TorusPoint, coeffs: FloatCoeffs | CoeffStore) -> np.n
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part, by the in-repo Jacobi solver."""
+    """Smallest eigenvalue of the Hermitian part, by LAPACK (``np.linalg.eigvalsh``)."""
     herm = (h + h.conj().T) / 2
     return float(_accel.jacobi_eigvals(herm)[0])
 
@@ -163,14 +163,18 @@ def cesaro_scalar(n: int, x: TorusPoint) -> complex:
 
 
 def sigma_identity_residual(n: int, x: TorusPoint) -> float:
-    """| h_n(1/x) h_n(x) - ((N)_n / n!) sigma_n(x) |, with a nonnegativity assert."""
+    """| h_n(1/x) h_n(x) - ((N)_n / n!) sigma_n(x) |.
+
+    Raises VerificationFailed when the scalar kernel sigma_n(x) is negative.
+    """
     hn = complete_symmetric(n, x)
     lhs = hn.conjugate() * hn
     count = Fraction(1)
     for i in range(n):
         count *= Fraction(x.N + i, i + 1)
     sig = cesaro_scalar(n, x)
-    assert sig.real >= -1e-10, f"scalar kernel negative: {sig.real}"
+    if not sig.real >= -1e-10:
+        raise VerificationFailed(f"scalar kernel negative: {sig.real}")
     return abs(lhs - float(count) * sig)
 
 

@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import InvalidShape, PoleExcluded
 
-Rational = Fraction
-
 
 def rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""

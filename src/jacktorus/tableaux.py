@@ -69,9 +69,6 @@ class Partition:
         """Number of RSYTs, by the hook length formula."""
         return factorial(self.N) // self.hook_product()
 
-    def content_sum(self) -> int:
-        return sum(c - r for r, c in self.boxes())
-
 
 @dataclass(frozen=True)
 class RSYT:
@@ -149,10 +146,6 @@ def enumerate_rsyt(shape: Partition) -> tuple[RSYT, ...]:
     assert len(results) == shape.dim
     results.sort(key=lambda t: t.content, reverse=True)
     return tuple(results)
-
-
-def tableau_index(shape: Partition, t: RSYT) -> int:
-    return enumerate_rsyt(shape).index(t)
 
 
 def t_zero(shape: Partition) -> RSYT:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from jacktorus.cli import main
 
 RUN = [sys.executable, "-m", "jacktorus.cli"]
@@ -143,3 +145,79 @@ def test_out_file_written(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out.read_text())["results"]["count"] == 2
+
+
+def test_kernel_fails_on_covariance_residual(monkeypatch, capsys):
+    from jacktorus import cli
+    from jacktorus.kernels import KernelReport
+
+    def bad_report(store, orders, samples, seed):
+        return KernelReport(
+            shape=store.shape.parts,
+            kappa=str(store.kappa.value),
+            orders=list(orders),
+            samples=samples,
+            seed=seed,
+            min_eigenvalues={1: 0.5},
+            covariance_residual=1e-8,
+            worst={"min_eigenvalue": 0.5, "hermiticity": 0.0, "covariance": 1e-8},
+        )
+
+    monkeypatch.setattr(cli, "psd_report", bad_report)
+    code = main(["--shape", "2,1", "--kappa", "1/5", "kernel", "--max-order", "1", "--samples", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["results"]["passed"] is False
+
+
+def test_verify_fails_under_optimize():
+    # the checks must not be asserts, which python -O strips
+    script = (
+        "import sys\n"
+        "from jacktorus import cli\n"
+        "cli.nsjp_norm = lambda *args: 12345\n"
+        "sys.exit(cli.main(['--shape', '2,1', '--kappa', '1/4', 'verify', '--max-degree', '1']))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    checks = {c["name"]: c for c in json.loads(out.stdout)["results"]["checks"]}
+    assert checks["gram"]["passed"] is False
+    assert checks["gram"]["detail"].startswith("VerificationFailed")
+
+
+def _reversed_basis_order(doc):
+    doc["header"]["basis_order"].reverse()
+
+
+def _grades_missing(doc):
+    doc["header"]["sealed_grade"] = 4
+
+
+def _matrix_not_square(doc):
+    doc["grades"][1]["entries"][0]["matrix"][0].append("0")
+
+
+@pytest.mark.parametrize(
+    "overrides, corrupt",
+    [
+        ({"--kappa": "1/5"}, None),
+        ({"--shape": "3,1"}, None),
+        ({}, _reversed_basis_order),
+        ({}, _grades_missing),
+        ({}, _matrix_not_square),
+    ],
+    ids=["other-kappa", "other-shape", "basis-order", "grades-missing", "matrix-size"],
+)
+def test_coeffs_rejects_bad_store(tmp_path, capsys, overrides, corrupt):
+    store = tmp_path / "s.json"
+    assert main(["--shape", "2,1", "--kappa", "1/4", "coeffs", "--grade", "2", "--store", str(store)]) == 0
+    capsys.readouterr()
+    if corrupt is not None:
+        doc = json.loads(store.read_text())
+        corrupt(doc)
+        store.write_text(json.dumps(doc))
+    flags = {"--shape": "2,1", "--kappa": "1/4", **overrides}
+    code = main([*(x for kv in flags.items() for x in kv), "coeffs", "--grade", "2", "--store", str(store)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["error"]["type"] == "StoreCorrupt"

@@ -7,7 +7,7 @@ import pytest
 from jacktorus import perms
 from jacktorus.coeffs import CoeffStore
 from jacktorus.compositions import enumerate_Z, sort_desc, split_pi_nu, triangular_lt
-from jacktorus.errors import NotYetComputable, PoleExcluded
+from jacktorus.errors import NotYetComputable, PoleExcluded, StoreCorrupt
 from jacktorus.scalars import make_kappa, unchecked_kappa
 from jacktorus.tableaux import (
     Partition,
@@ -275,7 +275,7 @@ def test_load_rejects_wrong_kappa(tmp_path, shape21, kappa21):
     path = tmp_path / "store.json"
     store.save(path)
     other = make_kappa(1, 5, (2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(StoreCorrupt):
         CoeffStore.load(path, other)
 
 

@@ -97,16 +97,18 @@ def test_kernel_commutes_at_symmetric_point(fc21):
         assert np.max(np.abs(k @ tw - tw @ k)) < 1e-10
 
 
-def test_jacobi_matches_numpy(fc21):
+def test_jacobi_matches_numpy():
+    # Hermitian matrices built with a known spectrum: U diag(lam) U^* for a random unitary U
     rng = np.random.default_rng(17)
     from jacktorus import _accel
 
     for dim in (2, 3, 5):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (a + a.conj().T) / 2
-        got = _accel.jacobi_eigvals(h)
-        expect = np.linalg.eigvalsh(h)
-        assert np.max(np.abs(got - expect)) < 1e-10
+        u, _ = np.linalg.qr(a)
+        lam = np.sort(rng.normal(size=dim))
+        h = u @ np.diag(lam) @ u.conj().T
+        assert np.max(np.abs(_accel.jacobi_eigvals(h) - lam)) < 1e-10
+        assert abs(min_eigenvalue(h) - lam[0]) < 1e-10
 
 
 def test_sigma_identity_at_one():
