@@ -51,36 +51,78 @@ class SessionConfig:
         }
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+def _ints(text: str) -> tuple[int, ...]:
+    """Parse "2,1,0" into (2, 1, 0); the argparse type of the vector flags."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_vec(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+def _shape_value(val) -> tuple[int, ...]:
+    if isinstance(val, str):
+        return _ints(val)
+    if isinstance(val, list) and all(type(p) is int for p in val):
+        return tuple(val)
+    raise ValueError(f"expected a partition such as 2,1 or [2, 1], got {val!r}")
+
+
+def _rational_value(val) -> Fraction:
+    if type(val) in (str, int):
+        try:
+            return rational(val)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected a rational such as 1/4, got {val!r}")
+
+
+def _int_value(val) -> int:
+    if type(val) in (str, int):
+        try:
+            return int(val)
+        except ValueError:
+            pass
+    raise ValueError(f"expected an integer, got {val!r}")
+
+
+def _str_value(val) -> str:
+    if not isinstance(val, str):
+        raise ValueError(f"expected a path, got {val!r}")
+    return val
+
+
+def _setting(merged: dict, key: str, parse, default=None):
+    """merged[key] through parse; a bad value is a usage error that names the key."""
+    val = merged.get(key, default)
+    if val is None:
+        return None
+    try:
+        return parse(val)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise argparse.ArgumentTypeError(f"{key}: {exc}") from None
 
 
 def _session(args) -> SessionConfig:
+    """Config-file defaults overridden by flags; raises ArgumentTypeError on a bad value."""
     merged: dict = {}
     if args.config:
-        merged.update(json.loads(Path(args.config).read_text()))
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"--config {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise argparse.ArgumentTypeError(f"--config {args.config}: expected a JSON object")
+        merged.update(loaded)
     for key in ("shape", "kappa", "max_grade", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    shape = merged.get("shape")
-    if isinstance(shape, str):
-        shape = _parse_shape(shape)
-    elif isinstance(shape, list):
-        shape = tuple(shape)
-    kappa = merged.get("kappa")
-    if kappa is not None:
-        kappa = rational(kappa)
     return SessionConfig(
-        shape=shape,
-        kappa=kappa,
-        max_grade=int(merged.get("max_grade", 4)),
-        seed=int(merged.get("seed", 7)),
-        out=merged.get("out"),
+        shape=_setting(merged, "shape", _shape_value),
+        kappa=_setting(merged, "kappa", _rational_value),
+        max_grade=_setting(merged, "max_grade", _int_value, 4),
+        seed=_setting(merged, "seed", _int_value, 7),
+        out=_setting(merged, "out", _str_value),
     )
 
 
@@ -136,15 +178,14 @@ def cmd_tableaux(cfg, args) -> int:
 
 def cmd_rep(cfg, args) -> int:
     shape, _ = _validated(cfg)
-    w = _parse_vec(args.word)
-    mat = tableaux.rep_matrix(shape, w)
-    return _emit("rep", cfg, {"word": list(w), "matrix": _matrix_records(mat)})
+    mat = tableaux.rep_matrix(shape, args.word)
+    return _emit("rep", cfg, {"word": list(args.word), "matrix": _matrix_records(mat)})
 
 
 def cmd_nsjp(cfg, args) -> int:
     shape, kap = _validated(cfg)
     graph = NsjpGraph(shape, kap)
-    alpha = _parse_vec(args.alpha)
+    alpha = args.alpha
     node = graph.build_nsjp(tuple(max(a, 0) for a in alpha), args.tableau) if min(alpha) >= 0 else None
     poly = graph.nsjp_laurent(alpha, args.tableau)
     results = {
@@ -182,19 +223,21 @@ def cmd_coeffs(cfg, args) -> int:
     )
 
 
-def cmd_gram(cfg, args) -> int:
-    shape, kap = _validated(cfg)
-    degree = args.max_degree
+def _gram_to_degree(shape, kap, degree: int):
+    """Graph, degree-ordered (alpha, tableau index) labels and Gram matrix up to a degree."""
     graph = NsjpGraph(shape, kap)
-    store = CoeffStore(shape, kap)
-    store.ensure_grade(degree)
-    ctx = FormContext(store)
+    ctx = FormContext(CoeffStore(shape, kap).ensure_grade(degree))
     nodes = [
         (node.alpha, node.t_index)
         for d in range(degree + 1)
         for node in graph.build_degree(d)
     ]
-    mat = gram(graph, nodes, ctx)
+    return graph, nodes, gram(graph, nodes, ctx)
+
+
+def cmd_gram(cfg, args) -> int:
+    shape, kap = _validated(cfg)
+    graph, nodes, mat = _gram_to_degree(shape, kap, args.max_degree)
     off = sum(
         1 for i in range(len(nodes)) for j in range(len(nodes)) if i != j and mat[i, j] != 0
     )
@@ -350,15 +393,7 @@ def cmd_verify(cfg, args) -> int:
         return f"{total} nodes eigen-checked to degree {degree}"
 
     def gram_suite():
-        graph = NsjpGraph(shape, kap)
-        store = CoeffStore(shape, kap).ensure_grade(degree)
-        ctx = FormContext(store)
-        nodes = [
-            (node.alpha, node.t_index)
-            for dd in range(degree + 1)
-            for node in graph.build_degree(dd)
-        ]
-        mat = gram(graph, nodes, ctx)
+        graph, nodes, mat = _gram_to_degree(shape, kap, degree)
         for i, (a, ti) in enumerate(nodes):
             _require(mat[i, i] == nsjp_norm(a, graph.basis[ti], kap), f"norm of {a}, tableau {ti}")
             for j in range(len(nodes)):
@@ -432,10 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tableaux", help="enumerate tableaux, contents, norms")
 
     p = sub.add_parser("rep", help="matrix of a permutation")
-    p.add_argument("--word", required=True, help="one-line permutation, e.g. 2,1,3")
+    p.add_argument("--word", required=True, type=_ints, help="one-line permutation, e.g. 2,1,3")
 
     p = sub.add_parser("nsjp", help="dump one Jack polynomial node")
-    p.add_argument("--alpha", required=True, help="exponent vector, e.g. 1,0,2")
+    p.add_argument("--alpha", required=True, type=_ints, help="exponent vector, e.g. 1,0,2")
     p.add_argument("--tableau", type=int, default=0, help="tableau index in canonical order")
 
     p = sub.add_parser("gram", help="orthogonality report to a degree")
@@ -483,8 +518,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _session(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _session(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     try:
         return _HANDLERS[args.command](cfg, args)
     except JackTorusError as exc:

@@ -76,9 +76,7 @@ class CoeffStore:
             return self
         if n != self.sealed_grade + 1:
             raise ValueError(f"grade {n - 1} not sealed yet")
-        reps = [
-            g for g in compositions.enumerate_Z(self.N, n) if g == compositions.sort_desc(g)
-        ]
+        reps = compositions.canonical_Z(self.N, n)
         # group by the negative part; solve each group triangular-ascending
         # in the positive part so every same-grade lookup is already known
         groups: dict[Vec, list[Vec]] = {}
@@ -278,47 +276,71 @@ class CoeffStore:
     def load(cls, path: str | Path, kappa: KappaParam | None = None) -> "CoeffStore":
         """Read a saved store; raises StoreCorrupt when it does not fit the request.
 
-        The checks are structural (parameter, shape, basis order, grades
-        present, matrix sizes); stored entries are not recomputed.
+        The checks are structural (layout and types, N, parameter, shape,
+        basis order, the canonical indices of every sealed grade, matrix
+        sizes); stored entries are not recomputed.
         """
-        doc = json.loads(Path(path).read_text())
-        head = doc["header"]
-        shape = Partition(tuple(head["shape"]))
+        shape, value, sealed, order, grades = _read_store(path)
         if kappa is None:
             from .scalars import make_kappa
 
-            val = rational(head["kappa"])
-            kappa = make_kappa(val.numerator, val.denominator, shape.parts)
+            kappa = make_kappa(value.numerator, value.denominator, shape.parts)
         elif kappa.shape != shape.parts:
             raise StoreCorrupt(f"store file was built for shape {shape.parts}, not {kappa.shape}")
         store = cls(shape, kappa)
-        if kappa.value != rational(head["kappa"]):
-            raise StoreCorrupt(
-                f"store file was built with parameter {head['kappa']}, not {kappa.value}"
-            )
-        expected = [list(t.content) for t in store.basis]
-        if head["basis_order"] != expected:
+        if kappa.value != value:
+            raise StoreCorrupt(f"store file was built with parameter {value}, not {kappa.value}")
+        if order != [list(t.content) for t in store.basis]:
             raise StoreCorrupt("store file uses a different basis order")
-        for rec in doc["grades"]:
-            n = rec["n"]
-            entries = {}
-            for e in rec["entries"]:
-                rows = e["matrix"]
-                if len(rows) != store.dim or any(len(row) != store.dim for row in rows):
-                    raise StoreCorrupt(
-                        f"matrix at {e['gamma']} is not {store.dim}x{store.dim}"
-                    )
-                mat = np.array([[rational(x) for x in row] for row in rows], dtype=object)
-                entries[tuple(e["gamma"])] = mat
-            store.grades[n] = entries
-        present = {rec["n"] for rec in doc["grades"]}
-        missing = [n for n in range(head["sealed_grade"] + 1) if n not in present]
+        missing = [n for n in range(sealed + 1) if n not in grades]
         if missing:
             raise StoreCorrupt(
-                f"store file claims sealed grade {head['sealed_grade']} but lacks grades {missing}"
+                f"store file claims sealed grade {sealed} but lacks grades {missing}"
             )
-        store.sealed_grade = head["sealed_grade"]
+        for n in range(sealed + 1):
+            if set(grades[n]) != set(compositions.canonical_Z(store.N, n)):
+                raise StoreCorrupt(f"grade {n} of the store file has the wrong indices")
+        for n, entries in grades.items():
+            for gamma, mat in entries.items():
+                if mat.shape != (store.dim, store.dim):
+                    raise StoreCorrupt(f"matrix at {list(gamma)} is not {store.dim}x{store.dim}")
+        store.grades.update(grades)
+        store.sealed_grade = sealed
         return store
+
+
+def _read_store(path: str | Path):
+    """Decode the saved layout: (shape, parameter, sealed grade, basis order, grades).
+
+    Raises StoreCorrupt for invalid JSON, missing keys and values of the wrong type.
+    """
+
+    def typed(val, kind):
+        if type(val) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {val!r}")
+        return val
+
+    def ints(val) -> Vec:
+        return tuple(typed(x, int) for x in typed(val, list))
+
+    try:
+        doc = json.loads(Path(path).read_text())
+        head = doc["header"]
+        shape = Partition(ints(head["shape"]))
+        if typed(head["N"], int) != shape.N:
+            raise ValueError(f"N = {head['N']} but the shape has {shape.N} boxes")
+        value = rational(typed(head["kappa"], str))
+        sealed = typed(head["sealed_grade"], int)
+        order = [list(ints(c)) for c in typed(head["basis_order"], list)]
+        grades: dict[int, dict[Vec, np.ndarray]] = {}
+        for rec in typed(doc["grades"], list):
+            entries = grades.setdefault(typed(rec["n"], int), {})
+            for e in typed(rec["entries"], list):
+                rows = [[rational(typed(x, str)) for x in typed(r, list)] for r in typed(e["matrix"], list)]
+                entries[ints(e["gamma"])] = np.array(rows, dtype=object)
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise StoreCorrupt(f"store file {path} is unreadable or malformed: {type(exc).__name__}: {exc}") from None
+    return shape, value, sealed, order, grades
 
 
 def _shift(gamma: Vec, j: int, ell: int) -> Vec:

@@ -11,7 +11,7 @@ from itertools import accumulate
 from math import comb
 
 from . import perms
-from .errors import BadSupport, NegativeEntry, NotGraded
+from .errors import BadSupport, NegativeEntry, NotGraded, VerificationFailed
 from .perms import Perm
 
 Vec = tuple[int, ...]
@@ -73,7 +73,8 @@ def steps_count(alpha: Vec) -> int:
         for j in range(i + 1, n):
             d = alpha[i] - alpha[j]
             total += abs(d) + abs(d + 1) - 1
-    assert total % 2 == 0
+    if total % 2:
+        raise VerificationFailed(f"odd step count {total} for {alpha}")
     return total // 2
 
 
@@ -130,6 +131,34 @@ def enumerate_Z(N: int, n: int) -> list[Vec]:
                 for i, v in zip(neg, nvals):
                     gamma[i] = -v
                 out.append(tuple(gamma))
+    out.sort()
+    return out
+
+
+def _partitions(total: int, max_parts: int, cap: int):
+    """Non-increasing vectors of at most max_parts entries in 1..cap summing to total."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(total, cap), 0, -1):
+        for rest in _partitions(total - first, max_parts - 1, first):
+            yield (first, *rest)
+
+
+def canonical_Z(N: int, n: int) -> list[Vec]:
+    """The non-increasing members of enumerate_Z(N, n), one per orbit, in its order.
+
+    Built directly as positive partition, zeros, negated reversed partition.
+    """
+    if n == 0:
+        return [(0,) * N]
+    out = [
+        pi + (0,) * (N - len(pi) - len(nu)) + tuple(-v for v in reversed(nu))
+        for pi in _partitions(n, N - 1, n)
+        for nu in _partitions(n, N - len(pi), n)
+    ]
     out.sort()
     return out
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _accel, tableaux
-from .errors import PathNearSingular, SingularPoint
+from .errors import PathNearSingular, SingularPoint, VerificationFailed
 from .scalars import KappaParam
 from .tableaux import Partition
 
@@ -23,14 +23,15 @@ from .tableaux import Partition
 def gamma_const(shape: Partition) -> Fraction:
     """Homogenization constant: average content of the diagram.
 
-    Computed two ways (row form and content-sum form) and asserted equal.
+    Computed two ways (row form and content-sum form) and checked equal.
     """
     n = shape.N
     row_form = sum(
         Fraction(p * (p - 2 * (i + 1) + 1)) for i, p in enumerate(shape.parts)
     ) / (2 * n)
     content_form = Fraction(sum(tableaux.t_zero(shape).content), n)
-    assert row_form == content_form, (row_form, content_form)
+    if row_form != content_form:
+        raise VerificationFailed(f"row form {row_form} differs from content form {content_form}")
     return row_form
 
 

@@ -21,7 +21,7 @@ from math import factorial
 import numpy as np
 
 from . import perms
-from .errors import InvalidShape
+from .errors import InvalidShape, VerificationFailed
 from .perms import Perm
 
 
@@ -143,7 +143,8 @@ def enumerate_rsyt(shape: Partition) -> tuple[RSYT, ...]:
                 grid[r].pop()
 
     place(n, [[] for _ in range(shape.length)])
-    assert len(results) == shape.dim
+    if len(results) != shape.dim:
+        raise VerificationFailed(f"{len(results)} tableaux of shape {shape.parts}, expected {shape.dim}")
     results.sort(key=lambda t: t.content, reverse=True)
     return tuple(results)
 
@@ -168,7 +169,8 @@ def norm0(t: RSYT) -> Fraction:
         for j in range(i + 1, len(c)):
             if c[i] <= c[j] - 2:
                 out *= 1 - Fraction(1, (c[i] - c[j]) ** 2)
-    assert out > 0
+    if out <= 0:
+        raise VerificationFailed(f"tableau norm {out} is not positive")
     return out
 
 

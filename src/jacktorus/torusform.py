@@ -2,13 +2,16 @@
 
 Closed forms give the squared norms of the Jack basis directly; arbitrary
 vector-valued Laurent polynomials are paired through the coefficient store,
-term pair by term pair, using the exact pairing matrices G.  Coordinate
-multiplication is an isometry of this form, so Laurent inputs are first
-normalized by a common power of x_1 ... x_N.
+using the exact pairing matrices G_{alpha-beta}.  ``pair`` sums term pair by
+term pair; coordinate multiplication is an isometry of this form, so it first
+normalizes Laurent inputs by a common power of x_1 ... x_N.  ``gram`` builds
+a whole Gram matrix as one integer matrix product C^T P C per degree and
+checks one diagonal entry per degree against ``pair``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,7 +20,7 @@ import numpy as np
 from . import compositions
 from .coeffs import CoeffStore
 from .compositions import Vec
-from .errors import SpectralCollision
+from .errors import SpectralCollision, VerificationFailed
 from .scalars import KappaParam
 from .tableaux import RSYT, Partition, norm0
 from .ybgraph import NsjpGraph
@@ -172,14 +175,70 @@ def pair(f, g, ctx: FormContext) -> Fraction:
 
 
 def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
-    """Gram matrix of Jack polynomials at the given (alpha, tableau) labels."""
+    """Gram matrix of Jack polynomials at the given (alpha, tableau) labels.
+
+    Terms of different degree pair to zero, so the matrix is a sum over
+    degrees d of C_d^T P_d C_d: C_d holds the degree-d coefficients (one row
+    per exponent and tableau index, one column per polynomial) and P_d the
+    pairing blocks G_{alpha-beta} between those exponents.  Both are scaled
+    to Python ints (C_d per column by the lcm of its denominators, P_d by one
+    common lcm), so the product is exact and the single division comes last.
+    The pairing depends only on alpha - beta, so Laurent labels need no shift.
+
+    The pairwise ``pair`` is the oracle: the diagonal entry of the polynomial
+    with the most terms in each degree block is recomputed with it, and a
+    disagreement raises VerificationFailed.
+    """
     polys = [graph.nsjp_laurent(alpha, t) for alpha, t in nodes]
-    k = len(polys)
-    out = np.zeros((k, k), dtype=object)
-    out[:] = Fraction(0)
-    for a in range(k):
-        for b in range(a, k):
-            val = pair(polys[a], polys[b], ctx)
-            out[a, b] = val
-            out[b, a] = val
+    dim = ctx.store.dim
+    # degree -> {polynomial index: its exponents of that degree}
+    blocks: dict[int, dict[int, list[Vec]]] = {}
+    for a, f in enumerate(polys):
+        for alpha in f.terms:
+            blocks.setdefault(sum(alpha), {}).setdefault(a, []).append(alpha)
+    out = np.full((len(polys), len(polys)), Fraction(0), dtype=object)
+    spot = set()
+    for cols in blocks.values():
+        exps = sorted({alpha for support in cols.values() for alpha in support})
+        row = {alpha: r * dim for r, alpha in enumerate(exps)}
+        idx = list(cols)
+        cmat = np.zeros((len(exps) * dim, len(idx)), dtype=object)
+        scales = []
+        for c, a in enumerate(idx):
+            terms = [(alpha, polys[a].terms[alpha]) for alpha in cols[a]]
+            s = math.lcm(*(x.denominator for _, v in terms for x in v))
+            for alpha, v in terms:
+                cmat[row[alpha] : row[alpha] + dim, c] = _scaled(v, s)
+            scales.append(s)
+        pmat, lp = _pairing_block(row, ctx)
+        prod = cmat.T @ (pmat @ cmat)
+        for i, a in enumerate(idx):
+            for j, b in enumerate(idx):
+                if prod[i, j]:
+                    out[a, b] += Fraction(prod[i, j], lp * scales[i] * scales[j])
+        spot.add(max(idx, key=lambda a: (len(cols[a]), -a)))
+    for a in sorted(spot):
+        if pair(polys[a], polys[a], ctx) != out[a, a]:
+            alpha, t = nodes[a]
+            raise VerificationFailed(
+                f"gram entry of {tuple(alpha)}, tableau {t} differs from the pairwise form"
+            )
     return out
+
+
+def _scaled(values, s: int) -> list[int]:
+    """s * x for each rational x, as ints; s must clear every denominator."""
+    return [x.numerator * (s // x.denominator) for x in values]
+
+
+def _pairing_block(row: dict[Vec, int], ctx: FormContext) -> tuple[np.ndarray, int]:
+    """Integer block matrix [L G_{alpha-beta}], block rows at row[alpha], and its scale L."""
+    dim = ctx.store.dim
+    gammas = {(a, b): tuple(x - y for x, y in zip(a, b)) for a in row for b in row}
+    mats = {g: ctx.pairing(g) for g in set(gammas.values())}
+    lp = math.lcm(*(x.denominator for m in mats.values() for x in m.flat))
+    ints = {g: np.array([_scaled(r, lp) for r in m], dtype=object) for g, m in mats.items()}
+    pmat = np.zeros((len(row) * dim, len(row) * dim), dtype=object)
+    for (a, b), g in gammas.items():
+        pmat[row[a] : row[a] + dim, row[b] : row[b] + dim] = ints[g]
+    return pmat, lp

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import compositions, perms, tableaux
 from .compositions import Vec
-from .errors import SpectralCollision
+from .errors import SpectralCollision, VerificationFailed
 from .laurent import VVLaurent, group_action
 from .perms import Perm
 from .scalars import KappaParam
@@ -109,7 +109,8 @@ class NsjpGraph:
                     nxt.append(ti2)
             frontier = nxt
         missing = [t for k, t in enumerate(self.basis) if (zero, k) not in self._nodes]
-        assert not missing, f"tableau steps failed to reach {missing}"
+        if missing:
+            raise VerificationFailed(f"tableau steps failed to reach {missing}")
 
     def node(self, alpha, t_index: int) -> GraphNode:
         alpha = tuple(alpha)

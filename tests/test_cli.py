@@ -87,6 +87,43 @@ def test_usage_error_exit_code():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--shape", "2,x", "tableaux"], None, "shape: expected comma-separated integers, got '2,x'"),
+        (["--shape", "2,1", "--kappa", "1/x", "tableaux"], None, "kappa: expected a rational"),
+        (["--shape", "2,1", "--kappa", "1/0", "tableaux"], None, "kappa: expected a rational"),
+        (["--shape", "2,1", "rep", "--word", "2,x"], None, "argument --word: expected comma-separated"),
+        (["tableaux"], '{"shape": "2,1",', "--config"),
+        (["tableaux"], '["2,1"]', "expected a JSON object"),
+        (["tableaux"], '{"shape": "2,1", "seed": 1.5}', "seed: expected an integer"),
+        (["tableaux"], '{"shape": "2,1", "kappa": 0.2}', "kappa: expected a rational"),
+        (["tableaux"], '{"shape": [2, "1"]}', "shape: expected a partition"),
+    ],
+    ids=[
+        "shape-flag",
+        "kappa-flag",
+        "kappa-zero-denominator",
+        "word-flag",
+        "config-invalid-json",
+        "config-not-object",
+        "config-seed",
+        "config-kappa-float",
+        "config-shape",
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = ["--config", str(path), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_kernel_and_identity(capsys):
     code = main(["--shape", "2,1", "--kappa", "1/5", "kernel", "--max-order", "2", "--samples", "6"])
     doc = json.loads(capsys.readouterr().out)
@@ -197,6 +234,30 @@ def _matrix_not_square(doc):
     doc["grades"][1]["entries"][0]["matrix"][0].append("0")
 
 
+def _empty_document(doc):
+    return "{}"
+
+
+def _invalid_json(doc):
+    return json.dumps(doc)[:-1]
+
+
+def _float_entry(doc):
+    doc["grades"][1]["entries"][0]["matrix"][0][0] = 0.5
+
+
+def _sealed_grade_text(doc):
+    doc["header"]["sealed_grade"] = "2"
+
+
+def _index_missing(doc):
+    doc["grades"][2]["entries"].pop()
+
+
+def _box_count(doc):
+    doc["header"]["N"] = 4
+
+
 @pytest.mark.parametrize(
     "overrides, corrupt",
     [
@@ -205,8 +266,26 @@ def _matrix_not_square(doc):
         ({}, _reversed_basis_order),
         ({}, _grades_missing),
         ({}, _matrix_not_square),
+        ({}, _empty_document),
+        ({}, _invalid_json),
+        ({}, _float_entry),
+        ({}, _sealed_grade_text),
+        ({}, _index_missing),
+        ({}, _box_count),
     ],
-    ids=["other-kappa", "other-shape", "basis-order", "grades-missing", "matrix-size"],
+    ids=[
+        "other-kappa",
+        "other-shape",
+        "basis-order",
+        "grades-missing",
+        "matrix-size",
+        "empty-document",
+        "invalid-json",
+        "float-entry",
+        "sealed-grade-text",
+        "index-missing",
+        "box-count",
+    ],
 )
 def test_coeffs_rejects_bad_store(tmp_path, capsys, overrides, corrupt):
     store = tmp_path / "s.json"
@@ -214,8 +293,8 @@ def test_coeffs_rejects_bad_store(tmp_path, capsys, overrides, corrupt):
     capsys.readouterr()
     if corrupt is not None:
         doc = json.loads(store.read_text())
-        corrupt(doc)
-        store.write_text(json.dumps(doc))
+        text = corrupt(doc)  # replacement text, or None after editing doc in place
+        store.write_text(json.dumps(doc) if text is None else text)
     flags = {"--shape": "2,1", "--kappa": "1/4", **overrides}
     code = main([*(x for kv in flags.items() for x in kv), "coeffs", "--grade", "2", "--store", str(store)])
     doc = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from jacktorus import perms
 from jacktorus.compositions import (
+    canonical_Z,
     canonicalize,
     count_Z,
     dominance_lt,
@@ -106,6 +107,12 @@ def test_enumerate_Z_sorted_lex():
     out = enumerate_Z(4, 2)
     assert out == sorted(out)
     assert len(out) == len(set(out))
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_canonical_Z_is_the_sorted_part_of_enumerate_Z(N):
+    for n in range(0, 6):
+        assert canonical_Z(N, n) == [g for g in enumerate_Z(N, n) if g == sort_desc(g)]
 
 
 @pytest.mark.parametrize(

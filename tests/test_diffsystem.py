@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +31,27 @@ def test_gamma_const_examples():
 
 @pytest.mark.parametrize("n", range(4, 8))
 def test_gamma_const_two_formulas_agree(n):
-    # gamma_const asserts row form == content form internally
+    # gamma_const checks row form == content form internally
     for shape in valid_shapes(n):
         gamma_const(shape)
+
+
+def test_gamma_const_check_holds_under_optimize():
+    # library invariants raise VerificationFailed; an assert would vanish under python -O
+    script = (
+        "from jacktorus import diffsystem, tableaux\n"
+        "from jacktorus.errors import VerificationFailed\n"
+        "from jacktorus.tableaux import Partition\n"
+        "real = tableaux.t_zero\n"
+        "tableaux.t_zero = lambda shape: real(Partition((2, 2)))\n"
+        "try:\n"
+        "    diffsystem.gamma_const(Partition((2, 1, 1)))\n"
+        "except VerificationFailed:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 def test_singular_guards():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacktorus.laurent import VVLaurent, coeff_vector, dunkl, group_action
-from jacktorus.tableaux import enumerate_rsyt, norm0, t_zero
+from jacktorus.tableaux import enumerate_rsyt, norm0, t_zero, valid_shapes
 from jacktorus.torusform import (
     FormContext,
     covariant_norm,
@@ -165,6 +167,22 @@ def test_laurent_pairs_through_common_shift(graph21, kappa21, ctx21):
     assert pair(f, g, ctx21) == nsjp_norm((1, 0, 2), graph21.basis[0], kappa21)
 
 
+def _nodes_to_degree(graph, degree):
+    return [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
+
+
+def _assert_matches_pairwise(graph, nodes, ctx):
+    """gram equals the all-pairs oracle entry for entry; returns the matrix."""
+    mat = gram(graph, nodes, ctx)
+    polys = [graph.nsjp_laurent(*key) for key in nodes]
+    assert mat.shape == (len(nodes), len(nodes))
+    for i in range(len(nodes)):
+        for j in range(i, len(nodes)):
+            val = pair(polys[i], polys[j], ctx)
+            assert mat[i, j] == val and mat[j, i] == val, (nodes[i], nodes[j])
+    return mat
+
+
 def test_gram_degree_zero(graph21, ctx21, shape21):
     nodes = [((0, 0, 0), ti) for ti in range(2)]
     mat = gram(graph21, nodes, ctx21)
@@ -174,17 +192,11 @@ def test_gram_degree_zero(graph21, ctx21, shape21):
 
 
 def test_gram_full_orthogonality_small(graph21, ctx21, kappa21):
-    nodes = [
-        (node.alpha, node.t_index)
-        for d in range(3)
-        for node in graph21.build_degree(d)
-    ]
-    mat = gram(graph21, nodes, ctx21)
+    nodes = _nodes_to_degree(graph21, 3)
+    mat = _assert_matches_pairwise(graph21, nodes, ctx21)
     for i, (alpha, ti) in enumerate(nodes):
         assert mat[i, i] == nsjp_norm(alpha, graph21.basis[ti], kappa21)
-        for j in range(len(nodes)):
-            if i != j:
-                assert mat[i, j] == 0
+        assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)
 
 
 def test_jump_isometry(graph21, ctx21, kappa21):
@@ -208,20 +220,92 @@ def test_gram_orthogonality_other_shapes(parts):
     kap = default_kappa(parts)
     graph = NsjpGraph(shape, kap)
     ctx = FormContext(CoeffStore(shape, kap))
+    nodes = _nodes_to_degree(graph, 2)
+    mat = _assert_matches_pairwise(graph, nodes, ctx)
+    for i, (alpha, ti) in enumerate(nodes):
+        assert mat[i, i] == nsjp_norm(alpha, graph.basis[ti], kap)
+        assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)
+
+
+def test_gram_matches_pairwise_on_laurent_labels(graph21, ctx21):
     nodes = [
-        (node.alpha, node.t_index)
-        for d in range(3)
-        for node in graph.build_degree(d)
+        ((0, -1, 1), 0),
+        ((-1, 0, 1), 1),
+        ((-1, -1, 0), 0),
+        ((1, -1, 0), 1),
+        ((0, 0, 0), 1),
+        ((-2, 1, 1), 0),
+        ((0, -1, 1), 1),
     ]
-    polys = {key: graph.nsjp_laurent(*key) for key in nodes}
-    for i, key_a in enumerate(nodes):
-        for key_b in nodes[i:]:
-            val = pair(polys[key_a], polys[key_b], ctx)
-            if key_a == key_b:
-                alpha, ti = key_a
-                assert val == nsjp_norm(alpha, graph.basis[ti], kap)
-            else:
-                assert val == 0
+    assert any(min(a) < 0 for a, _ in nodes)
+    _assert_matches_pairwise(graph21, nodes, ctx21)
+
+
+def test_gram_matches_pairwise_on_unsorted_degrees(graph21, ctx21):
+    nodes = [((2, 1, 0), 0), ((0, 0, 0), 1), ((1, 0, 1), 1), ((0, 1, 0), 0), ((0, 0, 3), 1), ((1, 0, 0), 1)]
+    assert [sum(a) for a, _ in nodes] != sorted(sum(a) for a, _ in nodes)
+    _assert_matches_pairwise(graph21, nodes, ctx21)
+
+
+class _PolyTable:
+    """Stands in for the graph: hands gram arbitrary polynomials by label."""
+
+    def __init__(self, polys):
+        self.polys = polys
+
+    def nsjp_laurent(self, alpha, t):
+        return self.polys[(alpha, t)]
+
+
+def test_gram_matches_pairwise_on_non_orthogonal_inputs(shape21, kappa21, ctx21):
+    """Mixed-degree Laurent inputs with nonzero off-diagonal entries, which the
+    orthogonal Jack basis never produces."""
+    rng = random.Random(11)
+    polys = {}
+    for k in range(8):
+        f = _random_poly(shape21, kappa21, rng, nterms=4, max_exp=2).scale(Fraction(k + 1, k + 2))
+        polys[((k,), 0)] = f.monomial_mul((-1, 0, 0)) if k % 3 == 0 else f
+    mat = _assert_matches_pairwise(_PolyTable(polys), list(polys), ctx21)
+    assert any(mat[i, j] != 0 for i in range(8) for j in range(i))
+
+
+def test_gram_raises_when_the_pairwise_oracle_disagrees(graph21, ctx21, monkeypatch):
+    from jacktorus import torusform
+    from jacktorus.errors import VerificationFailed
+
+    real = torusform.pair
+    monkeypatch.setattr(torusform, "pair", lambda f, g, ctx: real(f, g, ctx) + 1)
+    with pytest.raises(VerificationFailed):
+        gram(graph21, _nodes_to_degree(graph21, 1), ctx21)
+
+
+SHAPES_TO_5 = [s.parts for n in range(3, 6) for s in valid_shapes(n)]
+
+
+@lru_cache(maxsize=None)
+def _setup(parts):
+    from jacktorus.coeffs import CoeffStore
+    from jacktorus.scalars import default_kappa
+    from jacktorus.tableaux import Partition
+    from jacktorus.ybgraph import NsjpGraph
+
+    shape = Partition(parts)
+    kap = default_kappa(parts)
+    graph = NsjpGraph(shape, kap)
+    return graph, FormContext(CoeffStore(shape, kap)), _nodes_to_degree(graph, 2)
+
+
+@pytest.mark.parametrize("parts", SHAPES_TO_5, ids=[",".join(map(str, p)) for p in SHAPES_TO_5])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_gram_is_diagonal_with_closed_form_norms(parts, data):
+    """Every shape with N <= 5 at the default parameter, to degree 2, in any node order."""
+    graph, ctx, nodes = _setup(parts)
+    nodes = data.draw(st.permutations(nodes), label="nodes")
+    mat = gram(graph, nodes, ctx)
+    for i, (alpha, ti) in enumerate(nodes):
+        assert mat[i, i] == nsjp_norm(alpha, graph.basis[ti], graph.kappa)
+        assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)
 
 
 def _random_poly(shape, kappa, rng, nterms=3, max_exp=1):
