@@ -13,7 +13,6 @@ from .compositions import count_Z, enumerate_Z, rank_perm, triangular_lt
 from .errors import (
     InvalidShape,
     JackTorusError,
-    NotYetComputable,
     PathNearSingular,
     PoleExcluded,
     SingularPoint,
@@ -32,7 +31,6 @@ __all__ = [
     "InvalidShape",
     "JackTorusError",
     "KappaParam",
-    "NotYetComputable",
     "NsjpGraph",
     "Partition",
     "PathNearSingular",

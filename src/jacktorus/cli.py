@@ -2,8 +2,8 @@
 
 Each run emits a single JSON document {command, config, version, results};
 identical inputs (including the seed) produce byte-identical reports.
-Computation failures (excluded parameter, insufficient grade, singular
-point) exit 1 with a structured error record; usage errors exit 2.
+Computation failures (excluded parameter, singular point, failed check)
+exit 1 with a structured error record; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -57,6 +57,20 @@ def _ints(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _int_at_least(minimum: int):
+    """argparse type of an integer flag that must be at least minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+
+    return parse
 
 
 def _shape_value(val) -> tuple[int, ...]:
@@ -128,7 +142,7 @@ def _session(args) -> SessionConfig:
 
 def _validated(cfg: SessionConfig):
     if cfg.shape is None:
-        raise SystemExit("a shape is required (--shape P1,P2,...)")
+        raise argparse.ArgumentTypeError("a shape is required (--shape P1,P2,...)")
     shape = Partition(cfg.shape)
     value = cfg.kappa
     if value is None:
@@ -178,14 +192,20 @@ def cmd_tableaux(cfg, args) -> int:
 
 def cmd_rep(cfg, args) -> int:
     shape, _ = _validated(cfg)
+    if sorted(args.word) != list(range(1, shape.N + 1)):
+        raise argparse.ArgumentTypeError(f"--word must be a permutation of 1..{shape.N}, got {args.word}")
     mat = tableaux.rep_matrix(shape, args.word)
     return _emit("rep", cfg, {"word": list(args.word), "matrix": _matrix_records(mat)})
 
 
 def cmd_nsjp(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    graph = NsjpGraph(shape, kap)
     alpha = args.alpha
+    if len(alpha) != shape.N:
+        raise argparse.ArgumentTypeError(f"--alpha needs {shape.N} entries, got {len(alpha)}")
+    if not 0 <= args.tableau < shape.dim:
+        raise argparse.ArgumentTypeError(f"--tableau must lie in 0..{shape.dim - 1}, got {args.tableau}")
+    graph = NsjpGraph(shape, kap)
     node = graph.build_nsjp(tuple(max(a, 0) for a in alpha), args.tableau) if min(alpha) >= 0 else None
     poly = graph.nsjp_laurent(alpha, args.tableau)
     results = {
@@ -474,31 +494,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tableau", type=int, default=0, help="tableau index in canonical order")
 
     p = sub.add_parser("gram", help="orthogonality report to a degree")
-    p.add_argument("--max-degree", dest="max_degree", type=int, default=2)
+    p.add_argument("--max-degree", dest="max_degree", type=_int_at_least(0), default=2)
 
     p = sub.add_parser("coeffs", help="build/extend the coefficient store")
-    p.add_argument("--grade", type=int, help="target grade (default: --max-grade)")
+    p.add_argument("--grade", type=_int_at_least(0), help="target grade (default: --max-grade)")
     p.add_argument("--store", help="persist/reload path")
 
     p = sub.add_parser("kernel", help="kernel positivity report")
-    p.add_argument("--max-order", dest="max_order", type=int, default=4)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--max-order", dest="max_order", type=_int_at_least(1), default=4)
+    p.add_argument("--samples", type=_int_at_least(1), default=50)
 
     p = sub.add_parser("identity", help="scalar Cesaro / complete-symmetric residuals")
     p.add_argument("--N", type=int, default=3)
-    p.add_argument("--max-order", dest="max_order", type=int, default=6)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--max-order", dest="max_order", type=_int_at_least(1), default=6)
+    p.add_argument("--samples", type=_int_at_least(1), default=50)
 
     p = sub.add_parser("diffsys", help="connection identity checks")
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--loop-steps", dest="loop_steps", type=int, default=0)
+    p.add_argument("--points", type=_int_at_least(0), default=10)
+    p.add_argument("--loop-steps", dest="loop_steps", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("count", help="graded index-set count")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
-    p.add_argument("--max-degree", dest="max_degree", type=int, default=2)
+    p.add_argument("--max-degree", dest="max_degree", type=_int_at_least(0), default=2)
 
     return parser
 
@@ -522,10 +542,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _session(args)
+        return _HANDLERS[args.command](cfg, args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    try:
-        return _HANDLERS[args.command](cfg, args)
     except JackTorusError as exc:
         doc = {
             "command": args.command,

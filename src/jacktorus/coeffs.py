@@ -26,7 +26,7 @@ import numpy as np
 
 from . import compositions, perms, tableaux
 from .compositions import Vec
-from .errors import NotYetComputable, PoleExcluded, StoreCorrupt
+from .errors import PoleExcluded, StoreCorrupt
 from .scalars import KappaParam, rational
 from .tableaux import Partition
 
@@ -34,12 +34,11 @@ from .tableaux import Partition
 class CoeffStore:
     """Grade-indexed store of coefficient matrices for one (shape, kappa)."""
 
-    def __init__(self, shape: Partition, kappa: KappaParam, max_grade: int | None = None):
+    def __init__(self, shape: Partition, kappa: KappaParam):
         if kappa.shape != shape.parts:
             raise ValueError("kappa was validated against a different shape")
         self.shape = shape
         self.kappa = kappa
-        self.max_grade = max_grade
         self.basis = tableaux.enumerate_rsyt(shape)
         self.dim = shape.dim
         self.norms = tableaux.norm0_diag(shape)
@@ -64,8 +63,6 @@ class CoeffStore:
     # -- solving ---------------------------------------------------------
 
     def ensure_grade(self, n: int) -> "CoeffStore":
-        if self.max_grade is not None and n > self.max_grade:
-            raise NotYetComputable(f"grade {n} exceeds the configured cap {self.max_grade}")
         while self.sealed_grade < n:
             self.solve_grade(self.sealed_grade + 1)
         return self
@@ -175,16 +172,8 @@ class CoeffStore:
             z = np.zeros((self.dim, self.dim), dtype=object)
             z[:] = Fraction(0)
             return z
-        n = compositions.grade(gamma)
-        self.ensure_grade(n)
-        can, _ = compositions.canonicalize(gamma)
-        if can in self.grades[n]:
-            return self._fetch(gamma, None)
-        # sign-reversed orbit: cA_{-g} = D^{-1} cA_g^T D
-        neg = tuple(-g for g in gamma)
-        mat = self._fetch(neg, None).T
-        d = np.array(self.norms, dtype=object)
-        return (1 / d)[:, None] * mat * d[None, :]
+        self.ensure_grade(compositions.grade(gamma))
+        return self._fetch(gamma, None)
 
     def pairing_matrix(self, gamma) -> np.ndarray:
         """G_gamma = D cA_gamma: exact monomial pairing matrix."""
@@ -193,7 +182,7 @@ class CoeffStore:
         return d[:, None] * mat
 
     def ortho_coeff_float(self, gamma) -> np.ndarray:
-        """Orthonormal-convention coefficient, as float (introduces sqrt of norms)."""
+        """Orthonormal-convention coefficient, as float; the reference for ``kernels.FloatCoeffs``."""
         mat = self.coeff(gamma)
         sq = np.sqrt(np.array([float(x) for x in self.norms]))
         return sq[:, None] * mat.astype(float) / sq[None, :]

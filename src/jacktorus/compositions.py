@@ -102,14 +102,14 @@ def count_Z(N: int, n: int) -> int:
     )
 
 
-def _compositions(total: int, parts: int, minimum: int):
-    """All vectors of `parts` entries >= minimum summing to total."""
+def compositions_of(total: int, parts: int, minimum: int = 0):
+    """All vectors of `parts` entries >= minimum summing to total, lexicographically."""
     if parts == 0:
         if total == 0:
             yield ()
         return
     for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
+        for rest in compositions_of(total - first, parts - 1, minimum):
             yield (first, *rest)
 
 
@@ -123,8 +123,8 @@ def enumerate_Z(N: int, n: int) -> list[Vec]:
         neg = [i for i in range(N) if not mask & (1 << i)]
         if len(pos) > n:
             continue
-        for pvals in _compositions(n, len(pos), 1):
-            for nvals in _compositions(n, len(neg), 0):
+        for pvals in compositions_of(n, len(pos), 1):
+            for nvals in compositions_of(n, len(neg)):
                 gamma = [0] * N
                 for i, v in zip(pos, pvals):
                     gamma[i] = v

@@ -48,22 +48,12 @@ def check_regular(x) -> tuple:
 
 
 def connection(i: int, x, shape: Partition):
-    """M_i(x) on the tableau basis; exact when the coordinates are rational."""
-    x = check_regular(x)
-    n = len(x)
-    exact = all(isinstance(c, (Fraction, int)) for c in x)
-    dim = shape.dim
-    if exact:
-        out = tableaux.identity_matrix(dim) * (-Fraction(gamma_const(shape)) / Fraction(x[i - 1]))
-    else:
-        out = np.eye(dim, dtype=np.complex128) * (-complex(float(gamma_const(shape))) / x[i - 1])
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        sig = tableaux.transposition_matrix(shape, i, j)
-        if not exact:
-            sig = sig.astype(float).astype(np.complex128)
-        out = out + sig * ((Fraction(1) if exact else 1.0) / (x[i - 1] - x[j - 1]))
+    """M_i(x) on the tableau basis, exactly; the coordinates are taken as rationals."""
+    x = tuple(Fraction(c) for c in check_regular(x))
+    out = tableaux.identity_matrix(shape.dim) * (-gamma_const(shape) / x[i - 1])
+    for j in range(1, len(x) + 1):
+        if j != i:
+            out = out + tableaux.transposition_matrix(shape, i, j) * (1 / (x[i - 1] - x[j - 1]))
     return out
 
 

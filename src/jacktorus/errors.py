@@ -47,10 +47,6 @@ class LaurentInput(JackTorusError, ValueError):
     """A polynomial-only operator received a term with a negative exponent."""
 
 
-class NotYetComputable(JackTorusError, RuntimeError):
-    """Requested coefficient grade exceeds the configured cap of the store."""
-
-
 class SingularPoint(JackTorusError, ValueError):
     """Connection evaluated at a point with x_i = x_j or x_i = 0."""
 

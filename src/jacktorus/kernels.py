@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _accel, compositions, tableaux
 from .coeffs import CoeffStore
-from .errors import NotYetComputable, VerificationFailed
+from .errors import VerificationFailed
 
 
 class TorusPoint:
@@ -74,50 +74,64 @@ def cesaro_weight(n: int, m: int, delta: int) -> Fraction:
 
 
 class FloatCoeffs:
-    """Per-grade stacked float materialization of a coefficient store."""
+    """Per-grade stacked float materialization of a coefficient store.
+
+    Each grade comes from the store's canonical matrices, each converted once
+    to the orthonormal convention A = D^{1/2} cA D^{-1/2}: with
+    canonicalize(gamma) = (can, w), A_gamma = tau(w)^T A_can tau(w) for the
+    float orthogonal tau(w).  A_{-gamma} comes from its own stored orbit, not
+    as A_gamma^T, so the Hermiticity of H_n still checks the store.
+    """
 
     def __init__(self, store: CoeffStore):
         self.store = store
         self.N = store.N
         self.dim = store.dim
         self._grades: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        sqrt_d = np.sqrt(np.array([float(x) for x in store.norms]))
-        self._sqrt_d = sqrt_d
+        self._sqrt_d = np.sqrt(np.array([float(x) for x in store.norms]))
+
+    def _ortho(self, mat) -> np.ndarray:
+        return self._sqrt_d[:, None] * mat.astype(float) / self._sqrt_d[None, :]
 
     def grade_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         hit = self._grades.get(n)
         if hit is None:
-            self.store.ensure_grade(n)
+            canon = {g: self._ortho(m) for g, m in self.store.canonical_grade(n).items()}
+            taus: dict = {}
             gammas = compositions.enumerate_Z(self.N, n)
             mats = np.empty((len(gammas), self.dim, self.dim), dtype=np.complex128)
             for k, g in enumerate(gammas):
-                mats[k] = self.store.ortho_coeff_float(g)
+                can, w = compositions.canonicalize(g)
+                tau = taus.get(w)
+                if tau is None:
+                    tau = taus[w] = self.rep_float(w)
+                mats[k] = tau.T @ canon[can] @ tau
             hit = (np.array(gammas, dtype=np.int64), mats)
             self._grades[n] = hit
         return hit
 
     def rep_float(self, w) -> np.ndarray:
         """Orthogonal-convention representation matrix, as float."""
-        sig = tableaux.rep_matrix(self.store.shape, w).astype(float)
-        return self._sqrt_d[:, None] * sig / self._sqrt_d[None, :]
+        return self._ortho(tableaux.rep_matrix(self.store.shape, w))
 
 
-def h_matrix(n: int, x: TorusPoint, coeffs: FloatCoeffs | CoeffStore) -> np.ndarray:
+def h_matrix(n: int, x: TorusPoint, coeffs: FloatCoeffs) -> np.ndarray:
     """Grade-n matrix Laurent polynomial at a torus point; Hermitian there."""
-    fc = coeffs if isinstance(coeffs, FloatCoeffs) else FloatCoeffs(coeffs)
-    if fc.store.max_grade is not None and n > fc.store.max_grade:
-        raise NotYetComputable(f"grade {n} exceeds cap {fc.store.max_grade}")
-    gammas, mats = fc.grade_arrays(n)
+    gammas, mats = coeffs.grade_arrays(n)
     return _accel.phase_matrix_sum(gammas, mats, x.angles)
 
 
-def kernel_eval(n: int, x: TorusPoint, coeffs: FloatCoeffs | CoeffStore) -> np.ndarray:
-    """Cesaro-weighted approximant K_n; PSD for parameters in the admissible window."""
-    fc = coeffs if isinstance(coeffs, FloatCoeffs) else FloatCoeffs(coeffs)
-    out = np.zeros((fc.dim, fc.dim), dtype=np.complex128)
+def _cesaro_sum(n: int, hs, n_vars: int) -> np.ndarray:
+    """K_n from the grade matrices hs[0..n] at one point."""
+    out = np.zeros_like(hs[0])
     for m in range(n + 1):
-        out += float(cesaro_weight(n, m, fc.N - 1)) * h_matrix(m, x, fc)
+        out += float(cesaro_weight(n, m, n_vars - 1)) * hs[m]
     return out
+
+
+def kernel_eval(n: int, x: TorusPoint, coeffs: FloatCoeffs) -> np.ndarray:
+    """Cesaro-weighted approximant K_n; PSD for parameters in the admissible window."""
+    return _cesaro_sum(n, [h_matrix(m, x, coeffs) for m in range(n + 1)], coeffs.N)
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
@@ -128,9 +142,7 @@ def min_eigenvalue(h: np.ndarray) -> float:
 
 @lru_cache(maxsize=None)
 def _composition_exponents(n_vars: int, total: int) -> np.ndarray:
-    from .ybgraph import _compositions_of
-
-    arr = np.array(_compositions_of(total, n_vars), dtype=np.int64)
+    arr = np.array(list(compositions.compositions_of(total, n_vars)), dtype=np.int64)
     arr.flags.writeable = False
     return arr
 
@@ -206,47 +218,42 @@ class KernelReport:
         }
 
 
-def psd_report(
-    store: CoeffStore,
-    orders,
-    samples: int,
-    seed: int,
-    check_covariance: bool = True,
-) -> KernelReport:
-    """Scan seeded torus samples for kernel positivity and symmetry residuals."""
-    fc = FloatCoeffs(store)
+def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelReport:
+    """Scan seeded torus samples for kernel positivity and symmetry residuals.
+
+    H_0..H_max(orders) are evaluated once per point and every K_n is summed
+    from them; the covariance permutations are drawn orders outer, points inner.
+    """
     orders = list(orders)
+    if not orders:
+        raise ValueError("psd_report needs at least one order")
+    if samples < 1:
+        raise ValueError(f"psd_report needs at least one sample point, got {samples}")
+    fc = FloatCoeffs(store)
     points = sample_points(store.N, samples, seed)
-    report = KernelReport(
+    rng = np.random.default_rng(seed + 1)
+    draws = [[tuple(rng.permutation(store.N) + 1) for _ in points] for _ in orders]
+    worst = {n: np.inf for n in orders}
+    herm_res = 0.0
+    cov_res = 0.0
+    for p, x in enumerate(points):
+        hs = [h_matrix(m, x, fc) for m in range(max(orders) + 1)]
+        for o, n in enumerate(orders):
+            k = _cesaro_sum(n, hs, store.N)
+            herm_res = max(herm_res, float(np.max(np.abs(k - k.conj().T))))
+            worst[n] = min(worst[n], min_eigenvalue(k))
+            w = draws[o][p]
+            hw = h_matrix(n, x.permuted(w), fc)
+            tw = fc.rep_float(w)
+            cov_res = max(cov_res, float(np.max(np.abs(hw - tw.T @ hs[n] @ tw))))
+    return KernelReport(
         shape=store.shape.parts,
         kappa=str(store.kappa.value),
         orders=orders,
         samples=samples,
         seed=seed,
+        min_eigenvalues=worst,
+        hermiticity_residual=herm_res,
+        covariance_residual=cov_res,
+        worst={"min_eigenvalue": min(worst.values()), "hermiticity": herm_res, "covariance": cov_res},
     )
-    herm_res = 0.0
-    cov_res = 0.0
-    rng = np.random.default_rng(seed + 1)
-    for n in orders:
-        worst = np.inf
-        for x in points:
-            k = kernel_eval(n, x, fc)
-            herm_res = max(herm_res, float(np.max(np.abs(k - k.conj().T))))
-            worst = min(worst, min_eigenvalue(k))
-            if check_covariance:
-                w = tuple(rng.permutation(store.N) + 1)
-                h = h_matrix(n, x, fc)
-                hw = h_matrix(n, x.permuted(w), fc)
-                tw = fc.rep_float(w)
-                cov_res = max(
-                    cov_res, float(np.max(np.abs(hw - tw.T @ h @ tw)))
-                )
-        report.min_eigenvalues[n] = worst
-    report.hermiticity_residual = herm_res
-    report.covariance_residual = cov_res
-    report.worst = {
-        "min_eigenvalue": min(report.min_eigenvalues.values()),
-        "hermiticity": herm_res,
-        "covariance": cov_res,
-    }
-    return report

@@ -161,7 +161,7 @@ class NsjpGraph:
     def build_degree(self, d: int) -> list[GraphNode]:
         """All nodes of degree exactly d, exponents visited triangular-ascending."""
         exps = sorted(
-            _compositions_of(d, self.shape.N),
+            compositions.compositions_of(d, self.shape.N),
             key=lambda a: (compositions.prefix_key(compositions.sort_desc(a)), compositions.prefix_key(a)),
         )
         out = []
@@ -182,12 +182,3 @@ class NsjpGraph:
                     )
                 seen[key] = (node.alpha, node.t_index)
 
-
-def _compositions_of(total: int, parts: int) -> list[Vec]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, parts - 1):
-            out.append((first, *rest))
-    return out

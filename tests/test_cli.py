@@ -99,6 +99,19 @@ def test_usage_error_exit_code():
         (["tableaux"], '{"shape": "2,1", "seed": 1.5}', "seed: expected an integer"),
         (["tableaux"], '{"shape": "2,1", "kappa": 0.2}', "kappa: expected a rational"),
         (["tableaux"], '{"shape": [2, "1"]}', "shape: expected a partition"),
+        (["tableaux"], None, "a shape is required"),
+        (["--shape", "2,1", "rep", "--word", "2,2,1"], None, "--word must be a permutation of 1..3"),
+        (["--shape", "2,1", "rep", "--word", "1,2"], None, "--word must be a permutation of 1..3"),
+        (["--shape", "2,1", "nsjp", "--alpha", "1,0"], None, "--alpha needs 3 entries, got 2"),
+        (["--shape", "2,1", "nsjp", "--alpha", "1,0,0", "--tableau", "5"], None, "--tableau must lie in 0..1"),
+        (["--shape", "2,1", "nsjp", "--alpha", "1,0,0", "--tableau", "-1"], None, "--tableau must lie in 0..1"),
+        (["--shape", "2,1", "kernel", "--samples", "0"], None, "argument --samples: expected an integer >= 1"),
+        (["--shape", "2,1", "kernel", "--max-order", "0"], None, "argument --max-order: expected an integer >= 1"),
+        (["identity", "--samples", "0"], None, "argument --samples: expected an integer >= 1"),
+        (["--shape", "2,1", "diffsys", "--loop-steps", "-5"], None, "argument --loop-steps: expected an integer >= 0"),
+        (["--shape", "2,1", "diffsys", "--points", "-1"], None, "argument --points: expected an integer >= 0"),
+        (["--shape", "2,1", "gram", "--max-degree", "-1"], None, "argument --max-degree: expected an integer >= 0"),
+        (["--shape", "2,1", "coeffs", "--grade", "x"], None, "argument --grade: expected an integer >= 0, got 'x'"),
     ],
     ids=[
         "shape-flag",
@@ -110,6 +123,19 @@ def test_usage_error_exit_code():
         "config-seed",
         "config-kappa-float",
         "config-shape",
+        "missing-shape",
+        "word-repeats-a-letter",
+        "word-too-short",
+        "alpha-wrong-length",
+        "tableau-too-large",
+        "tableau-negative",
+        "kernel-no-samples",
+        "kernel-no-orders",
+        "identity-no-samples",
+        "loop-steps-negative",
+        "points-negative",
+        "max-degree-negative",
+        "grade-not-an-integer",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):

@@ -7,7 +7,7 @@ import pytest
 from jacktorus import perms
 from jacktorus.coeffs import CoeffStore
 from jacktorus.compositions import enumerate_Z, sort_desc, split_pi_nu, triangular_lt
-from jacktorus.errors import NotYetComputable, PoleExcluded, StoreCorrupt
+from jacktorus.errors import PoleExcluded, StoreCorrupt
 from jacktorus.scalars import make_kappa, unchecked_kappa
 from jacktorus.tableaux import (
     Partition,
@@ -223,13 +223,6 @@ def test_pole_raised_inside_recurrence():
     # gamma_1 + kappa c = 0 at gamma_1 = 1, c = 2
     assert err.value.witness_m == 1
     assert err.value.witness_c == 2
-
-
-def test_grade_cap(shape21, kappa21):
-    store = CoeffStore(shape21, kappa21, max_grade=1)
-    store.coeff((1, -1, 0))
-    with pytest.raises(NotYetComputable):
-        store.coeff((2, -2, 0))
 
 
 def test_selfadjoint_residuals(store21):

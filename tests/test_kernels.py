@@ -17,8 +17,9 @@ from jacktorus.kernels import (
     sample_points,
     sigma_identity_residual,
 )
-from jacktorus.scalars import make_kappa
-from jacktorus.tableaux import Partition
+from jacktorus.compositions import enumerate_Z
+from jacktorus.scalars import default_kappa, make_kappa
+from jacktorus.tableaux import Partition, valid_shapes
 
 
 @pytest.fixture(scope="module")
@@ -149,5 +150,59 @@ def test_report_sensitive_outside_window():
     # just check the scan runs and returns finite numbers there
     shape = Partition((2, 1))
     store = CoeffStore(shape, make_kappa(2, 5, (2, 1)))  # 2/5 > 1/3
-    rep = psd_report(store, [1, 2, 3], samples=10, seed=9, check_covariance=False)
+    rep = psd_report(store, [1, 2, 3], samples=10, seed=9)
     assert np.isfinite(rep.worst["min_eigenvalue"])
+
+
+@pytest.mark.parametrize("parts", [s.parts for n in range(3, 6) for s in valid_shapes(n)])
+def test_grade_arrays_match_the_exact_coefficients(parts):
+    # every index of every grade <= 3, canonical, orbit and sign-reversed orbit,
+    # against the index-by-index exact conjugation
+    store = CoeffStore(Partition(parts), default_kappa(parts))
+    fc = FloatCoeffs(store)
+    for n in range(4):
+        gammas, mats = fc.grade_arrays(n)
+        assert [tuple(g) for g in gammas] == enumerate_Z(store.N, n)
+        for g, mat in zip(gammas, mats):
+            assert np.max(np.abs(mat - store.ortho_coeff_float(g))) < 1e-12, (parts, tuple(g))
+
+
+def test_psd_report_matches_a_scan_per_order(fc21):
+    # the parent formulation: orders outer, points inner, one permutation drawn per (order, point)
+    store, orders, samples, seed = fc21.store, [1, 3, 4], 6, 5
+    points = sample_points(store.N, samples, seed)
+    rng = np.random.default_rng(seed + 1)
+    herm = cov = 0.0
+    worst = {}
+    for n in orders:
+        worst[n] = min(min_eigenvalue(kernel_eval(n, x, fc21)) for x in points)
+        for x in points:
+            k = kernel_eval(n, x, fc21)
+            herm = max(herm, float(np.max(np.abs(k - k.conj().T))))
+            w = tuple(rng.permutation(store.N) + 1)
+            tw = fc21.rep_float(w)
+            resid = h_matrix(n, x.permuted(w), fc21) - tw.T @ h_matrix(n, x, fc21) @ tw
+            cov = max(cov, float(np.max(np.abs(resid))))
+    rep = psd_report(store, orders, samples, seed)
+    assert list(rep.min_eigenvalues) == orders
+    for n in orders:
+        assert abs(rep.min_eigenvalues[n] - worst[n]) < 1e-12
+    assert abs(rep.hermiticity_residual - herm) < 1e-15
+    assert rep.covariance_residual == cov
+
+
+@pytest.mark.parametrize("orders, samples", [([], 5), ([1, 2], 0)], ids=["no-orders", "no-samples"])
+def test_psd_report_rejects_an_empty_scan(fc21, orders, samples):
+    with pytest.raises(ValueError, match="psd_report needs at least one"):
+        psd_report(fc21.store, orders, samples, seed=1)
+
+
+def test_hermiticity_residual_sees_a_wrong_stored_matrix():
+    # A_{-gamma} is built from its own sorted representative, not as A_gamma^T,
+    # so the Hermiticity gate checks the stored matrices against each other
+    shape = Partition((2, 1))
+    store = CoeffStore(shape, make_kappa(1, 5, (2, 1))).ensure_grade(2)
+    good = psd_report(store, [2], samples=4, seed=1)
+    store.grades[2][(2, -1, -1)] = store.grades[2][(2, -1, -1)] + Fraction(1, 100)
+    bad = psd_report(store, [2], samples=4, seed=1)
+    assert good.hermiticity_residual < 1e-10 < bad.hermiticity_residual
