@@ -60,11 +60,11 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _int_at_least(minimum: int):
-    """argparse type of an integer flag that must be at least minimum."""
+    """argparse type of an integer flag (or config value) that must be at least minimum."""
 
-    def parse(text: str) -> int:
+    def parse(text) -> int:
         try:
-            if int(text) >= minimum:
+            if _int_value(text) >= minimum:
                 return int(text)
         except ValueError:
             pass
@@ -134,7 +134,7 @@ def _session(args) -> SessionConfig:
     return SessionConfig(
         shape=_setting(merged, "shape", _shape_value),
         kappa=_setting(merged, "kappa", _rational_value),
-        max_grade=_setting(merged, "max_grade", _int_value, 4),
+        max_grade=_setting(merged, "max_grade", _int_at_least(0), 4),
         seed=_setting(merged, "seed", _int_value, 7),
         out=_setting(merged, "out", _str_value),
     )
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default flags (flags override)")
     parser.add_argument("--shape", help="partition, e.g. 2,1")
     parser.add_argument("--kappa", help='parameter as "p/q"')
-    parser.add_argument("--max-grade", dest="max_grade", type=int, help="default coefficient grade cap")
+    parser.add_argument("--max-grade", dest="max_grade", type=_int_at_least(0), help="default coefficient grade cap")
     parser.add_argument("--seed", type=int, help="RNG seed for sampling subcommands")
     parser.add_argument("--out", help="write the JSON report here as well as stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), default=50)
 
     p = sub.add_parser("identity", help="scalar Cesaro / complete-symmetric residuals")
-    p.add_argument("--N", type=int, default=3)
+    p.add_argument("--N", type=_int_at_least(2), default=3)
     p.add_argument("--max-order", dest="max_order", type=_int_at_least(1), default=6)
     p.add_argument("--samples", type=_int_at_least(1), default=50)
 
@@ -514,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop-steps", dest="loop_steps", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("count", help="graded index-set count")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
 
     p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
     p.add_argument("--max-degree", dest="max_degree", type=_int_at_least(0), default=2)

@@ -19,6 +19,7 @@ materialized only as floats for kernel evaluation.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,18 +48,10 @@ class CoeffStore:
             0: {zero: tableaux.identity_matrix(self.dim)}
         }
         self.sealed_grade = 0
-        self._trans_cache: dict[int, np.ndarray] = {}
 
     @property
     def N(self) -> int:
         return self.shape.N
-
-    def _sigma_1j(self, j: int) -> np.ndarray:
-        mat = self._trans_cache.get(j)
-        if mat is None:
-            mat = tableaux.transposition_matrix(self.shape, 1, j)
-            self._trans_cache[j] = mat
-        return mat
 
     # -- solving ---------------------------------------------------------
 
@@ -106,27 +99,13 @@ class CoeffStore:
         rhs[:] = Fraction(0)
         for j in range(m + 1, self.N + 1):
             gj = gamma[j - 1]
-            if gj >= 0:
-                acc = None
-                for ell in range(1, g1 - gj):
-                    delta = _shift(gamma, j, ell)
-                    term = self._fetch(delta, current)
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    rhs = rhs - (self._sigma_1j(j) @ acc) * kap
-            else:
-                acc_left = None
-                for ell in range(1, g1):
-                    term = self._fetch(_shift(gamma, j, ell), current)
-                    acc_left = term if acc_left is None else acc_left + term
-                if acc_left is not None:
-                    rhs = rhs - (self._sigma_1j(j) @ acc_left) * kap
-                acc_right = None
-                for ell in range(1, -gj + 1):
-                    term = self._fetch(_shift(gamma, j, ell), current)
-                    acc_right = term if acc_right is None else acc_right + term
-                if acc_right is not None:
-                    rhs = rhs - (acc_right @ self._sigma_1j(j)) * kap
+            sig = tableaux.transposition_matrix(self.shape, 1, j)
+            left = self._line_sum(gamma, j, g1 - 1 - max(gj, 0), current)
+            if left is not None:
+                rhs = rhs - (sig @ left) * kap
+            right = self._line_sum(gamma, j, -gj, current)
+            if right is not None:
+                rhs = rhs - (right @ sig) * kap
         # (g1 I + kappa sum_{l>m} sigma(1,l)) = sigma(1,m) (g1 I + kappa JM_m) sigma(1,m)
         inv_diag = []
         for t in self.basis:
@@ -137,13 +116,21 @@ class CoeffStore:
                     context=f"left operator singular at gamma={gamma}, content c({m},T)={t.content[m - 1]}",
                 )
             inv_diag.append(Fraction(1) / den)
-        conj = self._sigma_1j(m) if m > 1 else None
+        conj = tableaux.transposition_matrix(self.shape, 1, m) if m > 1 else None
         if conj is not None:
             rhs = conj @ rhs
         rhs = np.array(inv_diag, dtype=object)[:, None] * rhs
         if conj is not None:
             rhs = conj @ rhs
         return rhs
+
+    def _line_sum(self, gamma: Vec, j: int, last: int, current) -> np.ndarray | None:
+        """Sum of cA over gamma + l(e_j - e_1) for l = 1..last, in that order; None when empty."""
+        acc = None
+        for ell in range(1, last + 1):
+            term = self._fetch(_move(gamma, j, 1, ell), current)
+            acc = term if acc is None else acc + term
+        return acc
 
     def _fetch(self, delta: Vec, current: dict[Vec, np.ndarray] | None) -> np.ndarray:
         """Carried matrix at an arbitrary zero-sum index, via canonical lookup."""
@@ -259,7 +246,14 @@ class CoeffStore:
                 for n in sorted(self.grades)
             ],
         }
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+        # write beside the target, then rename over it: a failed write leaves the old file
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path, kappa: KappaParam | None = None) -> "CoeffStore":
@@ -330,14 +324,6 @@ def _read_store(path: str | Path):
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise StoreCorrupt(f"store file {path} is unreadable or malformed: {type(exc).__name__}: {exc}") from None
     return shape, value, sealed, order, grades
-
-
-def _shift(gamma: Vec, j: int, ell: int) -> Vec:
-    """gamma + ell*(e_j - e_1)."""
-    out = list(gamma)
-    out[0] -= ell
-    out[j - 1] += ell
-    return tuple(out)
 
 
 def _move(gamma: Vec, i: int, j: int, ell: int) -> Vec:

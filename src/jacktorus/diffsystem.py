@@ -71,18 +71,16 @@ def integrability_residual(i: int, j: int, x, shape: Partition, kappa: KappaPara
     """d_i M_j - d_j M_i - kappa (M_j M_i - M_i M_j); exactly zero at regular points.
 
     For i != j the only x_i-dependent term of M_j is sigma(i,j)/(x_j - x_i),
-    so the derivative difference cancels in closed form and the commutator
-    term carries the full content of the flatness condition.
+    whose x_i-derivative sigma(i,j)/(x_i - x_j)^2 is also d_j M_i, so the
+    derivative difference is the zero matrix and the commutator term, which
+    is what this returns, carries the full content of the flatness condition.
     """
     if i == j:
         return tableaux.identity_matrix(shape.dim) * Fraction(0)
     x = check_regular(x)
-    sig = tableaux.transposition_matrix(shape, i, j)
-    d_i_Mj = sig * (Fraction(1) / (x[j - 1] - x[i - 1]) ** 2)
-    d_j_Mi = sig * (Fraction(1) / (x[i - 1] - x[j - 1]) ** 2)
     mi = connection(i, x, shape)
     mj = connection(j, x, shape)
-    return d_i_Mj - d_j_Mi - (mj @ mi - mi @ mj) * kappa.value
+    return (mi @ mj - mj @ mi) * kappa.value
 
 
 def _pair_arrays(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

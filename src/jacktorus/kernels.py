@@ -88,6 +88,7 @@ class FloatCoeffs:
         self.N = store.N
         self.dim = store.dim
         self._grades: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._taus: dict[tuple[int, ...], np.ndarray] = {}
         self._sqrt_d = np.sqrt(np.array([float(x) for x in store.norms]))
 
     def _ortho(self, mat) -> np.ndarray:
@@ -97,22 +98,22 @@ class FloatCoeffs:
         hit = self._grades.get(n)
         if hit is None:
             canon = {g: self._ortho(m) for g, m in self.store.canonical_grade(n).items()}
-            taus: dict = {}
             gammas = compositions.enumerate_Z(self.N, n)
             mats = np.empty((len(gammas), self.dim, self.dim), dtype=np.complex128)
             for k, g in enumerate(gammas):
                 can, w = compositions.canonicalize(g)
-                tau = taus.get(w)
-                if tau is None:
-                    tau = taus[w] = self.rep_float(w)
+                tau = self.rep_float(w)
                 mats[k] = tau.T @ canon[can] @ tau
             hit = (np.array(gammas, dtype=np.int64), mats)
             self._grades[n] = hit
         return hit
 
     def rep_float(self, w) -> np.ndarray:
-        """Orthogonal-convention representation matrix, as float."""
-        return self._ortho(tableaux.rep_matrix(self.store.shape, w))
+        """Orthogonal-convention representation matrix, as float; converted once per w."""
+        tau = self._taus.get(w)
+        if tau is None:
+            tau = self._taus[w] = self._ortho(tableaux.rep_matrix(self.store.shape, w))
+        return tau
 
 
 def h_matrix(n: int, x: TorusPoint, coeffs: FloatCoeffs) -> np.ndarray:

@@ -149,10 +149,6 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
     n = f.N
     kap = f.kappa.value
     out = VVLaurent(f.shape, f.kappa)
-    trans = [None] + [
-        tableaux.transposition_matrix(f.shape, i, j) if j != i else None
-        for j in range(1, n + 1)
-    ]
     for alpha, v in f.terms.items():
         a_i = alpha[i - 1]
         if a_i > 0:
@@ -163,7 +159,7 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
             if j == i or alpha[j - 1] == alpha[i - 1]:
                 continue
             a, b = alpha[i - 1], alpha[j - 1]
-            sv = (trans[j] @ v) * (kap if a > b else -kap)
+            sv = (tableaux.transposition_matrix(f.shape, i, j) @ v) * (kap if a > b else -kap)
             base = list(alpha)
             for p in range(min(a, b), max(a, b)):
                 base[i - 1] = p

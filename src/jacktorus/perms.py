@@ -8,8 +8,6 @@ w1(w2(.)).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 Perm = tuple[int, ...]
 
 
@@ -59,23 +57,3 @@ def act(w: Perm, a: tuple) -> tuple:
         out[w[i] - 1] = ai
     return tuple(out)
 
-
-@lru_cache(maxsize=None)
-def reduced_word(w: Perm) -> tuple[int, ...]:
-    """Indices (i1, ..., ik) with w = s_{i1} s_{i2} ... s_{ik}.
-
-    Bubble-sort decomposition: right-multiplying by s_i swaps the one-line
-    entries at positions i, i+1, so sorting the one-line notation to the
-    identity and reversing the swap record gives a (reduced) word.
-    """
-    line = list(w)
-    word: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(line) - 1):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                word.append(i + 1)
-                changed = True
-    return tuple(reversed(word))

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidShape, PoleExcluded
+from .errors import PoleExcluded
+from .tableaux import Partition
 
 
 def rational(text: str | int | Fraction) -> Fraction:
@@ -23,13 +24,6 @@ def rational(text: str | int | Fraction) -> Fraction:
 def rational_str(q: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is one."""
     return str(q)
-
-
-def _check_shape(parts: tuple[int, ...]) -> None:
-    if len(parts) < 2 or parts[-1] < 1 or parts[0] < 2:
-        raise InvalidShape(f"shape {parts} must have at least two rows and two columns")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise InvalidShape(f"shape {parts} is not non-increasing")
 
 
 @dataclass(frozen=True)
@@ -75,34 +69,28 @@ def make_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
     Raises PoleExcluded with the witness m/c when the value is a pole of the
     coefficient recurrence, InvalidShape for one-row or one-column shapes.
     """
-    shape = tuple(shape)
-    _check_shape(shape)
+    part = Partition(shape)
     if q == 0:
         raise ZeroDivisionError("kappa denominator is zero")
     value = Fraction(p, q)
-    witness = pole_witness(value, shape)
+    witness = pole_witness(value, part.parts)
     if witness is not None:
         m, c = witness
-        raise PoleExcluded(value, m, c, context=f"shape {shape}")
-    h = shape[0] + len(shape) - 1
-    return KappaParam(value, shape, psd_range=abs(value) < Fraction(1, h))
+        raise PoleExcluded(value, m, c, context=f"shape {part.parts}")
+    return KappaParam(value, part.parts, psd_range=abs(value) < Fraction(1, part.max_hook))
 
 
 def unchecked_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
     """Bypass the pole gate; used to demonstrate in-recurrence pole detection."""
-    shape = tuple(shape)
-    _check_shape(shape)
+    part = Partition(shape)
     value = Fraction(p, q)
-    h = shape[0] + len(shape) - 1
-    return KappaParam(value, shape, psd_range=abs(value) < Fraction(1, h))
+    return KappaParam(value, part.parts, psd_range=abs(value) < Fraction(1, part.max_hook))
 
 
 def default_kappa(shape: tuple[int, ...]) -> KappaParam:
     """1/(h+1) for the maximal hook h: always admissible, always in the PSD window."""
-    shape = tuple(shape)
-    _check_shape(shape)
-    h = shape[0] + len(shape) - 1
-    return make_kappa(1, h + 1, shape)
+    part = Partition(shape)
+    return make_kappa(1, part.max_hook + 1, part.parts)
 
 
 def complex_pair(z: complex) -> list[float]:

@@ -100,12 +100,6 @@ class RSYT:
     def N(self) -> int:
         return len(self.content)
 
-    def position(self, entry: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows):
-            if entry in row:
-                return (r + 1, row.index(entry) + 1)
-        raise ValueError(f"{entry} not in tableau")
-
     def swap_entries(self, i: int) -> "RSYT":
         """Tableau with i and i+1 interchanged (valid when |c(i)-c(i+1)| >= 2)."""
         rows = [list(r) for r in self.rows]
@@ -219,14 +213,17 @@ def simple_reflection(shape: Partition, i: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def rep_matrix(shape: Partition, w: Perm) -> np.ndarray:
-    """Representation matrix of w, via a reduced word in simple reflections."""
-    dim = shape.dim
-    mat = np.zeros((dim, dim), dtype=object)
-    mat[:] = Fraction(0)
-    np.fill_diagonal(mat, Fraction(1))
-    for i in perms.reduced_word(w):
-        mat = mat @ simple_reflection(shape, i)
-    return _frozen(mat)
+    """Representation matrix of w: sigma(w s_i) sigma(s_i) at the first descent i of w.
+
+    w s_i swaps the one-line entries at positions i, i+1 and has one
+    inversion fewer, so its matrix comes from this same table and each new
+    matrix costs one product.
+    """
+    for i in range(1, len(w)):
+        if w[i - 1] > w[i]:
+            shorter = rep_matrix(shape, perms.compose(w, perms.simple(len(w), i)))
+            return _frozen(shorter @ simple_reflection(shape, i))
+    return _frozen(identity_matrix(shape.dim))
 
 
 def transposition_matrix(shape: Partition, i: int, j: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .coeffs import CoeffStore
 from .compositions import Vec
 from .errors import SpectralCollision, VerificationFailed
 from .scalars import KappaParam
-from .tableaux import RSYT, Partition, norm0
+from .tableaux import RSYT, norm0
 from .ybgraph import NsjpGraph
 
 
@@ -132,18 +132,6 @@ class FormContext:
 
     store: CoeffStore
     _gcache: dict[Vec, np.ndarray] = field(default_factory=dict, repr=False)
-
-    @property
-    def shape(self) -> Partition:
-        return self.store.shape
-
-    @property
-    def kappa(self) -> KappaParam:
-        return self.store.kappa
-
-    @property
-    def norms_diag(self) -> tuple[Fraction, ...]:
-        return self.store.norms
 
     def pairing(self, gamma: Vec) -> np.ndarray:
         mat = self._gcache.get(gamma)

@@ -112,6 +112,12 @@ def test_usage_error_exit_code():
         (["--shape", "2,1", "diffsys", "--points", "-1"], None, "argument --points: expected an integer >= 0"),
         (["--shape", "2,1", "gram", "--max-degree", "-1"], None, "argument --max-degree: expected an integer >= 0"),
         (["--shape", "2,1", "coeffs", "--grade", "x"], None, "argument --grade: expected an integer >= 0, got 'x'"),
+        (["count", "--N", "-1", "--n", "2"], None, "argument --N: expected an integer >= 0, got '-1'"),
+        (["count", "--N", "3", "--n", "-2"], None, "argument --n: expected an integer >= 0, got '-2'"),
+        (["identity", "--N", "0"], None, "argument --N: expected an integer >= 2, got '0'"),
+        (["identity", "--N", "1"], None, "argument --N: expected an integer >= 2, got '1'"),
+        (["--shape", "2,1", "--max-grade", "-3", "coeffs"], None, "argument --max-grade: expected an integer >= 0"),
+        (["coeffs"], '{"shape": "2,1", "max_grade": -3}', "max_grade: expected an integer >= 0, got -3"),
     ],
     ids=[
         "shape-flag",
@@ -136,6 +142,12 @@ def test_usage_error_exit_code():
         "points-negative",
         "max-degree-negative",
         "grade-not-an-integer",
+        "count-N-negative",
+        "count-n-negative",
+        "identity-N-zero",
+        "identity-N-one",
+        "max-grade-negative",
+        "config-max-grade-negative",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):

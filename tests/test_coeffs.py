@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +262,25 @@ def test_persistence_round_trip(tmp_path, shape21, kappa21):
     # determinism: saving the same content twice gives identical bytes
     store.save(path)
     assert path.read_bytes() == bytes_a
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, shape21, kappa21):
+    path = tmp_path / "store.json"
+    CoeffStore(shape21, kappa21).ensure_grade(1).save(path)
+    before = path.read_bytes()
+    real_write = Path.write_text
+
+    def half_then_fail(self, text, *args, **kwargs):
+        real_write(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError):
+        CoeffStore(shape21, kappa21).ensure_grade(2).save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert CoeffStore.load(path, kappa21).sealed_grade == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
 
 def test_load_rejects_wrong_kappa(tmp_path, shape21, kappa21):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jacktorus import diffsystem
 from jacktorus.diffsystem import (
     check_regular,
     connection,
@@ -84,6 +85,21 @@ def test_integrability_exact_21(shape21, kappa21, x):
         for j in range(1, 4):
             r = integrability_residual(i, j, x, shape21, kappa21)
             assert np.all(r == Fraction(0))
+
+
+def test_integrability_residual_sees_a_perturbed_connection(shape21, kappa21, monkeypatch):
+    # doubling the sigma(1,2) term of M_1 breaks flatness, so the check is not vacuous
+    x = POINTS_21[1]
+    exact = connection
+
+    def perturbed(i, y, shape):
+        out = exact(i, y, shape)
+        if i == 1:
+            out = out + transposition_matrix(shape, 1, 2) * (Fraction(1) / (y[0] - y[1]))
+        return out
+
+    monkeypatch.setattr(diffsystem, "connection", perturbed)
+    assert not np.all(integrability_residual(1, 2, x, shape21, kappa21) == Fraction(0))
 
 
 def test_integrability_exact_31(shape31, kappa31):

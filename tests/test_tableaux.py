@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -162,10 +163,13 @@ def test_norm_relation_under_entry_swap():
                     assert norm0(t.swap_entries(i)) == (1 - b * b) * norm0(t)
 
 
-def test_reduced_word_reconstructs():
-    w = (3, 1, 4, 2)
-    word = perms.reduced_word(w)
-    out = perms.identity(4)
-    for i in word:
-        out = perms.compose(out, perms.simple(4, i))
-    assert out == w
+def test_rep_matrix_table_is_built_by_right_multiplication():
+    # sigma(id) = I and sigma(w s_i) = sigma(w) sigma(s_i) for every w and i, all shapes with N <= 5
+    for n in range(3, 6):
+        for shape in valid_shapes(n):
+            ident = identity_matrix(shape.dim)
+            assert np.all(rep_matrix(shape, perms.identity(n)) == ident)
+            for w in itertools.permutations(range(1, n + 1)):
+                for i in range(1, n):
+                    ws = perms.compose(w, perms.simple(n, i))
+                    assert np.all(rep_matrix(shape, ws) == rep_matrix(shape, w) @ simple_reflection(shape, i))
