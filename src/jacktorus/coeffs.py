@@ -8,17 +8,21 @@ Jucys-Murphy diagonalization.
 
 Internal carrier: the similarity-transformed matrices
     cA = D^{-1/2} A D^{1/2},   D = diag of tableau norms,
-whose entries d_T^{-1} <x^pi (x) T, x^nu (x) T'> are exact rationals.  Every
-recurrence and conjugation identity holds for cA verbatim with the rational
-unnormalized-basis matrices sigma(w) in place of the orthogonal tau(w); the
-adjoint identity picks up a D-twist, equivalently G_{-gamma} = G_gamma^T for
-the pairing matrices G = D cA.  Orthonormal-convention matrices are
-materialized only as floats for kernel evaluation.
+whose entries d_T^{-1} <x^pi (x) T, x^nu (x) T'> are rationals, each held
+like the sigma(w) of ``tableaux.rep_matrix`` as a ``tableaux.Scaled``: Python
+ints over one positive denominator, reduced once per solved matrix by the gcd
+of entries and denominator, so a stored carrier is unique.  Every recurrence
+and conjugation identity holds for cA verbatim with sigma(w) in place of the
+orthogonal tau(w); the adjoint identity picks up a D-twist, equivalently
+G_{-gamma} = G_gamma^T for the pairing matrices G = D cA.  ``Fraction``
+arrays appear only where values leave or enter (``coeff``, ``pairing_matrix``,
+``save``, ``load``), orthonormal-convention matrices only as kernel floats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -27,9 +31,9 @@ import numpy as np
 
 from . import compositions, perms, tableaux
 from .compositions import Vec
-from .errors import PoleExcluded, StoreCorrupt
+from .errors import PoleExcluded, StoreCorrupt, WriteFailed
 from .scalars import KappaParam, rational
-from .tableaux import Partition
+from .tableaux import Partition, Scaled, total
 
 
 class CoeffStore:
@@ -44,8 +48,8 @@ class CoeffStore:
         self.dim = shape.dim
         self.norms = tableaux.norm0_diag(shape)
         zero = (0,) * shape.N
-        self.grades: dict[int, dict[Vec, np.ndarray]] = {
-            0: {zero: tableaux.identity_matrix(self.dim)}
+        self.grades: dict[int, dict[Vec, Scaled]] = {
+            0: {zero: tableaux.rep_matrix(shape, perms.identity(shape.N))}
         }
         self.sealed_grade = 0
 
@@ -72,7 +76,7 @@ class CoeffStore:
         groups: dict[Vec, list[Vec]] = {}
         for g in reps:
             groups.setdefault(compositions.split_pi_nu(g)[1], []).append(g)
-        current: dict[Vec, np.ndarray] = {}
+        current: dict[Vec, Scaled] = {}
         for nu in sorted(groups):
             for gamma in self._class_order(groups[nu]):
                 current[gamma] = self._solve_one(gamma, current)
@@ -90,49 +94,41 @@ class CoeffStore:
             block, key=lambda g: compositions.prefix_key(compositions.split_pi_nu(g)[0])
         )
 
-    def _solve_one(self, gamma: Vec, current: dict[Vec, np.ndarray]) -> np.ndarray:
+    def _solve_one(self, gamma: Vec, current: dict[Vec, Scaled]) -> Scaled:
         """Assemble the right side at a sorted index and invert the left operator."""
         kap = self.kappa.value
+        p, q = kap.numerator, kap.denominator
         g1 = gamma[0]
         m = sum(1 for g in gamma if g == g1)
-        rhs = np.zeros((self.dim, self.dim), dtype=object)
-        rhs[:] = Fraction(0)
+        terms = []
         for j in range(m + 1, self.N + 1):
             gj = gamma[j - 1]
             sig = tableaux.transposition_matrix(self.shape, 1, j)
             left = self._line_sum(gamma, j, g1 - 1 - max(gj, 0), current)
             if left is not None:
-                rhs = rhs - (sig @ left) * kap
+                terms.append(sig @ left)
             right = self._line_sum(gamma, j, -gj, current)
             if right is not None:
-                rhs = rhs - (right @ sig) * kap
-        # (g1 I + kappa sum_{l>m} sigma(1,l)) = sigma(1,m) (g1 I + kappa JM_m) sigma(1,m)
-        inv_diag = []
-        for t in self.basis:
-            den = g1 + kap * t.content[m - 1]
-            if den == 0:
-                raise PoleExcluded(
-                    kap, g1, t.content[m - 1],
-                    context=f"left operator singular at gamma={gamma}, content c({m},T)={t.content[m - 1]}",
-                )
-            inv_diag.append(Fraction(1) / den)
-        conj = tableaux.transposition_matrix(self.shape, 1, m) if m > 1 else None
-        if conj is not None:
-            rhs = conj @ rhs
-        rhs = np.array(inv_diag, dtype=object)[:, None] * rhs
-        if conj is not None:
-            rhs = conj @ rhs
-        return rhs
+                terms.append(right @ sig)
+        rhs = total(terms) * -kap
+        # (g1 I + kappa sum_{l>m} sigma(1,l)) = sigma(1,m) (g1 I + kappa JM_m) sigma(1,m); row T
+        # of the diagonal inverse is q / (q g1 + p c(m,T)), written over the lcm L of those values
+        rows = [q * g1 + p * t.content[m - 1] for t in self.basis]
+        if 0 in rows:
+            c = self.basis[rows.index(0)].content[m - 1]
+            raise PoleExcluded(kap, g1, c, context=f"left operator singular at gamma={gamma}, content c({m},T)={c}")
+        lcm = math.lcm(*rows)
+        inner = Scaled(np.diag(np.array([q * (lcm // r) for r in rows], dtype=object)), lcm)
+        conj = tableaux.transposition_matrix(self.shape, 1, m)
+        return (conj @ inner @ conj @ rhs).reduced()
 
-    def _line_sum(self, gamma: Vec, j: int, last: int, current) -> np.ndarray | None:
-        """Sum of cA over gamma + l(e_j - e_1) for l = 1..last, in that order; None when empty."""
-        acc = None
-        for ell in range(1, last + 1):
-            term = self._fetch(_move(gamma, j, 1, ell), current)
-            acc = term if acc is None else acc + term
-        return acc
+    def _line_sum(self, gamma: Vec, j: int, last: int, current) -> Scaled | None:
+        """Sum of cA over gamma + l(e_j - e_1) for l = 1..last; None when empty."""
+        if last < 1:
+            return None
+        return total([self._fetch(_move(gamma, j, 1, ell), current) for ell in range(1, last + 1)])
 
-    def _fetch(self, delta: Vec, current: dict[Vec, np.ndarray] | None) -> np.ndarray:
+    def _fetch(self, delta: Vec, current: dict[Vec, Scaled] | None) -> Scaled:
         """Carried matrix at an arbitrary zero-sum index, via canonical lookup."""
         can, w = compositions.canonicalize(delta)
         s = compositions.grade(can)
@@ -150,17 +146,19 @@ class CoeffStore:
         mat_inv = tableaux.rep_matrix(self.shape, perms.inverse(w))
         return mat_inv @ stored @ mat
 
+    def _carrier(self, gamma: Vec) -> Scaled:
+        """cA at a zero-sum index, solving the grades it needs first."""
+        self.ensure_grade(compositions.grade(gamma))
+        return self._fetch(gamma, None)
+
     # -- lookups ---------------------------------------------------------
 
     def coeff(self, gamma) -> np.ndarray:
         """Carried matrix cA_gamma; the zero matrix off the zero-sum lattice."""
         gamma = tuple(int(g) for g in gamma)
         if sum(gamma) != 0:
-            z = np.zeros((self.dim, self.dim), dtype=object)
-            z[:] = Fraction(0)
-            return z
-        self.ensure_grade(compositions.grade(gamma))
-        return self._fetch(gamma, None)
+            return np.full((self.dim, self.dim), Fraction(0), dtype=object)
+        return self._carrier(gamma).fractions
 
     def pairing_matrix(self, gamma) -> np.ndarray:
         """G_gamma = D cA_gamma: exact monomial pairing matrix."""
@@ -174,14 +172,14 @@ class CoeffStore:
         sq = np.sqrt(np.array([float(x) for x in self.norms]))
         return sq[:, None] * mat.astype(float) / sq[None, :]
 
-    def canonical_grade(self, n: int) -> dict[Vec, np.ndarray]:
+    def canonical_grade(self, n: int) -> dict[Vec, Scaled]:
         self.ensure_grade(n)
         return self.grades[n]
 
     # -- independent verifier ---------------------------------------------
 
-    def verify_selfadjoint(self, alpha, beta, i: int) -> np.ndarray:
-        """Residual of the self-adjointness identity; exactly zero when the store is correct.
+    def verify_selfadjoint(self, alpha, beta, i: int) -> Scaled:
+        """Residual of the self-adjointness identity, reduced; all zero when the store is correct.
 
         (a_i - b_i) cA_{a-b}
             = k * sum_{a_j > a_i} sum_{l=1}^{a_j-a_i} sigma(i,j) cA_{a+l(e_i-e_j)-b}
@@ -196,30 +194,21 @@ class CoeffStore:
         kap = self.kappa.value
         n = len(alpha)
         diff = tuple(a - b for a, b in zip(alpha, beta))
-        residual = self.coeff(diff) * Fraction(alpha[i - 1] - beta[i - 1])
+        terms = [self._carrier(diff) * (alpha[i - 1] - beta[i - 1])]
         for j in range(1, n + 1):
             if j == i:
                 continue
             sig = tableaux.transposition_matrix(self.shape, i, j)
             ai, aj = alpha[i - 1], alpha[j - 1]
             bi, bj = beta[i - 1], beta[j - 1]
-            if aj > ai:
-                for ell in range(1, aj - ai + 1):
-                    idx = _move(diff, i, j, ell)
-                    residual = residual - (sig @ self.coeff(idx)) * kap
-            elif ai > aj:
-                for ell in range(0, ai - aj):
-                    idx = _move(diff, j, i, ell)
-                    residual = residual + (sig @ self.coeff(idx)) * kap
-            if bj > bi:
-                for ell in range(1, bj - bi + 1):
-                    idx = _move(diff, i, j, -ell)
-                    residual = residual + (self.coeff(idx) @ sig) * kap
-            elif bi > bj:
-                for ell in range(0, bi - bj):
-                    idx = _move(diff, j, i, -ell)
-                    residual = residual - (self.coeff(idx) @ sig) * kap
-        return residual
+            # (moved from, moved to, l, factor) of each sum: sigma(i,j) on the left, then on the right
+            left = [(i, j, ell, -kap) for ell in range(1, aj - ai + 1)]
+            left += [(j, i, ell, kap) for ell in range(ai - aj)]
+            right = [(i, j, -ell, kap) for ell in range(1, bj - bi + 1)]
+            right += [(j, i, -ell, -kap) for ell in range(bi - bj)]
+            terms += [sig @ self._carrier(_move(diff, a, b, ell)) * k for a, b, ell, k in left]
+            terms += [self._carrier(_move(diff, a, b, ell)) @ sig * k for a, b, ell, k in right]
+        return total(terms).reduced()
 
     # -- persistence -------------------------------------------------------
 
@@ -238,9 +227,9 @@ class CoeffStore:
                     "entries": [
                         {
                             "gamma": list(g),
-                            "matrix": [[str(x) for x in row] for row in self.grades[n][g]],
+                            "matrix": [[str(Fraction(x, m.den)) for x in row] for row in m.num],
                         }
-                        for g in sorted(self.grades[n])
+                        for g, m in sorted(self.grades[n].items())
                     ],
                 }
                 for n in sorted(self.grades)
@@ -252,6 +241,8 @@ class CoeffStore:
         try:
             tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
             os.replace(tmp, path)
+        except OSError as exc:
+            raise WriteFailed(f"cannot write store file {path}: {exc.strerror or exc}") from None
         finally:
             tmp.unlink(missing_ok=True)
 
@@ -287,6 +278,7 @@ class CoeffStore:
             for gamma, mat in entries.items():
                 if mat.shape != (store.dim, store.dim):
                     raise StoreCorrupt(f"matrix at {list(gamma)} is not {store.dim}x{store.dim}")
+                entries[gamma] = Scaled.of(mat)
         store.grades.update(grades)
         store.sealed_grade = sealed
         return store

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _accel, tableaux
+from . import _accel, perms, tableaux
 from .errors import PathNearSingular, SingularPoint, VerificationFailed
 from .scalars import KappaParam
-from .tableaux import Partition
+from .tableaux import Partition, Scaled, total
 
 
 def gamma_const(shape: Partition) -> Fraction:
@@ -47,40 +47,34 @@ def check_regular(x) -> tuple:
     return x
 
 
-def connection(i: int, x, shape: Partition):
+def connection(i: int, x, shape: Partition) -> Scaled:
     """M_i(x) on the tableau basis, exactly; the coordinates are taken as rationals."""
     x = tuple(Fraction(c) for c in check_regular(x))
-    out = tableaux.identity_matrix(shape.dim) * (-gamma_const(shape) / x[i - 1])
+    ident = tableaux.rep_matrix(shape, perms.identity(len(x)))
+    terms = [ident * (-gamma_const(shape) / x[i - 1])]
     for j in range(1, len(x) + 1):
         if j != i:
-            out = out + tableaux.transposition_matrix(shape, i, j) * (1 / (x[i - 1] - x[j - 1]))
-    return out
+            terms.append(tableaux.transposition_matrix(shape, i, j) * (1 / (x[i - 1] - x[j - 1])))
+    return total(terms)
 
 
-def euler_residual(x, shape: Partition):
-    """sum_i x_i M_i(x); identically zero because the transpositions sum to the content sum."""
+def euler_residual(x, shape: Partition) -> Scaled:
+    """sum_i x_i M_i(x), reduced; identically zero because the transpositions sum to the content sum."""
     x = check_regular(x)
-    out = None
-    for i in range(1, len(x) + 1):
-        term = connection(i, x, shape) * x[i - 1]
-        out = term if out is None else out + term
-    return out
+    return total([connection(i, x, shape) * Fraction(xi) for i, xi in enumerate(x, 1)]).reduced()
 
 
-def integrability_residual(i: int, j: int, x, shape: Partition, kappa: KappaParam):
-    """d_i M_j - d_j M_i - kappa (M_j M_i - M_i M_j); exactly zero at regular points.
+def integrability_residual(i: int, j: int, x, shape: Partition, kappa: KappaParam) -> Scaled:
+    """d_i M_j - d_j M_i - kappa (M_j M_i - M_i M_j), reduced; exactly zero at regular points.
 
     For i != j the only x_i-dependent term of M_j is sigma(i,j)/(x_j - x_i),
     whose x_i-derivative sigma(i,j)/(x_i - x_j)^2 is also d_j M_i, so the
     derivative difference is the zero matrix and the commutator term, which
     is what this returns, carries the full content of the flatness condition.
     """
-    if i == j:
-        return tableaux.identity_matrix(shape.dim) * Fraction(0)
-    x = check_regular(x)
     mi = connection(i, x, shape)
     mj = connection(j, x, shape)
-    return (mi @ mj - mj @ mi) * kappa.value
+    return (total([mi @ mj, mj @ mi * -1]) * kappa.value).reduced()
 
 
 def _pair_arrays(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,7 +82,7 @@ def _pair_arrays(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     mats = np.empty((len(pairs), shape.dim, shape.dim), dtype=np.complex128)
     for k, (i, j) in enumerate(pairs):
-        mats[k] = tableaux.transposition_matrix(shape, i, j).astype(float)
+        mats[k] = tableaux.transposition_matrix(shape, i, j).floats()
     pi = np.array([p[0] - 1 for p in pairs], dtype=np.int64)
     pj = np.array([p[1] - 1 for p in pairs], dtype=np.int64)
     return mats, pi, pj

@@ -61,3 +61,7 @@ class VerificationFailed(JackTorusError):
 
 class StoreCorrupt(JackTorusError, ValueError):
     """A coefficient store file does not match the requested store or is incomplete."""
+
+
+class WriteFailed(JackTorusError, OSError):
+    """A store or report file could not be written, e.g. its directory is missing or read-only."""

@@ -91,8 +91,8 @@ class FloatCoeffs:
         self._taus: dict[tuple[int, ...], np.ndarray] = {}
         self._sqrt_d = np.sqrt(np.array([float(x) for x in store.norms]))
 
-    def _ortho(self, mat) -> np.ndarray:
-        return self._sqrt_d[:, None] * mat.astype(float) / self._sqrt_d[None, :]
+    def _ortho(self, mat: tableaux.Scaled) -> np.ndarray:
+        return self._sqrt_d[:, None] * mat.floats() / self._sqrt_d[None, :]
 
     def grade_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         hit = self._grades.get(n)

@@ -27,8 +27,7 @@ Vec = tuple[int, ...]
 
 
 def coeff_vector(dim: int, entries=None) -> np.ndarray:
-    v = np.zeros(dim, dtype=object)
-    v[:] = Fraction(0)
+    v = np.full(dim, Fraction(0), dtype=object)
     if entries is not None:
         for k, val in entries:
             v[k] = Fraction(val)
@@ -127,7 +126,7 @@ def group_action(w: Perm, f: VVLaurent) -> VVLaurent:
     """x^a (x) v  ->  x^{w.a} (x) sigma(w) v."""
     if perms.is_identity(w):
         return f.copy()
-    mat = tableaux.rep_matrix(f.shape, w)
+    mat = tableaux.rep_matrix(f.shape, w).fractions
     return VVLaurent(
         f.shape,
         f.kappa,
@@ -159,7 +158,7 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
             if j == i or alpha[j - 1] == alpha[i - 1]:
                 continue
             a, b = alpha[i - 1], alpha[j - 1]
-            sv = (tableaux.transposition_matrix(f.shape, i, j) @ v) * (kap if a > b else -kap)
+            sv = (tableaux.transposition_matrix(f.shape, i, j).fractions @ v) * (kap if a > b else -kap)
             base = list(alpha)
             for p in range(min(a, b), max(a, b)):
                 base[i - 1] = p

@@ -1,10 +1,10 @@
 """Exact scalars and the admissibility gate for the deformation parameter.
 
-All exact arithmetic in the package runs on ``fractions.Fraction``:
-arbitrary-precision, always in lowest terms, positive denominator, no
-rounding.  Complex floats appear only in the numeric-verification modules
-(kernel evaluation, path integration) and are never mixed back into exact
-computations.
+Exact scalars are ``fractions.Fraction``: arbitrary-precision, always in
+lowest terms, positive denominator, no rounding; exact matrices are mostly
+``tableaux.Scaled``, Python ints over one denominator.  Complex floats
+appear only in the numeric-verification modules (kernel evaluation, path
+integration) and are never mixed back into exact computations.
 """
 
 from __future__ import annotations

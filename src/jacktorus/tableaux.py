@@ -7,16 +7,18 @@ cell; the content vector determines the tableau.  All representation
 matrices are kept in the UNNORMALIZED tableau basis, so every entry is an
 exact rational; the orthogonal (orthonormal-basis) matrices involve square
 roots and are materialized in floating point only by the numeric modules.
+The table of sigma(w) holds each matrix as a ``Scaled``: one Python-int
+array over one positive denominator.
 
 Canonical basis order: content vectors in decreasing lexicographic order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,7 +69,7 @@ class Partition:
     @property
     def dim(self) -> int:
         """Number of RSYTs, by the hook length formula."""
-        return factorial(self.N) // self.hook_product()
+        return math.factorial(self.N) // self.hook_product()
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,54 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+@dataclass(frozen=True, eq=False)
+class Scaled:
+    """Exact rational matrix num / den: a read-only Python-int object array over one int den > 0."""
+
+    num: np.ndarray
+    den: int
+
+    def __post_init__(self):
+        self.num.flags.writeable = False
+
+    @classmethod
+    def of(cls, mat) -> "Scaled":
+        """Carrier of an array of ints or rationals, over the lcm of their denominators."""
+        mat = np.asarray(mat, dtype=object)
+        den = math.lcm(*(x.denominator for x in mat.flat))
+        return cls(np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(mat), den)
+
+    def __matmul__(self, other: "Scaled") -> "Scaled":
+        return Scaled(self.num @ other.num, self.den * other.den)
+
+    def __mul__(self, q) -> "Scaled":
+        """Times an int or rational q: its numerator scales the entries, its denominator scales den."""
+        return Scaled(self.num * q.numerator, self.den * q.denominator)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Scaled) and bool(np.all(self.num * other.den == other.num * self.den))
+
+    def reduced(self) -> "Scaled":
+        """Divided by the gcd of the entries and den: the one reduced carrier of its value."""
+        g = math.gcd(self.den, *self.num.flat)
+        return Scaled(self.num // g, self.den // g)
+
+    @cached_property
+    def fractions(self) -> np.ndarray:
+        """The entries as a read-only ``Fraction`` array, built on first use."""
+        return _frozen(np.frompyfunc(lambda x: Fraction(x, self.den), 1, 1)(self.num))
+
+    def floats(self) -> np.ndarray:
+        """The entries as floats, each the correctly rounded quotient."""
+        return (self.num / self.den).astype(float)
+
+
+def total(terms: list[Scaled]) -> Scaled:
+    """Sum of a non-empty list of carriers, over the lcm of their denominators."""
+    den = math.lcm(*(t.den for t in terms))
+    return Scaled(sum(t.num * (den // t.den) for t in terms), den)
+
+
 @lru_cache(maxsize=None)
 def simple_reflection(shape: Partition, i: int) -> np.ndarray:
     """Matrix of s_i = (i, i+1) on the tableau basis (column = image of basis vector).
@@ -191,8 +241,7 @@ def simple_reflection(shape: Partition, i: int) -> np.ndarray:
     basis = enumerate_rsyt(shape)
     index = {t.content: k for k, t in enumerate(basis)}
     dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=object)
-    mat[:] = Fraction(0)
+    mat = np.full((dim, dim), Fraction(0), dtype=object)
     for k, t in enumerate(basis):
         diff = t.content[i - 1] - t.content[i]
         if diff == 1:
@@ -212,8 +261,8 @@ def simple_reflection(shape: Partition, i: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def rep_matrix(shape: Partition, w: Perm) -> np.ndarray:
-    """Representation matrix of w: sigma(w s_i) sigma(s_i) at the first descent i of w.
+def rep_matrix(shape: Partition, w: Perm) -> Scaled:
+    """Representation matrix of w: sigma(w s_i) sigma(s_i) at the first descent i of w, reduced.
 
     w s_i swaps the one-line entries at positions i, i+1 and has one
     inversion fewer, so its matrix comes from this same table and each new
@@ -222,11 +271,11 @@ def rep_matrix(shape: Partition, w: Perm) -> np.ndarray:
     for i in range(1, len(w)):
         if w[i - 1] > w[i]:
             shorter = rep_matrix(shape, perms.compose(w, perms.simple(len(w), i)))
-            return _frozen(shorter @ simple_reflection(shape, i))
-    return _frozen(identity_matrix(shape.dim))
+            return (shorter @ Scaled.of(simple_reflection(shape, i))).reduced()
+    return Scaled.of(identity_matrix(shape.dim))
 
 
-def transposition_matrix(shape: Partition, i: int, j: int) -> np.ndarray:
+def transposition_matrix(shape: Partition, i: int, j: int) -> Scaled:
     return rep_matrix(shape, perms.transposition(shape.N, i, j))
 
 
@@ -236,16 +285,14 @@ def jucys_murphy(shape: Partition, i: int) -> np.ndarray:
     if not 1 <= i <= shape.N:
         raise IndexError(f"omega_{i} out of range for N={shape.N}")
     dim = shape.dim
-    mat = np.zeros((dim, dim), dtype=object)
-    mat[:] = Fraction(0)
+    mat = np.full((dim, dim), Fraction(0), dtype=object)
     for j in range(i + 1, shape.N + 1):
-        mat = mat + transposition_matrix(shape, i, j)
+        mat = mat + transposition_matrix(shape, i, j).fractions
     return _frozen(mat)
 
 
 def identity_matrix(dim: int) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=object)
-    mat[:] = Fraction(0)
+    mat = np.full((dim, dim), Fraction(0), dtype=object)
     np.fill_diagonal(mat, Fraction(1))
     return mat
 

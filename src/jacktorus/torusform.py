@@ -22,7 +22,7 @@ from .coeffs import CoeffStore
 from .compositions import Vec
 from .errors import SpectralCollision, VerificationFailed
 from .scalars import KappaParam
-from .tableaux import RSYT, norm0
+from .tableaux import RSYT, Scaled, norm0
 from .ybgraph import NsjpGraph
 
 
@@ -193,11 +193,10 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
         cmat = np.zeros((len(exps) * dim, len(idx)), dtype=object)
         scales = []
         for c, a in enumerate(idx):
-            terms = [(alpha, polys[a].terms[alpha]) for alpha in cols[a]]
-            s = math.lcm(*(x.denominator for _, v in terms for x in v))
-            for alpha, v in terms:
-                cmat[row[alpha] : row[alpha] + dim, c] = _scaled(v, s)
-            scales.append(s)
+            col = Scaled.of([polys[a].terms[alpha] for alpha in cols[a]])
+            for alpha, v in zip(cols[a], col.num):
+                cmat[row[alpha] : row[alpha] + dim, c] = v
+            scales.append(col.den)
         pmat, lp = _pairing_block(row, ctx)
         prod = cmat.T @ (pmat @ cmat)
         for i, a in enumerate(idx):
@@ -214,18 +213,13 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
     return out
 
 
-def _scaled(values, s: int) -> list[int]:
-    """s * x for each rational x, as ints; s must clear every denominator."""
-    return [x.numerator * (s // x.denominator) for x in values]
-
-
 def _pairing_block(row: dict[Vec, int], ctx: FormContext) -> tuple[np.ndarray, int]:
     """Integer block matrix [L G_{alpha-beta}], block rows at row[alpha], and its scale L."""
     dim = ctx.store.dim
     gammas = {(a, b): tuple(x - y for x, y in zip(a, b)) for a in row for b in row}
-    mats = {g: ctx.pairing(g) for g in set(gammas.values())}
-    lp = math.lcm(*(x.denominator for m in mats.values() for x in m.flat))
-    ints = {g: np.array([_scaled(r, lp) for r in m], dtype=object) for g, m in mats.items()}
+    mats = {g: Scaled.of(ctx.pairing(g)) for g in set(gammas.values())}
+    lp = math.lcm(*(m.den for m in mats.values()))
+    ints = {g: m.num * (lp // m.den) for g, m in mats.items()}
     pmat = np.zeros((len(row) * dim, len(row) * dim), dtype=object)
     for (a, b), g in gammas.items():
         pmat[row[a] : row[a] + dim, row[b] : row[b] + dim] = ints[g]

@@ -196,8 +196,8 @@ def test_criterion_6_coefficient_symmetries(session21):
             assert np.all(store.pairing_matrix(neg) == store.pairing_matrix(gamma).T)
             for w in all_w:
                 wg = perms.act(w, gamma)
-                mat = rep_matrix(shape, w)
-                mat_inv = rep_matrix(shape, perms.inverse(w))
+                mat = rep_matrix(shape, w).fractions
+                mat_inv = rep_matrix(shape, perms.inverse(w)).fractions
                 assert np.all(store.coeff(wg) == mat @ ca @ mat_inv)
 
 
@@ -218,7 +218,7 @@ def test_criterion_7_selfadjoint(session21, session31):
         beta = composition(deg, 3)
         i = rng.randrange(1, 4)
         res = store.verify_selfadjoint(alpha, beta, i)
-        assert np.all(res == Fraction(0))
+        assert not res.num.any()
 
     # the three displayed grade-2 relations, via the identity evaluator
     shape31, kap31, _, store31 = session31
@@ -228,7 +228,7 @@ def test_criterion_7_selfadjoint(session21, session31):
         ((2, 0, 0, 0), (0, 0, 0, 2)),
     ]:
         for i in range(1, 5):
-            assert np.all(store31.verify_selfadjoint(alpha, beta, i) == Fraction(0))
+            assert not store31.verify_selfadjoint(alpha, beta, i).num.any()
 
 
 @criterion(8, "pole detection with the predicted witnesses")
@@ -284,10 +284,10 @@ def test_criterion_11_differential_system():
         kap = make_kappa(*kap_pair, parts)
         for _ in range(20):
             x = rational_regular(shape.N)
-            assert np.all(euler_residual(x, shape) == Fraction(0))
+            assert not euler_residual(x, shape).num.any()
             for i in range(1, shape.N + 1):
                 for j in range(i + 1, shape.N + 1):
-                    assert np.all(integrability_residual(i, j, x, shape, kap) == Fraction(0))
+                    assert not integrability_residual(i, j, x, shape, kap).num.any()
     for n in range(4, 8):
         for shape in valid_shapes(n):
             gamma_const(shape)  # asserts the two formulas agree

@@ -118,6 +118,8 @@ def test_usage_error_exit_code():
         (["identity", "--N", "1"], None, "argument --N: expected an integer >= 2, got '1'"),
         (["--shape", "2,1", "--max-grade", "-3", "coeffs"], None, "argument --max-grade: expected an integer >= 0"),
         (["coeffs"], '{"shape": "2,1", "max_grade": -3}', "max_grade: expected an integer >= 0, got -3"),
+        (["--seed", "-1", "--shape", "2,1", "kernel", "--max-order", "1", "--samples", "2"], None, "argument --seed: expected an integer >= 0, got '-1'"),
+        (["kernel", "--max-order", "1", "--samples", "2"], '{"shape": "2,1", "seed": -1}', "seed: expected an integer >= 0, got -1"),
     ],
     ids=[
         "shape-flag",
@@ -148,6 +150,8 @@ def test_usage_error_exit_code():
         "identity-N-one",
         "max-grade-negative",
         "config-max-grade-negative",
+        "seed-negative",
+        "config-seed-negative",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
@@ -160,6 +164,20 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--store", "--out"])
+def test_write_into_a_missing_directory_is_an_error_record(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "x.json"
+    store = [flag, str(target)] if flag == "--store" else []
+    out = [flag, str(target)] if flag == "--out" else []
+    code = main([*out, "--shape", "2,1", "coeffs", "--grade", "1", *store])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert doc["error"]["type"] == "WriteFailed"
+    assert str(target) in doc["error"]["message"] and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_and_identity(capsys):

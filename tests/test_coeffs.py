@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,19 +11,23 @@ from jacktorus import perms
 from jacktorus.coeffs import CoeffStore
 from jacktorus.compositions import enumerate_Z, sort_desc, split_pi_nu, triangular_lt
 from jacktorus.errors import PoleExcluded, StoreCorrupt
-from jacktorus.scalars import make_kappa, unchecked_kappa
+from jacktorus.scalars import default_kappa, make_kappa, unchecked_kappa
 from jacktorus.tableaux import (
     Partition,
+    Scaled,
     identity_matrix,
     jucys_murphy,
     rep_matrix,
     transposition_matrix,
+    valid_shapes,
 )
 from jacktorus.torusform import nsjp_norm
 
 
 def is_zero(mat) -> bool:
-    return bool(np.all(mat == Fraction(0)))
+    if isinstance(mat, Scaled):
+        mat = mat.num
+    return bool(np.all(mat == 0))
 
 
 def test_grade_zero_is_identity(store21):
@@ -37,7 +43,7 @@ def test_grade_one_closed_form(store21, shape21, kappa21):
     # (I + kappa JM_1) cA_{e1-e2} = -kappa sigma(1,2)
     kap = kappa21.value
     lhs = (identity_matrix(2) + jucys_murphy(shape21, 1) * kap) @ store21.coeff((1, -1, 0))
-    rhs = transposition_matrix(shape21, 1, 2) * (-kap)
+    rhs = transposition_matrix(shape21, 1, 2).fractions * (-kap)
     assert np.all(lhs == rhs)
 
 
@@ -47,7 +53,7 @@ def test_grade_one_closed_form_all_columns(store31, shape31, kappa31):
     for j in (2, 3, 4):
         gamma = tuple(1 if k == 0 else (-1 if k == j - 1 else 0) for k in range(4))
         lhs = left @ store31.coeff(gamma)
-        assert np.all(lhs == transposition_matrix(shape31, 1, j) * (-kap))
+        assert np.all(lhs == transposition_matrix(shape31, 1, j).fractions * (-kap))
 
 
 def test_displayed_grade_two_relations(store31, shape31, kappa31):
@@ -56,13 +62,13 @@ def test_displayed_grade_two_relations(store31, shape31, kappa31):
     n = 4
     left2 = identity_matrix(3)
     for i in range(3, n + 1):
-        left2 = left2 + transposition_matrix(shape31, 1, i) * kap
+        left2 = left2 + transposition_matrix(shape31, 1, i).fractions * kap
 
     def A(*gamma):
         return store31.coeff(gamma)
 
     def sig(i, j):
-        return transposition_matrix(shape31, i, j)
+        return transposition_matrix(shape31, i, j).fractions
 
     # (I + k sum sig(1,i)) A_{e1+e2-2e_j} = -k (A_{e2-e1} + A_{e2-e_j}) sig(1,j)
     for j in (3, 4):
@@ -108,8 +114,8 @@ def test_conjugation_covariance(store21, shape21):
         w = tuple(rng.sample([1, 2, 3], 3))
         wg = perms.act(w, gamma)
         lhs = store21.coeff(wg)
-        mat = rep_matrix(shape21, w)
-        mat_inv = rep_matrix(shape21, perms.inverse(w))
+        mat = rep_matrix(shape21, w).fractions
+        mat_inv = rep_matrix(shape21, perms.inverse(w)).fractions
         assert np.all(lhs == mat @ store21.coeff(gamma) @ mat_inv)
 
 
@@ -304,3 +310,70 @@ def _all_perms(n):
     import itertools
 
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+# sha256 of the saved store, recorded from the Fraction recurrence; kappa None is the
+# default parameter, and the other parameters lie outside the positivity window, where
+# some rows q g1 + p c(m,T) of the left operator are negative
+STORE_DIGESTS = {
+    ((2, 1), None, 5): "442666f0a3943a38993a3ea56c4c35d5f269c34127b4087007b332462e3ff040",
+    ((3, 1), None, 4): "0d6be39205bc37d49795013e170217ab6ffd48d1ca1b8fc42427bb416b75a099",
+    ((2, 2), None, 4): "21a2ed2e93e1c75088d179d54697a4f7e376f92a7855e4d1ae4e3b6890199afa",
+    ((3, 1, 1), None, 3): "be6d187a2d84411c713a16dc0e27569182738da980338a96631613585dde341a",
+    ((2, 1), (-3, 2), 4): "10ff42e534b57b46dcfabac7bd57eab87eca5de55ca20999a8e13fd3a7df2aa5",
+    ((3, 1), (3, 2), 3): "00814f5269e157e8abf5b69e3eed95fefb9f51714ba7587bb046c15947fe81b1",
+    ((2, 2), (-3, 2), 3): "2c1ba071cc490ce6b09256b47c77eb86f98d4021c507107cee8bda63bb54c581",
+}
+
+
+def _kappa(parts, pq):
+    return default_kappa(parts) if pq is None else make_kappa(*pq, parts)
+
+
+@pytest.mark.parametrize("parts, pq, grade", list(STORE_DIGESTS), ids=str)
+def test_store_bytes_match_the_golden_digest(tmp_path, parts, pq, grade):
+    path = tmp_path / "store.json"
+    CoeffStore(Partition(parts), _kappa(parts, pq)).ensure_grade(grade).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STORE_DIGESTS[(parts, pq, grade)]
+
+
+@pytest.fixture(scope="module")
+def stores_to_grade_4():
+    return [
+        CoeffStore(shape, default_kappa(shape.parts)).ensure_grade(4)
+        for n in range(3, 6)
+        for shape in valid_shapes(n)
+    ]
+
+
+def _selfadjoint_everywhere(store, top: int) -> int:
+    checked = 0
+    for n in range(1, top + 1):
+        for gamma in store.grades[n]:
+            alpha = tuple(max(g, 0) for g in gamma)
+            beta = tuple(max(-g, 0) for g in gamma)
+            for i in range(1, store.N + 1):
+                res = store.verify_selfadjoint(alpha, beta, i)
+                assert not res.num.any(), (store.shape.parts, store.kappa.value, gamma, i)
+                checked += 1
+    return checked
+
+
+def test_selfadjoint_at_every_stored_index(stores_to_grade_4):
+    assert sum(_selfadjoint_everywhere(store, 4) for store in stores_to_grade_4) > 1000
+
+
+@pytest.mark.parametrize("parts, pq", [((2, 1), (-3, 2)), ((3, 1), (3, 2)), ((2, 2), (-3, 2))], ids=str)
+def test_selfadjoint_outside_the_window(parts, pq):
+    store = CoeffStore(Partition(parts), _kappa(parts, pq)).ensure_grade(3)
+    assert _selfadjoint_everywhere(store, 3) > 20
+
+
+def test_carriers_are_canonical(stores_to_grade_4):
+    for store in stores_to_grade_4:
+        carriers = [m for grade in store.grades.values() for m in grade.values()]
+        carriers += [rep_matrix(store.shape, w) for w in _all_perms(store.N)]
+        for mat in carriers:
+            assert type(mat.den) is int and mat.den > 0
+            assert all(type(x) is int for x in mat.num.flat)
+            assert math.gcd(mat.den, *mat.num.flat) == 1

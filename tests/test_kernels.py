@@ -19,7 +19,7 @@ from jacktorus.kernels import (
 )
 from jacktorus.compositions import enumerate_Z
 from jacktorus.scalars import default_kappa, make_kappa
-from jacktorus.tableaux import Partition, valid_shapes
+from jacktorus.tableaux import Partition, Scaled, valid_shapes
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,8 @@ def test_hermiticity_residual_sees_a_wrong_stored_matrix():
     shape = Partition((2, 1))
     store = CoeffStore(shape, make_kappa(1, 5, (2, 1))).ensure_grade(2)
     good = psd_report(store, [2], samples=4, seed=1)
-    store.grades[2][(2, -1, -1)] = store.grades[2][(2, -1, -1)] + Fraction(1, 100)
+    # the same +1/100 on every entry, written on the carrier: num/den + 1/100
+    mat = store.grades[2][(2, -1, -1)]
+    store.grades[2][(2, -1, -1)] = Scaled(mat.num * 100 + mat.den, mat.den * 100).reduced()
     bad = psd_report(store, [2], samples=4, seed=1)
     assert good.hermiticity_residual < 1e-10 < bad.hermiticity_residual

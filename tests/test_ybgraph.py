@@ -49,7 +49,7 @@ def test_lowest_degree_one_is_pure_monomial(graph21, shape21, kappa21):
         node = graph21.node((0, 0, 1), ti)
         assert set(node.poly.terms) == {(0, 0, 1)}
         w0inv = perms.inverse(perms.cycle(3))
-        expect = rep_matrix(shape21, w0inv)[:, ti]
+        expect = rep_matrix(shape21, w0inv).fractions[:, ti]
         assert np.all(node.poly.terms[(0, 0, 1)] == expect)
 
 
@@ -66,7 +66,7 @@ def test_leading_term(graph21, shape21):
     for degree in range(4):
         for node in graph21.build_degree(degree):
             assert leading_exponents(node.poly) == [node.alpha]
-            expect = rep_matrix(shape21, perms.inverse(node.rank))[:, node.t_index]
+            expect = rep_matrix(shape21, perms.inverse(node.rank)).fractions[:, node.t_index]
             assert np.all(node.poly.terms[node.alpha] == expect)
 
 
