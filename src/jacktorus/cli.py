@@ -28,7 +28,7 @@ from .diffsystem import (
 from .errors import JackTorusError, VerificationFailed, WriteFailed
 from .kernels import TorusPoint, psd_report, sigma_identity_residual
 from .scalars import complex_pair, make_kappa, rational
-from .tableaux import Partition
+from .tableaux import Partition, Scaled
 from .torusform import FormContext, gram, nsjp_norm
 from .ybgraph import NsjpGraph
 
@@ -162,10 +162,6 @@ def _emit(command: str, cfg: SessionConfig, results, code: int = 0) -> int:
     return code
 
 
-def _matrix_records(mat) -> list[list[str]]:
-    return [[str(x) for x in row] for row in mat]
-
-
 # -- subcommand bodies -------------------------------------------------------
 
 
@@ -189,7 +185,7 @@ def cmd_rep(cfg, args) -> int:
     if sorted(args.word) != list(range(1, shape.N + 1)):
         raise argparse.ArgumentTypeError(f"--word must be a permutation of 1..{shape.N}, got {args.word}")
     mat = tableaux.rep_matrix(shape, args.word)
-    return _emit("rep", cfg, {"word": list(args.word), "matrix": _matrix_records(mat.fractions)})
+    return _emit("rep", cfg, {"word": list(args.word), "matrix": mat.texts()})
 
 
 def cmd_nsjp(cfg, args) -> int:
@@ -263,7 +259,7 @@ def cmd_gram(cfg, args) -> int:
         cfg,
         {
             "basis": [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes],
-            "matrix": _matrix_records(mat),
+            "matrix": [[str(x) for x in row] for row in mat],
             "offdiagonal_nonzero": off,
             "norms_match": norm_ok,
         },
@@ -363,21 +359,19 @@ def cmd_verify(cfg, args) -> int:
 
     def rep_suite():
         basis = tableaux.enumerate_rsyt(shape)
-        ident = tableaux.identity_matrix(shape.dim)
-        dmat = np.diag(np.array(tableaux.norm0_diag(shape), dtype=object))
+        ident = Scaled(np.eye(shape.dim, dtype=object), 1)
+        dmat = tableaux.norm_matrix(shape)
         for i in range(1, shape.N):
             s = tableaux.simple_reflection(shape, i)
-            _require(np.all(s @ s == ident), f"s_{i} is not an involution")
-            _require(np.all(s.T @ dmat @ s == dmat), f"s_{i} is not D-orthogonal")
+            _require(s @ s == ident, f"s_{i} is not an involution")
+            _require(s.T @ dmat @ s == dmat, f"s_{i} is not D-orthogonal")
         for i in range(1, shape.N - 1):
             a = tableaux.simple_reflection(shape, i)
             b = tableaux.simple_reflection(shape, i + 1)
-            _require(np.all(a @ b @ a == b @ a @ b), f"braid relation fails at {i}")
+            _require(a @ b @ a == b @ a @ b, f"braid relation fails at {i}")
         for i in range(1, shape.N + 1):
-            jm = tableaux.jucys_murphy(shape, i)
-            for k, t in enumerate(basis):
-                _require(jm[k, k] == t.content[i - 1], f"Jucys-Murphy {i} diagonal at tableau {k}")
-            _require(np.all(jm * (1 - np.eye(shape.dim, dtype=object)) == 0), f"Jucys-Murphy {i} not diagonal")
+            contents = Scaled(np.diag(np.array([t.content[i - 1] for t in basis], dtype=object)), 1)
+            _require(tableaux.jucys_murphy(shape, i) == contents, f"Jucys-Murphy {i} is not diag(c({i}, T))")
         return f"dim {shape.dim}, generators {shape.N - 1}"
 
     def count_suite():

@@ -14,9 +14,10 @@ ints over one positive denominator, reduced once per solved matrix by the gcd
 of entries and denominator, so a stored carrier is unique.  Every recurrence
 and conjugation identity holds for cA verbatim with sigma(w) in place of the
 orthogonal tau(w); the adjoint identity picks up a D-twist, equivalently
-G_{-gamma} = G_gamma^T for the pairing matrices G = D cA.  ``Fraction``
-arrays appear only where values leave or enter (``coeff``, ``pairing_matrix``,
-``save``, ``load``), orthonormal-convention matrices only as kernel floats.
+G_{-gamma} = G_gamma^T for the pairing matrices G = D cA.  ``coeff`` and
+``pairing_matrix`` return carriers too; entries become text only in ``save``
+and come back through ``Scaled.of`` only in ``load``, and orthonormal-convention
+matrices appear only as kernel floats.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -153,24 +153,21 @@ class CoeffStore:
 
     # -- lookups ---------------------------------------------------------
 
-    def coeff(self, gamma) -> np.ndarray:
+    def coeff(self, gamma) -> Scaled:
         """Carried matrix cA_gamma; the zero matrix off the zero-sum lattice."""
         gamma = tuple(int(g) for g in gamma)
         if sum(gamma) != 0:
-            return np.full((self.dim, self.dim), Fraction(0), dtype=object)
-        return self._carrier(gamma).fractions
+            return Scaled(np.zeros((self.dim, self.dim), dtype=object), 1)
+        return self._carrier(gamma)
 
-    def pairing_matrix(self, gamma) -> np.ndarray:
-        """G_gamma = D cA_gamma: exact monomial pairing matrix."""
-        mat = self.coeff(gamma)
-        d = np.array(self.norms, dtype=object)
-        return d[:, None] * mat
+    def pairing_matrix(self, gamma) -> Scaled:
+        """G_gamma = D cA_gamma, reduced: exact monomial pairing matrix."""
+        return (tableaux.norm_matrix(self.shape) @ self.coeff(gamma)).reduced()
 
     def ortho_coeff_float(self, gamma) -> np.ndarray:
         """Orthonormal-convention coefficient, as float; the reference for ``kernels.FloatCoeffs``."""
-        mat = self.coeff(gamma)
         sq = np.sqrt(np.array([float(x) for x in self.norms]))
-        return sq[:, None] * mat.astype(float) / sq[None, :]
+        return sq[:, None] * self.coeff(gamma).floats() / sq[None, :]
 
     def canonical_grade(self, n: int) -> dict[Vec, Scaled]:
         self.ensure_grade(n)
@@ -225,10 +222,7 @@ class CoeffStore:
                 {
                     "n": n,
                     "entries": [
-                        {
-                            "gamma": list(g),
-                            "matrix": [[str(Fraction(x, m.den)) for x in row] for row in m.num],
-                        }
+                        {"gamma": list(g), "matrix": m.texts()}
                         for g, m in sorted(self.grades[n].items())
                     ],
                 }

@@ -1,7 +1,8 @@
 """Sparse vector-valued Laurent polynomials and the divided-difference operators.
 
-A polynomial is a map exponent-vector -> coefficient vector over exact
-rationals, the coefficient living in the tableau basis of the module.
+A polynomial is a map exponent-vector -> coefficient vector, the coefficient
+living in the tableau basis of the module and held as a reduced
+``tableaux.Scaled``: Python ints over one positive denominator.
 Divided differences are expanded termwise by the geometric-sum identity
 
     (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j)
@@ -21,17 +22,9 @@ from . import perms, tableaux
 from .errors import LaurentInput
 from .perms import Perm
 from .scalars import KappaParam
-from .tableaux import Partition
+from .tableaux import Partition, Scaled, total
 
 Vec = tuple[int, ...]
-
-
-def coeff_vector(dim: int, entries=None) -> np.ndarray:
-    v = np.full(dim, Fraction(0), dtype=object)
-    if entries is not None:
-        for k, val in entries:
-            v[k] = Fraction(val)
-    return v
 
 
 class VVLaurent:
@@ -42,16 +35,17 @@ class VVLaurent:
     def __init__(self, shape: Partition, kappa: KappaParam, terms=None):
         self.shape = shape
         self.kappa = kappa
-        self.terms: dict[Vec, np.ndarray] = {}
+        self.terms: dict[Vec, Scaled] = {}
         if terms:
             for alpha, v in dict(terms).items():
-                if np.any(v != Fraction(0)):
-                    self.terms[tuple(alpha)] = v
+                if v.num.any():
+                    self.terms[tuple(alpha)] = v.reduced()
 
     @classmethod
     def monomial(cls, shape: Partition, kappa: KappaParam, alpha, t_index: int) -> "VVLaurent":
-        v = coeff_vector(shape.dim, [(t_index, 1)])
-        return cls(shape, kappa, {tuple(alpha): v})
+        v = np.zeros(shape.dim, dtype=object)
+        v[t_index] = 1
+        return cls(shape, kappa, {tuple(alpha): Scaled(v, 1)})
 
     @property
     def N(self) -> int:
@@ -67,19 +61,15 @@ class VVLaurent:
         return {sum(a) for a in self.terms}
 
     def copy(self) -> "VVLaurent":
-        return VVLaurent(self.shape, self.kappa, {a: v.copy() for a, v in self.terms.items()})
+        return VVLaurent(self.shape, self.kappa, self.terms)
 
-    def _add_term(self, alpha: Vec, v: np.ndarray) -> None:
+    def _add_term(self, alpha: Vec, v: Scaled) -> None:
         cur = self.terms.get(alpha)
-        if cur is None:
-            if np.any(v != Fraction(0)):
-                self.terms[alpha] = v.copy()
-            return
-        cur = cur + v
-        if np.any(cur != Fraction(0)):
-            self.terms[alpha] = cur
+        v = (v if cur is None else total([cur, v])).reduced()
+        if v.num.any():
+            self.terms[alpha] = v
         else:
-            del self.terms[alpha]
+            self.terms.pop(alpha, None)
 
     def __add__(self, other: "VVLaurent") -> "VVLaurent":
         out = self.copy()
@@ -109,15 +99,15 @@ class VVLaurent:
             return NotImplemented
         if set(self.terms) != set(other.terms):
             return False
-        return all(bool(np.all(self.terms[a] == other.terms[a])) for a in self.terms)
+        return all(self.terms[a] == other.terms[a] for a in self.terms)
 
     def __repr__(self) -> str:
-        parts = [f"x^{list(a)} (x){list(map(str, v))}" for a, v in sorted(self.terms.items())]
+        parts = [f"x^{list(a)} (x){v.texts()}" for a, v in sorted(self.terms.items())]
         return "VVLaurent[" + " + ".join(parts) + "]" if parts else "VVLaurent[0]"
 
     def to_records(self) -> list[dict]:
         return [
-            {"exponent": list(alpha), "coeff": [str(c) for c in self.terms[alpha]]}
+            {"exponent": list(alpha), "coeff": self.terms[alpha].texts()}
             for alpha in sorted(self.terms)
         ]
 
@@ -126,7 +116,7 @@ def group_action(w: Perm, f: VVLaurent) -> VVLaurent:
     """x^a (x) v  ->  x^{w.a} (x) sigma(w) v."""
     if perms.is_identity(w):
         return f.copy()
-    mat = tableaux.rep_matrix(f.shape, w).fractions
+    mat = tableaux.rep_matrix(f.shape, w)
     return VVLaurent(
         f.shape,
         f.kappa,
@@ -151,14 +141,12 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
     for alpha, v in f.terms.items():
         a_i = alpha[i - 1]
         if a_i > 0:
-            out._add_term(
-                alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * Fraction(a_i)
-            )
+            out._add_term(alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * a_i)
         for j in range(1, n + 1):
             if j == i or alpha[j - 1] == alpha[i - 1]:
                 continue
             a, b = alpha[i - 1], alpha[j - 1]
-            sv = (tableaux.transposition_matrix(f.shape, i, j).fractions @ v) * (kap if a > b else -kap)
+            sv = (tableaux.transposition_matrix(f.shape, i, j) @ v) * (kap if a > b else -kap)
             base = list(alpha)
             for p in range(min(a, b), max(a, b)):
                 base[i - 1] = p

@@ -1,8 +1,8 @@
 """Exact scalars and the admissibility gate for the deformation parameter.
 
 Exact scalars are ``fractions.Fraction``: arbitrary-precision, always in
-lowest terms, positive denominator, no rounding; exact matrices are mostly
-``tableaux.Scaled``, Python ints over one denominator.  Complex floats
+lowest terms, positive denominator, no rounding; exact matrices and vectors
+are ``tableaux.Scaled``, Python ints over one denominator.  Complex floats
 appear only in the numeric-verification modules (kernel evaluation, path
 integration) and are never mixed back into exact computations.
 """

@@ -7,8 +7,11 @@ cell; the content vector determines the tableau.  All representation
 matrices are kept in the UNNORMALIZED tableau basis, so every entry is an
 exact rational; the orthogonal (orthonormal-basis) matrices involve square
 roots and are materialized in floating point only by the numeric modules.
-The table of sigma(w) holds each matrix as a ``Scaled``: one Python-int
-array over one positive denominator.
+Every representation, coefficient and pairing matrix and every coefficient
+vector of the package is a ``Scaled``: one read-only Python-int array over
+one positive denominator.  ``Fraction``
+entries enter only through ``Scaled.of`` (the seminormal entries, the norm
+diagonal, parsed store text) and leave as text through ``Scaled.texts``.
 
 Canonical basis order: content vectors in decreasing lexicographic order.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,14 +178,9 @@ def norm0_diag(shape: Partition) -> tuple[Fraction, ...]:
     return tuple(norm0(t) for t in enumerate_rsyt(shape))
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    mat.flags.writeable = False
-    return mat
-
-
 @dataclass(frozen=True, eq=False)
 class Scaled:
-    """Exact rational matrix num / den: a read-only Python-int object array over one int den > 0."""
+    """Exact rational array num / den: a read-only Python-int object array over one int den > 0."""
 
     num: np.ndarray
     den: int
@@ -192,7 +190,7 @@ class Scaled:
 
     @classmethod
     def of(cls, mat) -> "Scaled":
-        """Carrier of an array of ints or rationals, over the lcm of their denominators."""
+        """Carrier of an array of ints or rationals over the lcm of their denominators, hence reduced."""
         mat = np.asarray(mat, dtype=object)
         den = math.lcm(*(x.denominator for x in mat.flat))
         return cls(np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(mat), den)
@@ -205,17 +203,24 @@ class Scaled:
         return Scaled(self.num * q.numerator, self.den * q.denominator)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scaled) and bool(np.all(self.num * other.den == other.num * self.den))
+        return (
+            isinstance(other, Scaled)
+            and self.num.shape == other.num.shape
+            and bool(np.all(self.num * other.den == other.num * self.den))
+        )
+
+    @property
+    def T(self) -> "Scaled":
+        return Scaled(self.num.T, self.den)
 
     def reduced(self) -> "Scaled":
         """Divided by the gcd of the entries and den: the one reduced carrier of its value."""
         g = math.gcd(self.den, *self.num.flat)
         return Scaled(self.num // g, self.den // g)
 
-    @cached_property
-    def fractions(self) -> np.ndarray:
-        """The entries as a read-only ``Fraction`` array, built on first use."""
-        return _frozen(np.frompyfunc(lambda x: Fraction(x, self.den), 1, 1)(self.num))
+    def texts(self) -> list:
+        """The entries as "p/q" strings in lowest terms ("p" when q = 1), nested like the array."""
+        return np.frompyfunc(lambda x: str(Fraction(x, self.den)), 1, 1)(self.num).tolist()
 
     def floats(self) -> np.ndarray:
         """The entries as floats, each the correctly rounded quotient."""
@@ -229,7 +234,13 @@ def total(terms: list[Scaled]) -> Scaled:
 
 
 @lru_cache(maxsize=None)
-def simple_reflection(shape: Partition, i: int) -> np.ndarray:
+def norm_matrix(shape: Partition) -> Scaled:
+    """D = diag of the tableau norms."""
+    return Scaled.of(np.diag(np.array(norm0_diag(shape), dtype=object)))
+
+
+@lru_cache(maxsize=None)
+def simple_reflection(shape: Partition, i: int) -> Scaled:
     """Matrix of s_i = (i, i+1) on the tableau basis (column = image of basis vector).
 
     Same row fixes the tableau, same column negates it; otherwise the pair
@@ -257,7 +268,7 @@ def simple_reflection(shape: Partition, i: int) -> np.ndarray:
             else:
                 mat[k2, k] = 1 - b * b
                 mat[k, k] = b
-    return _frozen(mat)
+    return Scaled.of(mat)
 
 
 @lru_cache(maxsize=None)
@@ -271,8 +282,8 @@ def rep_matrix(shape: Partition, w: Perm) -> Scaled:
     for i in range(1, len(w)):
         if w[i - 1] > w[i]:
             shorter = rep_matrix(shape, perms.compose(w, perms.simple(len(w), i)))
-            return (shorter @ Scaled.of(simple_reflection(shape, i))).reduced()
-    return Scaled.of(identity_matrix(shape.dim))
+            return (shorter @ simple_reflection(shape, i)).reduced()
+    return Scaled(np.eye(shape.dim, dtype=object), 1)
 
 
 def transposition_matrix(shape: Partition, i: int, j: int) -> Scaled:
@@ -280,21 +291,12 @@ def transposition_matrix(shape: Partition, i: int, j: int) -> Scaled:
 
 
 @lru_cache(maxsize=None)
-def jucys_murphy(shape: Partition, i: int) -> np.ndarray:
-    """Sum of (i,j) over j > i; diagonal with entries c(i, T) on the tableau basis."""
+def jucys_murphy(shape: Partition, i: int) -> Scaled:
+    """Sum of (i,j) over j > i, reduced; diagonal with entries c(i, T) on the tableau basis."""
     if not 1 <= i <= shape.N:
         raise IndexError(f"omega_{i} out of range for N={shape.N}")
-    dim = shape.dim
-    mat = np.full((dim, dim), Fraction(0), dtype=object)
-    for j in range(i + 1, shape.N + 1):
-        mat = mat + transposition_matrix(shape, i, j).fractions
-    return _frozen(mat)
-
-
-def identity_matrix(dim: int) -> np.ndarray:
-    mat = np.full((dim, dim), Fraction(0), dtype=object)
-    np.fill_diagonal(mat, Fraction(1))
-    return mat
+    zero = Scaled(np.zeros((shape.dim, shape.dim), dtype=object), 1)
+    return total([zero] + [transposition_matrix(shape, i, j) for j in range(i + 1, shape.N + 1)]).reduced()
 
 
 def valid_shapes(n: int) -> list[Partition]:

@@ -2,11 +2,12 @@
 
 Closed forms give the squared norms of the Jack basis directly; arbitrary
 vector-valued Laurent polynomials are paired through the coefficient store,
-using the exact pairing matrices G_{alpha-beta}.  ``pair`` sums term pair by
-term pair; coordinate multiplication is an isometry of this form, so it first
-normalizes Laurent inputs by a common power of x_1 ... x_N.  ``gram`` builds
-a whole Gram matrix as one integer matrix product C^T P C per degree and
-checks one diagonal entry per degree against ``pair``.
+using the exact pairing matrices G_{alpha-beta} as ``tableaux.Scaled``
+carriers.  ``pair`` sums term pair by term pair, each one integer product
+fv^T G gv over the product of the three denominators.  ``gram`` builds a
+whole Gram matrix as one integer matrix product C^T P C per degree and
+checks one diagonal entry per degree against ``pair``.  Norms, pairings and
+Gram entries are ``Fraction`` scalars.
 """
 
 from __future__ import annotations
@@ -37,25 +38,13 @@ def norm_partition(lam, t: RSYT, kappa: KappaParam) -> Fraction:
     """Squared torus norm of the Jack polynomial at a partition label.
 
     <T,T>_0 * prod_{i<j} prod_{l=1}^{lam_i - lam_j}
-        (1 - (k / (l + k(c(i,T) - c(j,T))))^2).
+        (1 - (k / (l + k(c(i,T) - c(j,T))))^2),
+    the product of ``nsjp_norm``, which strikes no factor at a partition label.
     """
     lam = tuple(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"{lam} is not a partition")
-    kap = kappa.value
-    c = t.content
-    out = norm0(t)
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            dc = c[i] - c[j]
-            for ell in range(1, lam[i] - lam[j] + 1):
-                den = ell + kap * dc
-                if den == 0:
-                    raise SpectralCollision(
-                        f"norm factor pole at l={ell}, content gap {dc}"
-                    )
-                out *= 1 - (kap / den) ** 2
-    return out
+    return nsjp_norm(lam, t, kappa)
 
 
 def e_factor(alpha, t: RSYT, eps: int, kappa: KappaParam) -> Fraction:
@@ -131,9 +120,9 @@ class FormContext:
     """Pairing context bound to a sealed-enough coefficient store."""
 
     store: CoeffStore
-    _gcache: dict[Vec, np.ndarray] = field(default_factory=dict, repr=False)
+    _gcache: dict[Vec, Scaled] = field(default_factory=dict, repr=False)
 
-    def pairing(self, gamma: Vec) -> np.ndarray:
+    def pairing(self, gamma: Vec) -> Scaled:
         mat = self._gcache.get(gamma)
         if mat is None:
             mat = self.store.pairing_matrix(gamma)
@@ -142,23 +131,18 @@ class FormContext:
 
 
 def pair(f, g, ctx: FormContext) -> Fraction:
-    """Exact Hermitian pairing; real coefficients so conjugation is trivial."""
-    low = min(
-        (min(a) for a in (*f.terms, *g.terms)),
-        default=0,
-    )
-    if low < 0:
-        from .laurent import e_shift
+    """Exact Hermitian pairing; real coefficients so conjugation is trivial.
 
-        f = e_shift(-low, f)
-        g = e_shift(-low, g)
+    Each term pair reads G_{alpha-beta}, which a common shift of both
+    polynomials leaves unchanged, so Laurent inputs pair as they are.
+    """
     total = Fraction(0)
     for alpha, fv in f.terms.items():
         for beta, gv in g.terms.items():
             if sum(alpha) != sum(beta):
                 continue
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            total += fv @ ctx.pairing(gamma) @ gv
+            mat = ctx.pairing(tuple(a - b for a, b in zip(alpha, beta)))
+            total += Fraction(fv.num @ mat.num @ gv.num, fv.den * mat.den * gv.den)
     return total
 
 
@@ -193,10 +177,10 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
         cmat = np.zeros((len(exps) * dim, len(idx)), dtype=object)
         scales = []
         for c, a in enumerate(idx):
-            col = Scaled.of([polys[a].terms[alpha] for alpha in cols[a]])
-            for alpha, v in zip(cols[a], col.num):
-                cmat[row[alpha] : row[alpha] + dim, c] = v
-            scales.append(col.den)
+            vecs = [polys[a].terms[alpha] for alpha in cols[a]]
+            scales.append(math.lcm(*(v.den for v in vecs)))
+            for alpha, v in zip(cols[a], vecs):
+                cmat[row[alpha] : row[alpha] + dim, c] = v.num * (scales[c] // v.den)
         pmat, lp = _pairing_block(row, ctx)
         prod = cmat.T @ (pmat @ cmat)
         for i, a in enumerate(idx):
@@ -217,7 +201,7 @@ def _pairing_block(row: dict[Vec, int], ctx: FormContext) -> tuple[np.ndarray, i
     """Integer block matrix [L G_{alpha-beta}], block rows at row[alpha], and its scale L."""
     dim = ctx.store.dim
     gammas = {(a, b): tuple(x - y for x, y in zip(a, b)) for a in row for b in row}
-    mats = {g: Scaled.of(ctx.pairing(g)) for g in set(gammas.values())}
+    mats = {g: ctx.pairing(g) for g in set(gammas.values())}
     lp = math.lcm(*(m.den for m in mats.values()))
     ints = {g: m.num * (lp // m.den) for g, m in mats.items()}
     pmat = np.zeros((len(row) * dim, len(row) * dim), dtype=object)

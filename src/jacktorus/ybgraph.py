@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import compositions, perms, tableaux
 from .compositions import Vec
-from .errors import SpectralCollision, VerificationFailed
+from .errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFailed
 from .laurent import VVLaurent, group_action
 from .perms import Perm
 from .scalars import KappaParam
@@ -118,6 +118,12 @@ class NsjpGraph:
         hit = self._nodes.get(key)
         if hit is not None:
             return hit
+        if len(alpha) != self.shape.N:
+            raise BadSupport(f"label {alpha} needs {self.shape.N} entries")
+        if min(alpha) < 0:
+            raise NegativeEntry(f"label {alpha} has a negative entry")
+        if not 0 <= t_index < len(self.basis):
+            raise IndexError(f"tableau index {t_index} out of range for {len(self.basis)} tableaux")
 
         if alpha[-1] >= 1:
             # degree-raising jump from the rotated predecessor

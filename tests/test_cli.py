@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -218,6 +219,30 @@ def test_reports_are_byte_identical():
     b = run_cli(*args)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+# sha256 of the stdout of each run, recorded before the Jack polynomials, the pairing and the
+# representation checks moved from Fraction arrays to Scaled carriers; the golden store digests
+# are STORE_DIGESTS in test_coeffs.py
+CLI_DIGESTS = {
+    ("--shape", "3,2", "rep", "--word", "5,4,3,2,1"):
+        "c8f9f666d5740f41338f21fed7eb30b02b39eac6a4b69bf552fe310990ec19a1",
+    ("--shape", "3,1", "nsjp", "--alpha=2,-1,0,1"):
+        "637ad1b5b4b6f9faeb87884beb017bec2d354962e8bf9c5df6fb29d770bd2095",
+    ("--shape", "2,1", "--kappa", "1/4", "gram", "--max-degree", "3"):
+        "a77212562821b39c2667b829de3b019f5d846ae85acbf0b349c511814c113bd1",
+    ("--shape", "2,2", "--kappa=-1/5", "gram", "--max-degree", "3"):
+        "b4fabed3923434947f6a05e4ceca49101d04f17d4f4c9629f61c16cdb749bea0",
+    ("--shape", "2,1", "verify", "--max-degree", "2"):
+        "10e4203a8e3029c7b5fc20354d7b45ee6d5fcef8551277c0e8e6aecdff9b503c",
+}
+
+
+@pytest.mark.parametrize("args", list(CLI_DIGESTS), ids=" ".join)
+def test_stdout_matches_the_golden_digest(args):
+    out = run_cli(*args)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == CLI_DIGESTS[args]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

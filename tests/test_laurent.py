@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,24 +10,44 @@ from jacktorus.errors import LaurentInput
 from jacktorus.laurent import (
     VVLaurent,
     cherednik,
-    coeff_vector,
     dunkl,
     e_shift,
     group_action,
     leading_exponents,
 )
-from jacktorus.tableaux import identity_matrix, jucys_murphy, simple_reflection
+from jacktorus.tableaux import Scaled, jucys_murphy, rep_matrix, simple_reflection, total, transposition_matrix
 
 
 def random_poly(shape, kappa, rng, nterms=4, max_exp=2):
     f = VVLaurent(shape, kappa)
     for _ in range(nterms):
         alpha = tuple(rng.randrange(max_exp + 1) for _ in range(shape.N))
-        v = coeff_vector(shape.dim)
-        for k in range(shape.dim):
-            v[k] = Fraction(rng.randrange(-4, 5))
-        f = f + VVLaurent(shape, kappa, {alpha: v})
+        v = np.array([rng.randrange(-4, 5) for _ in range(shape.dim)], dtype=object)
+        f = f + VVLaurent(shape, kappa, {alpha: Scaled(v, 1)})
     return f
+
+
+def random_rational_poly(shape, kappa, rng, nterms=5, max_exp=2):
+    """Terms with rational coefficients of assorted denominators, so carriers differ in scale."""
+    f = VVLaurent(shape, kappa)
+    for _ in range(nterms):
+        alpha = tuple(rng.randrange(max_exp + 1) for _ in range(shape.N))
+        v = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 9)) for _ in range(shape.dim)]
+        f = f + VVLaurent(shape, kappa, {alpha: Scaled.of(v)})
+    return f
+
+
+def fractions(mat):
+    """A carrier's entries as a ``Fraction`` array: the reference arithmetic of these tests."""
+    return np.frompyfunc(lambda x: Fraction(x, mat.den), 1, 1)(mat.num)
+
+
+def fraction_terms(f) -> dict:
+    return {alpha: list(fractions(v)) for alpha, v in f.terms.items()}
+
+
+def nonzero(terms: dict) -> dict:
+    return {alpha: list(v) for alpha, v in terms.items() if any(x != 0 for x in v)}
 
 
 @pytest.fixture()
@@ -44,7 +65,7 @@ def test_group_action_single_term(shape21, kappa21):
     g = group_action(perms.simple(3, 1), f)
     s1 = simple_reflection(shape21, 1)
     assert set(g.terms) == {(0, 1, 0)}
-    assert np.all(g.terms[(0, 1, 0)] == s1[:, 0])
+    assert g.terms[(0, 1, 0)] == Scaled(s1.num[:, 0], s1.den)
 
 
 def test_group_action_composition(shape21, kappa21, rng):
@@ -62,11 +83,11 @@ def test_dunkl_annihilates_constants(shape21, kappa21):
 
 def test_dunkl_degree_one_identity(shape21, kappa21):
     # x_1 D_1 (x_1 (x) T) = x_1 (x) (I + kappa JM_1) T
-    m = identity_matrix(2) + jucys_murphy(shape21, 1) * kappa21.value
+    m = total([Scaled(np.eye(2, dtype=object), 1), jucys_murphy(shape21, 1) * kappa21.value])
     for ti in range(2):
         f = VVLaurent.monomial(shape21, kappa21, (1, 0, 0), ti)
         lhs = dunkl(1, f).monomial_mul((1, 0, 0))
-        assert lhs == VVLaurent(shape21, kappa21, {(1, 0, 0): m[:, ti] * Fraction(1)})
+        assert lhs == VVLaurent(shape21, kappa21, {(1, 0, 0): Scaled(m.num[:, ti], m.den)})
 
 
 def test_dunkl_commute(shape21, kappa21, rng):
@@ -156,3 +177,61 @@ def test_e_shift_examples(shape21, kappa21, rng):
 def test_leading_exponents_on_monomial(shape21, kappa21):
     f = VVLaurent.monomial(shape21, kappa21, (2, 0, 1), 0)
     assert leading_exponents(f) == [(2, 0, 1)]
+
+
+@pytest.mark.parametrize("shape_name", ["shape21", "shape31"])
+def test_group_action_matches_fraction_products(shape_name, request, rng):
+    shape = request.getfixturevalue(shape_name)
+    kappa = request.getfixturevalue(shape_name.replace("shape", "kappa"))
+    for _ in range(6):
+        f = random_rational_poly(shape, kappa, rng)
+        w = tuple(rng.sample(range(1, shape.N + 1), shape.N))
+        mat = fractions(rep_matrix(shape, w))
+        expect = {perms.act(w, alpha): mat @ fractions(v) for alpha, v in f.terms.items()}
+        assert fraction_terms(group_action(w, f)) == nonzero(expect)
+
+
+def dunkl_reference(i, f) -> dict:
+    """D_i on Fraction arrays, term by term, as the package computed it before carriers."""
+    kap = f.kappa.value
+    out: dict = {}
+
+    def add(alpha, v):
+        out[alpha] = out[alpha] + v if alpha in out else v
+
+    for alpha, v in f.terms.items():
+        v = fractions(v)
+        a_i = alpha[i - 1]
+        if a_i > 0:
+            add(alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * Fraction(a_i))
+        for j in range(1, f.N + 1):
+            if j == i or alpha[j - 1] == a_i:
+                continue
+            b = alpha[j - 1]
+            sv = (fractions(transposition_matrix(f.shape, i, j)) @ v) * (kap if a_i > b else -kap)
+            base = list(alpha)
+            for p in range(min(a_i, b), max(a_i, b)):
+                base[i - 1] = p
+                base[j - 1] = a_i + b - 1 - p
+                add(tuple(base), sv)
+    return nonzero(out)
+
+
+@pytest.mark.parametrize("shape_name", ["shape21", "shape31"])
+def test_dunkl_matches_fraction_products(shape_name, request, rng):
+    shape = request.getfixturevalue(shape_name)
+    kappa = request.getfixturevalue(shape_name.replace("shape", "kappa"))
+    for _ in range(4):
+        f = random_rational_poly(shape, kappa, rng, max_exp=3)
+        for i in range(1, shape.N + 1):
+            assert fraction_terms(dunkl(i, f)) == dunkl_reference(i, f)
+
+
+def test_terms_are_reduced_carriers(shape31, kappa31, rng):
+    f = random_rational_poly(shape31, kappa31, rng)
+    polys = [f, dunkl(2, f), group_action((2, 4, 1, 3), f), f.scale(Fraction(3, 7)), f - f.scale(Fraction(1, 3))]
+    for g in polys:
+        for v in g.terms.values():
+            assert v.num.shape == (shape31.dim,) and v.num.any()
+            assert type(v.den) is int and v.den > 0
+            assert math.gcd(v.den, *v.num.flat) == 1

@@ -10,8 +10,8 @@ from jacktorus.errors import InvalidShape
 from jacktorus.tableaux import (
     Partition,
     RSYT,
+    Scaled,
     enumerate_rsyt,
-    identity_matrix,
     jucys_murphy,
     norm0,
     norm0_diag,
@@ -30,6 +30,10 @@ CONTENTS_311 = {
     (-2, 2, -1, 1, 0),
     (-2, -1, 2, 1, 0),
 }
+
+
+def ident(dim):
+    return Scaled(np.eye(dim, dtype=object), 1)
 
 
 def test_content_lists_31():
@@ -92,12 +96,12 @@ def test_norm0_empty_product():
 def test_simple_reflection_21_block():
     shape = Partition((2, 1))
     s1 = simple_reflection(shape, 1)
-    assert s1.tolist() == [
+    assert s1 == Scaled.of([
         [Fraction(1, 2), Fraction(3, 4)],
         [Fraction(1), Fraction(-1, 2)],
-    ]
+    ])
     s2 = simple_reflection(shape, 2)
-    assert s2.tolist() == [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert s2 == Scaled.of([[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(1)]])
 
 
 def test_simple_reflection_out_of_range():
@@ -107,21 +111,21 @@ def test_simple_reflection_out_of_range():
 
 def test_rep_matrix_braid_and_identity():
     shape = Partition((2, 1))
-    ident = rep_matrix(shape, perms.identity(3)).fractions
-    assert np.all(ident == identity_matrix(2))
+    assert rep_matrix(shape, perms.identity(3)) == ident(2)
     w131 = perms.compose(perms.simple(3, 1), perms.compose(perms.simple(3, 2), perms.simple(3, 1)))
     w212 = perms.compose(perms.simple(3, 2), perms.compose(perms.simple(3, 1), perms.simple(3, 2)))
     assert w131 == w212
-    m = rep_matrix(shape, w131).fractions
-    assert np.all(m @ m == identity_matrix(2))
+    m = rep_matrix(shape, w131)
+    assert m @ m == ident(2)
 
 
 def test_jucys_murphy_21_and_31():
     shape = Partition((2, 1))
-    assert jucys_murphy(shape, 1).tolist() == [[1, 0], [0, -1]]
-    assert np.all(jucys_murphy(shape, 3) == identity_matrix(2) * 0)
+    assert jucys_murphy(shape, 1).num.tolist() == [[1, 0], [0, -1]] and jucys_murphy(shape, 1).den == 1
+    assert jucys_murphy(shape, 3) == ident(2) * 0
     shape31 = Partition((3, 1))
-    diag = [jucys_murphy(shape31, 2)[k, k] for k in range(3)]
+    jm = jucys_murphy(shape31, 2)
+    diag = [Fraction(jm.num[k, k], jm.den) for k in range(3)]
     assert diag == [t.content[1] for t in enumerate_rsyt(shape31)]
 
 
@@ -130,25 +134,24 @@ def test_representation_suite(n):
     """Involutions, braid relations, commutations, D-orthogonality, JM diagonality."""
     for shape in valid_shapes(n):
         dim = shape.dim
-        ident = identity_matrix(dim)
-        dmat = np.diag(np.array(norm0_diag(shape), dtype=object))
+        dmat = Scaled.of(np.diag(np.array(norm0_diag(shape), dtype=object)))
         gens = [simple_reflection(shape, i) for i in range(1, n)]
         for s in gens:
-            assert np.all(s @ s == ident)
-            assert np.all(s.T @ dmat @ s == dmat)
+            assert s @ s == ident(dim)
+            assert s.T @ dmat @ s == dmat
         for i in range(len(gens) - 1):
             a, b = gens[i], gens[i + 1]
-            assert np.all(a @ b @ a == b @ a @ b)
+            assert a @ b @ a == b @ a @ b
         for i in range(len(gens)):
             for j in range(i + 2, len(gens)):
-                assert np.all(gens[i] @ gens[j] == gens[j] @ gens[i])
+                assert gens[i] @ gens[j] == gens[j] @ gens[i]
         basis = enumerate_rsyt(shape)
         for i in range(1, n + 1):
             jm = jucys_murphy(shape, i)
             for a in range(dim):
                 for b in range(dim):
                     expect = basis[a].content[i - 1] if a == b else 0
-                    assert jm[a, b] == expect
+                    assert Fraction(jm.num[a, b], jm.den) == expect
         assert len(basis) * shape.hook_product() == factorial(n)
 
 
@@ -167,9 +170,23 @@ def test_rep_matrix_table_is_built_by_right_multiplication():
     # sigma(id) = I and sigma(w s_i) = sigma(w) sigma(s_i) for every w and i, all shapes with N <= 5
     for n in range(3, 6):
         for shape in valid_shapes(n):
-            ident = identity_matrix(shape.dim)
-            assert np.all(rep_matrix(shape, perms.identity(n)).fractions == ident)
+            assert rep_matrix(shape, perms.identity(n)) == ident(shape.dim)
             for w in itertools.permutations(range(1, n + 1)):
                 for i in range(1, n):
                     ws = perms.compose(w, perms.simple(n, i))
-                    assert np.all(rep_matrix(shape, ws).fractions == rep_matrix(shape, w).fractions @ simple_reflection(shape, i))
+                    assert rep_matrix(shape, ws) == rep_matrix(shape, w) @ simple_reflection(shape, i)
+
+
+def test_scaled_equality_compares_shapes_first():
+    square = Scaled(np.array([[1, 1], [1, 1]], dtype=object), 1)
+    assert square != Scaled(np.array([1, 1], dtype=object), 1)
+    assert square != Scaled(np.array([[1]], dtype=object), 1)
+    assert Scaled(np.array([1, 1], dtype=object), 1) != square
+    assert square == Scaled(np.array([[2, 2], [2, 2]], dtype=object), 2)
+    assert square != Scaled(np.array([[1, 1], [1, 2]], dtype=object), 1)
+
+
+def test_texts_are_lowest_terms():
+    mat = Scaled(np.array([[2, -3], [0, 6]], dtype=object), 6)
+    assert mat.texts() == [["1/3", "-1/2"], ["0", "1"]]
+    assert Scaled(np.array([4, 2], dtype=object), 4).texts() == ["1", "1/2"]

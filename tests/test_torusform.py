@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacktorus.laurent import VVLaurent, coeff_vector, dunkl, group_action
-from jacktorus.tableaux import enumerate_rsyt, norm0, t_zero, valid_shapes
+from jacktorus.compositions import compositions_of, sort_desc
+from jacktorus.errors import SpectralCollision
+from jacktorus.laurent import VVLaurent, dunkl, group_action
+from jacktorus.scalars import default_kappa, make_kappa
+from jacktorus.tableaux import Scaled, enumerate_rsyt, norm0, t_zero, valid_shapes
 from jacktorus.torusform import (
     FormContext,
     covariant_norm,
@@ -312,8 +316,83 @@ def _random_poly(shape, kappa, rng, nterms=3, max_exp=1):
     f = VVLaurent(shape, kappa)
     for _ in range(nterms):
         alpha = tuple(rng.randrange(max_exp + 1) for _ in range(shape.N))
-        v = coeff_vector(shape.dim)
-        for k in range(shape.dim):
-            v[k] = Fraction(rng.randrange(-3, 4))
-        f = f + VVLaurent(shape, kappa, {alpha: v})
+        v = np.array([rng.randrange(-3, 4) for _ in range(shape.dim)], dtype=object)
+        f = f + VVLaurent(shape, kappa, {alpha: Scaled(v, 1)})
     return f
+
+
+def _norm_partition_product(lam, t, kappa):
+    """The partition norm as the explicit product of its docstring: the reference for norm_partition."""
+    kap, c = kappa.value, t.content
+    out = norm0(t)
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            for ell in range(1, lam[i] - lam[j] + 1):
+                den = ell + kap * (c[i] - c[j])
+                if den == 0:
+                    raise SpectralCollision("pole")
+                out *= 1 - (kap / den) ** 2
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_norm_partition_is_the_explicit_product(n):
+    checked = 0
+    for shape in valid_shapes(n):
+        h = shape.max_hook
+        for kappa in (default_kappa(shape.parts), make_kappa(1, h, shape.parts), make_kappa(-1, h, shape.parts), make_kappa(2, 7, shape.parts)):
+            lams = {sort_desc(a) for d in range(5) for a in compositions_of(d, n)}
+            for lam in sorted(lams):
+                for t in enumerate_rsyt(shape):
+                    try:
+                        expect = _norm_partition_product(lam, t, kappa)
+                    except SpectralCollision:
+                        with pytest.raises(SpectralCollision):
+                            norm_partition(lam, t, kappa)
+                        continue
+                    assert norm_partition(lam, t, kappa) == expect
+                    checked += 1
+    assert checked > 50
+
+
+def _random_rational_laurent(shape, kappa, rng, nterms=6):
+    # exponents in {-1, 0}: every alpha - beta lies in grades the session stores already hold
+    f = VVLaurent(shape, kappa)
+    for _ in range(nterms):
+        alpha = tuple(rng.randrange(-1, 1) for _ in range(shape.N))
+        v = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 8)) for _ in range(shape.dim)]
+        f = f + VVLaurent(shape, kappa, {alpha: Scaled.of(v)})
+    return f
+
+
+def _fractions(mat):
+    return np.frompyfunc(lambda x: Fraction(x, mat.den), 1, 1)(mat.num)
+
+
+def _pair_reference(f, g, store):
+    """Sum of fv^T G gv over same-degree term pairs, with G = D cA as Fraction arrays."""
+    d = np.array(store.norms, dtype=object)
+    out = Fraction(0)
+    for alpha, fv in f.terms.items():
+        for beta, gv in g.terms.items():
+            if sum(alpha) == sum(beta):
+                gmat = d[:, None] * _fractions(store.coeff(tuple(a - b for a, b in zip(alpha, beta))))
+                out += _fractions(fv) @ gmat @ _fractions(gv)
+    return out
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx21", "ctx31"])
+def test_pair_matches_the_fraction_sum(ctx_name, request):
+    ctx = request.getfixturevalue(ctx_name)
+    shape, kappa = ctx.store.shape, ctx.store.kappa
+    rng = random.Random(23)
+    nonzero = 0
+    grades = set(ctx.store.grades)
+    for _ in range(8):
+        f = _random_rational_laurent(shape, kappa, rng)
+        g = _random_rational_laurent(shape, kappa, rng)
+        val = pair(f, g, ctx)
+        assert type(val) is Fraction and val == _pair_reference(f, g, ctx.store)
+        nonzero += val != 0
+    assert nonzero > 4
+    assert set(ctx.store.grades) == grades

@@ -3,10 +3,10 @@ import pytest
 
 from jacktorus import perms
 from jacktorus.compositions import phi, rank_perm, steps_count
-from jacktorus.errors import SpectralCollision
+from jacktorus.errors import BadSupport, NegativeEntry, SpectralCollision
 from jacktorus.laurent import VVLaurent, cherednik, e_shift
 from jacktorus.scalars import unchecked_kappa
-from jacktorus.tableaux import Partition, rep_matrix, t_zero
+from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero
 from jacktorus.ybgraph import NsjpGraph, path_length, spectral_vector
 
 
@@ -49,8 +49,8 @@ def test_lowest_degree_one_is_pure_monomial(graph21, shape21, kappa21):
         node = graph21.node((0, 0, 1), ti)
         assert set(node.poly.terms) == {(0, 0, 1)}
         w0inv = perms.inverse(perms.cycle(3))
-        expect = rep_matrix(shape21, w0inv).fractions[:, ti]
-        assert np.all(node.poly.terms[(0, 0, 1)] == expect)
+        mat = rep_matrix(shape21, w0inv)
+        assert node.poly.terms[(0, 0, 1)] == Scaled(mat.num[:, ti], mat.den)
 
 
 @pytest.mark.parametrize("degree", range(4))
@@ -66,8 +66,8 @@ def test_leading_term(graph21, shape21):
     for degree in range(4):
         for node in graph21.build_degree(degree):
             assert leading_exponents(node.poly) == [node.alpha]
-            expect = rep_matrix(shape21, perms.inverse(node.rank)).fractions[:, node.t_index]
-            assert np.all(node.poly.terms[node.alpha] == expect)
+            mat = rep_matrix(shape21, perms.inverse(node.rank))
+            assert node.poly.terms[node.alpha] == Scaled(mat.num[:, node.t_index], mat.den)
 
 
 def test_path_lengths_match_traversal(graph21, shape21):
@@ -130,3 +130,20 @@ def test_eigen_properties_31(graph31):
         for node in graph31.build_degree(degree):
             for i in (1, 2, 3, 4):
                 assert cherednik(i, node.poly) == node.poly.scale(node.spectral[i - 1])
+
+
+def test_node_rejects_a_negative_entry(shape21, kappa21):
+    with pytest.raises(NegativeEntry):
+        NsjpGraph(shape21, kappa21).node((-1, 0, 1), 0)
+
+
+@pytest.mark.parametrize("alpha", [(0, 0, 0, 0), (1, 0), ()], ids=str)
+def test_node_rejects_a_wrong_length(shape21, kappa21, alpha):
+    with pytest.raises(BadSupport):
+        NsjpGraph(shape21, kappa21).node(alpha, 0)
+
+
+@pytest.mark.parametrize("alpha, t_index", [((0, 0, 0), 7), ((1, 0, 2), 2), ((0, 0, 0), -1)], ids=str)
+def test_node_rejects_an_out_of_range_tableau(shape21, kappa21, alpha, t_index):
+    with pytest.raises(IndexError):
+        NsjpGraph(shape21, kappa21).node(alpha, t_index)
