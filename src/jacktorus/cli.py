@@ -9,6 +9,7 @@ unwritable file) exit 1 with a structured error record; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ from .diffsystem import (
 )
 from .errors import JackTorusError, VerificationFailed, WriteFailed
 from .kernels import TorusPoint, psd_report, sigma_identity_residual
-from .scalars import complex_pair, make_kappa, rational
+from .laurent import cherednik
+from .scalars import complex_pair, default_kappa, make_kappa, rational
 from .tableaux import Partition, Scaled
 from .torusform import FormContext, gram, nsjp_norm
 from .ybgraph import NsjpGraph
@@ -137,8 +139,6 @@ def _validated(cfg: SessionConfig):
     shape = Partition(cfg.shape)
     value = cfg.kappa
     if value is None:
-        from .scalars import default_kappa
-
         kap = default_kappa(shape.parts)
     else:
         kap = make_kappa(value.numerator, value.denominator, shape.parts)
@@ -233,27 +233,21 @@ def cmd_coeffs(cfg, args) -> int:
     )
 
 
-def _gram_to_degree(shape, kap, degree: int):
-    """Graph, degree-ordered (alpha, tableau index) labels and Gram matrix up to a degree."""
-    graph = NsjpGraph(shape, kap)
-    ctx = FormContext(CoeffStore(shape, kap).ensure_grade(degree))
-    nodes = [
-        (node.alpha, node.t_index)
-        for d in range(degree + 1)
-        for node in graph.build_degree(d)
-    ]
-    return graph, nodes, gram(graph, nodes, ctx)
+def _gram_check(graph: NsjpGraph, store: CoeffStore, degree: int):
+    """Degree-ordered (alpha, tableau index) labels to a degree, their Gram matrix, its
+    number of nonzero off-diagonal entries and whether its diagonal is the closed-form norms."""
+    nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
+    mat = gram(graph, nodes, FormContext(store.ensure_grade(degree)))
+    off = int(np.count_nonzero(mat) - np.count_nonzero(mat.diagonal()))
+    norm_ok = all(
+        mat[i, i] == nsjp_norm(a, graph.basis[ti], graph.kappa) for i, (a, ti) in enumerate(nodes)
+    )
+    return nodes, mat, off, norm_ok
 
 
 def cmd_gram(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    graph, nodes, mat = _gram_to_degree(shape, kap, args.max_degree)
-    off = sum(
-        1 for i in range(len(nodes)) for j in range(len(nodes)) if i != j and mat[i, j] != 0
-    )
-    norm_ok = all(
-        mat[i, i] == nsjp_norm(a, graph.basis[ti], kap) for i, (a, ti) in enumerate(nodes)
-    )
+    nodes, mat, off, norm_ok = _gram_check(NsjpGraph(shape, kap), CoeffStore(shape, kap), args.max_degree)
     return _emit(
         "gram",
         cfg,
@@ -303,14 +297,7 @@ def cmd_identity(cfg, args) -> int:
 
 def cmd_diffsys(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    exact_zero = True
-    for _ in range(args.points):
-        x = _random_regular(rng, shape.N)
-        exact_zero &= not euler_residual(x, shape).num.any()
-        for i in range(1, shape.N + 1):
-            for j in range(i + 1, shape.N + 1):
-                exact_zero &= not integrability_residual(i, j, x, shape, kap).num.any()
+    exact_zero = _connection_exact(np.random.default_rng(cfg.seed), args.points, shape, kap) is None
     results = {
         "gamma": str(gamma_const(shape)),
         "points": args.points,
@@ -319,11 +306,7 @@ def cmd_diffsys(cfg, args) -> int:
     if args.loop_steps:
         # evenly spaced angles maximize pairwise separation for any N
         base = np.array([2 * np.pi * k / shape.N for k in range(shape.N)])
-        sq = 0.2
-        e1 = np.zeros(shape.N)
-        e1[0] = sq
-        e2 = np.zeros(shape.N)
-        e2[1] = sq
+        e1, e2 = 0.2 * np.eye(shape.N)[:2]
         loop = [base, base + e1, base + e1 + e2, base + e2, base]
         transported = integrate_loop(loop, args.loop_steps, shape, kap)
         results["loop_defect"] = float(np.max(np.abs(transported - np.eye(shape.dim))))
@@ -339,6 +322,21 @@ def _random_regular(rng, n: int):
             return tuple(vals)
 
 
+def _connection_exact(rng, points: int, shape, kap) -> str | None:
+    """The first nonzero exact residual at random regular rational points, or None.
+
+    At each point: the Euler identity, then the integrability of every pair i < j.
+    """
+    for _ in range(points):
+        x = _random_regular(rng, shape.N)
+        if euler_residual(x, shape).num.any():
+            return f"Euler residual at {x}"
+        for i, j in itertools.combinations(range(1, shape.N + 1), 2):
+            if integrability_residual(i, j, x, shape, kap).num.any():
+                return f"integrability residual of ({i}, {j}) at {x}"
+    return None
+
+
 def _require(ok, what: str) -> None:
     """A verification check that also holds under ``python -O``, unlike assert."""
     if not ok:
@@ -348,6 +346,8 @@ def _require(ok, what: str) -> None:
 def cmd_verify(cfg, args) -> int:
     shape, kap = _validated(cfg)
     degree = args.max_degree
+    graph = NsjpGraph(shape, kap)
+    store = CoeffStore(shape, kap)
     checks: list[dict] = []
 
     def check(name: str, fn) -> None:
@@ -383,9 +383,6 @@ def cmd_verify(cfg, args) -> int:
         return "counts match enumeration for n <= 4"
 
     def eigen_suite():
-        from .laurent import cherednik
-
-        graph = NsjpGraph(shape, kap)
         total = 0
         for dd in range(degree + 1):
             for node in graph.build_degree(dd):
@@ -399,15 +396,11 @@ def cmd_verify(cfg, args) -> int:
         return f"{total} nodes eigen-checked to degree {degree}"
 
     def gram_suite():
-        graph, nodes, mat = _gram_to_degree(shape, kap, degree)
-        for i, (a, ti) in enumerate(nodes):
-            _require(mat[i, i] == nsjp_norm(a, graph.basis[ti], kap), f"norm of {a}, tableau {ti}")
-            for j in range(len(nodes)):
-                _require(i == j or mat[i, j] == 0, f"gram entry ({i}, {j}) is nonzero")
+        nodes, _, off, norm_ok = _gram_check(graph, store, degree)
+        _require(off == 0 and norm_ok, f"{off} nonzero off-diagonal entries, norms match: {norm_ok}")
         return f"gram of {len(nodes)} polynomials exactly diagonal"
 
     def selfadjoint_suite():
-        store = CoeffStore(shape, kap)
         rng = np.random.default_rng(cfg.seed)
         for _ in range(10):
             d = int(rng.integers(1, 3))
@@ -419,18 +412,14 @@ def cmd_verify(cfg, args) -> int:
         return "10 random identities with zero residual"
 
     def kernel_suite():
-        store = CoeffStore(shape, kap)
         rep = psd_report(store, range(1, 4), 20, cfg.seed)
         failures = _kernel_failures(rep)
         _require(not failures, f"gates failed: {', '.join(failures)}")
         return rep.worst
 
     def diffsys_suite():
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(5):
-            x = _random_regular(rng, shape.N)
-            _require(not euler_residual(x, shape).num.any(), f"Euler residual at {x}")
-            _require(not integrability_residual(1, 2, x, shape, kap).num.any(), f"integrability residual at {x}")
+        failure = _connection_exact(np.random.default_rng(cfg.seed), 5, shape, kap)
+        _require(failure is None, failure)
         gamma_const(shape)
         return "exact at 5 random rational points"
 
@@ -467,57 +456,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write the JSON report here as well as stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("tableaux", help="enumerate tableaux, contents, norms")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("rep", help="matrix of a permutation")
+    command("tableaux", cmd_tableaux, "enumerate tableaux, contents, norms")
+
+    p = command("rep", cmd_rep, "matrix of a permutation")
     p.add_argument("--word", required=True, type=_ints, help="one-line permutation, e.g. 2,1,3")
 
-    p = sub.add_parser("nsjp", help="dump one Jack polynomial node")
+    p = command("nsjp", cmd_nsjp, "dump one Jack polynomial node")
     p.add_argument("--alpha", required=True, type=_ints, help="exponent vector, e.g. 1,0,2")
     p.add_argument("--tableau", type=int, default=0, help="tableau index in canonical order")
 
-    p = sub.add_parser("gram", help="orthogonality report to a degree")
+    p = command("gram", cmd_gram, "orthogonality report to a degree")
     p.add_argument("--max-degree", dest="max_degree", type=_int_at_least(0), default=2)
 
-    p = sub.add_parser("coeffs", help="build/extend the coefficient store")
+    p = command("coeffs", cmd_coeffs, "build/extend the coefficient store")
     p.add_argument("--grade", type=_int_at_least(0), help="target grade (default: --max-grade)")
     p.add_argument("--store", help="persist/reload path")
 
-    p = sub.add_parser("kernel", help="kernel positivity report")
+    p = command("kernel", cmd_kernel, "kernel positivity report")
     p.add_argument("--max-order", dest="max_order", type=_int_at_least(1), default=4)
     p.add_argument("--samples", type=_int_at_least(1), default=50)
 
-    p = sub.add_parser("identity", help="scalar Cesaro / complete-symmetric residuals")
+    p = command("identity", cmd_identity, "scalar Cesaro / complete-symmetric residuals")
     p.add_argument("--N", type=_int_at_least(2), default=3)
     p.add_argument("--max-order", dest="max_order", type=_int_at_least(1), default=6)
     p.add_argument("--samples", type=_int_at_least(1), default=50)
 
-    p = sub.add_parser("diffsys", help="connection identity checks")
+    p = command("diffsys", cmd_diffsys, "connection identity checks")
     p.add_argument("--points", type=_int_at_least(0), default=10)
     p.add_argument("--loop-steps", dest="loop_steps", type=_int_at_least(0), default=0)
 
-    p = sub.add_parser("count", help="graded index-set count")
+    p = command("count", cmd_count, "graded index-set count")
     p.add_argument("--N", type=_int_at_least(0), required=True)
     p.add_argument("--n", type=_int_at_least(0), required=True)
 
-    p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
+    p = command("verify", cmd_verify, "run the invariant suite; nonzero exit on failure")
     p.add_argument("--max-degree", dest="max_degree", type=_int_at_least(0), default=2)
 
     return parser
-
-
-_HANDLERS = {
-    "tableaux": cmd_tableaux,
-    "rep": cmd_rep,
-    "nsjp": cmd_nsjp,
-    "gram": cmd_gram,
-    "coeffs": cmd_coeffs,
-    "kernel": cmd_kernel,
-    "identity": cmd_identity,
-    "diffsys": cmd_diffsys,
-    "count": cmd_count,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -525,7 +505,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _session(args)
-        return _HANDLERS[args.command](cfg, args)
+        return args.handler(cfg, args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except JackTorusError as exc:

@@ -32,7 +32,7 @@ import numpy as np
 from . import compositions, perms, tableaux
 from .compositions import Vec
 from .errors import PoleExcluded, StoreCorrupt, WriteFailed
-from .scalars import KappaParam, rational
+from .scalars import KappaParam, make_kappa, rational
 from .tableaux import Partition, Scaled, total
 
 
@@ -245,13 +245,11 @@ class CoeffStore:
         """Read a saved store; raises StoreCorrupt when it does not fit the request.
 
         The checks are structural (layout and types, N, parameter, shape,
-        basis order, the canonical indices of every sealed grade, matrix
-        sizes); stored entries are not recomputed.
+        basis order, grades exactly 0..sealed, the canonical indices of each,
+        matrix sizes); stored entries are not recomputed.
         """
         shape, value, sealed, order, grades = _read_store(path)
         if kappa is None:
-            from .scalars import make_kappa
-
             kappa = make_kappa(value.numerator, value.denominator, shape.parts)
         elif kappa.shape != shape.parts:
             raise StoreCorrupt(f"store file was built for shape {shape.parts}, not {kappa.shape}")
@@ -260,11 +258,8 @@ class CoeffStore:
             raise StoreCorrupt(f"store file was built with parameter {value}, not {kappa.value}")
         if order != [list(t.content) for t in store.basis]:
             raise StoreCorrupt("store file uses a different basis order")
-        missing = [n for n in range(sealed + 1) if n not in grades]
-        if missing:
-            raise StoreCorrupt(
-                f"store file claims sealed grade {sealed} but lacks grades {missing}"
-            )
+        if sealed < 0 or set(grades) != set(range(sealed + 1)):
+            raise StoreCorrupt(f"store file claims sealed grade {sealed} but holds grades {sorted(grades)}")
         for n in range(sealed + 1):
             if set(grades[n]) != set(compositions.canonical_Z(store.N, n)):
                 raise StoreCorrupt(f"grade {n} of the store file has the wrong indices")
@@ -281,7 +276,8 @@ class CoeffStore:
 def _read_store(path: str | Path):
     """Decode the saved layout: (shape, parameter, sealed grade, basis order, grades).
 
-    Raises StoreCorrupt for invalid JSON, missing keys and values of the wrong type.
+    Raises StoreCorrupt for invalid JSON, missing keys, values of the wrong type
+    and a grade or an index listed twice.
     """
 
     def typed(val, kind):
@@ -303,10 +299,16 @@ def _read_store(path: str | Path):
         order = [list(ints(c)) for c in typed(head["basis_order"], list)]
         grades: dict[int, dict[Vec, np.ndarray]] = {}
         for rec in typed(doc["grades"], list):
-            entries = grades.setdefault(typed(rec["n"], int), {})
+            n = typed(rec["n"], int)
+            if n in grades:
+                raise ValueError(f"grade {n} is listed twice")
+            entries = grades[n] = {}
             for e in typed(rec["entries"], list):
+                gamma = ints(e["gamma"])
+                if gamma in entries:
+                    raise ValueError(f"grade {n} lists {list(gamma)} twice")
                 rows = [[rational(typed(x, str)) for x in typed(r, list)] for r in typed(e["matrix"], list)]
-                entries[ints(e["gamma"])] = np.array(rows, dtype=object)
+                entries[gamma] = np.array(rows, dtype=object)
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise StoreCorrupt(f"store file {path} is unreadable or malformed: {type(exc).__name__}: {exc}") from None
     return shape, value, sealed, order, grades

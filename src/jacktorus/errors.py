@@ -52,7 +52,7 @@ class SingularPoint(JackTorusError, ValueError):
 
 
 class PathNearSingular(JackTorusError, ValueError):
-    """Integration path passes closer to the singular set than the configured clearance."""
+    """Integration path passes closer to the singular set than ``diffsystem.CLEARANCE``."""
 
 
 class VerificationFailed(JackTorusError):

@@ -21,22 +21,20 @@ from .errors import VerificationFailed
 
 
 class TorusPoint:
-    """A point on the N-torus, stored as angles plus unit-modulus coordinates."""
+    """A point on the N-torus, stored as its angles."""
 
-    __slots__ = ("angles", "coords")
+    __slots__ = ("angles",)
 
     def __init__(self, coords):
         coords = np.asarray(coords, dtype=np.complex128)
         if np.max(np.abs(np.abs(coords) - 1.0)) > 1e-12:
             raise ValueError("coordinates must have unit modulus")
-        self.coords = coords
         self.angles = np.angle(coords)
 
     @classmethod
     def from_angles(cls, angles) -> "TorusPoint":
         p = cls.__new__(cls)
         p.angles = np.asarray(angles, dtype=np.float64)
-        p.coords = np.exp(1j * p.angles)
         return p
 
     @property

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import perms, tableaux
+from .compositions import triangular_lt
 from .errors import LaurentInput
 from .perms import Perm
 from .scalars import KappaParam
@@ -169,7 +170,5 @@ def cherednik(i: int, f: VVLaurent) -> VVLaurent:
 
 def leading_exponents(f: VVLaurent) -> list[Vec]:
     """Exponents not triangular-below any other exponent of the same degree."""
-    from .compositions import triangular_lt
-
     exps = list(f.terms)
     return [a for a in exps if not any(triangular_lt(a, b) for b in exps if b != a)]

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import perms
+from .compositions import _partitions
 from .errors import InvalidShape, VerificationFailed
 from .perms import Perm
 
@@ -301,17 +302,4 @@ def jucys_murphy(shape: Partition, i: int) -> Scaled:
 
 def valid_shapes(n: int) -> list[Partition]:
     """All partitions of n with at least two rows and two columns."""
-
-    def parts_of(total: int, cap: int):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in parts_of(total - first, first):
-                yield (first, *rest)
-
-    out = []
-    for p in parts_of(n, n):
-        if len(p) >= 2 and p[0] >= 2:
-            out.append(Partition(p))
-    return out
+    return [Partition(p) for p in _partitions(n, n, n) if len(p) >= 2 and p[0] >= 2]

@@ -235,6 +235,8 @@ CLI_DIGESTS = {
         "b4fabed3923434947f6a05e4ceca49101d04f17d4f4c9629f61c16cdb749bea0",
     ("--shape", "2,1", "verify", "--max-degree", "2"):
         "10e4203a8e3029c7b5fc20354d7b45ee6d5fcef8551277c0e8e6aecdff9b503c",
+    ("--shape", "3,1", "--kappa", "1/4", "verify", "--max-degree", "3"):
+        "5fb5fb65c918c8d3305a75b8bd067c030310847f5c276fe76a66499150ca7823",
 }
 
 
@@ -303,6 +305,48 @@ def test_verify_fails_under_optimize():
     assert checks["gram"]["detail"].startswith("VerificationFailed")
 
 
+def test_verify_checks_every_pair_of_connection_matrices(monkeypatch, capsys):
+    from jacktorus import cli
+    from jacktorus.tableaux import Scaled
+
+    exact = cli.integrability_residual
+
+    def residual(i, j, x, shape, kappa):
+        if (i, j) == (2, 3):
+            return Scaled.of([[1, 0], [0, 0]])
+        return exact(i, j, x, shape, kappa)
+
+    monkeypatch.setattr(cli, "integrability_residual", residual)
+    code = main(["--shape", "2,1", "--kappa", "1/4", "verify", "--max-degree", "1"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["results"]["checks"]}
+    assert code == 1
+    assert [name for name, c in checks.items() if not c["passed"]] == ["diffsys"]
+    assert "(2, 3)" in checks["diffsys"]["detail"]
+
+
+def test_verify_builds_one_store_and_one_graph(monkeypatch, capsys):
+    from jacktorus import cli
+
+    built = {"store": 0, "graph": 0}
+
+    class CountedStore(cli.CoeffStore):
+        def __init__(self, *args):
+            built["store"] += 1
+            super().__init__(*args)
+
+    class CountedGraph(cli.NsjpGraph):
+        def __init__(self, *args):
+            built["graph"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "CoeffStore", CountedStore)
+    monkeypatch.setattr(cli, "NsjpGraph", CountedGraph)
+    code = main(["--shape", "2,1", "--kappa", "1/4", "verify", "--max-degree", "2"])
+    assert json.loads(capsys.readouterr().out)["results"]["passed"] is True
+    assert code == 0
+    assert built == {"store": 1, "graph": 1}
+
+
 def _reversed_basis_order(doc):
     doc["header"]["basis_order"].reverse()
 
@@ -339,6 +383,32 @@ def _box_count(doc):
     doc["header"]["N"] = 4
 
 
+def _sealed_grade_negative(doc):
+    doc["header"]["sealed_grade"] = -1
+
+
+def _no_grades(doc):
+    doc["header"]["sealed_grade"] = -1
+    doc["grades"] = []
+
+
+def _extra_grade(doc):
+    matrix = doc["grades"][0]["entries"][0]["matrix"]
+    doc["grades"].append({"n": 5, "entries": [{"gamma": [9, 9, 9], "matrix": matrix}]})
+
+
+def _index_twice(doc):
+    entries = doc["grades"][2]["entries"]
+    (entry,) = [e for e in entries if e["gamma"] == [1, 1, -2]]
+    changed = json.loads(json.dumps(entry))
+    changed["matrix"][0][0] = "7/3"
+    entries.append(changed)
+
+
+def _grade_twice(doc):
+    doc["grades"].append(json.loads(json.dumps(doc["grades"][2])))
+
+
 @pytest.mark.parametrize(
     "overrides, corrupt",
     [
@@ -353,6 +423,11 @@ def _box_count(doc):
         ({}, _sealed_grade_text),
         ({}, _index_missing),
         ({}, _box_count),
+        ({}, _sealed_grade_negative),
+        ({}, _no_grades),
+        ({}, _extra_grade),
+        ({}, _index_twice),
+        ({}, _grade_twice),
     ],
     ids=[
         "other-kappa",
@@ -366,6 +441,11 @@ def _box_count(doc):
         "sealed-grade-text",
         "index-missing",
         "box-count",
+        "sealed-grade-negative",
+        "no-grades",
+        "extra-grade",
+        "index-twice",
+        "grade-twice",
     ],
 )
 def test_coeffs_rejects_bad_store(tmp_path, capsys, overrides, corrupt):
