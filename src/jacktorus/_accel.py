@@ -16,12 +16,26 @@ _BLOCK = 256
 
 
 def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
-    """sum_k exp(i <gamma_k, theta>) mats[k]."""
-    phases = np.exp(1j * (np.asarray(gammas, np.float64) @ np.asarray(theta, np.float64)))
+    """sum_k exp(i <gamma_k, theta>) mats[k], at one point or at a block of points.
+
+    theta of shape (N,) gives a (d, d) matrix; theta of shape (P, N) gives the
+    (P, d, d) stack of the sums at its rows.  The phases are the per-point
+    products stacked, and each entry is summed over k in the per-point order, so
+    a row's floats are bit for bit those of a call with that row alone.
+    """
+    g = np.asarray(gammas, np.float64)
+    theta = np.asarray(theta, np.float64)
+    block = np.atleast_2d(theta)
+    # the per-point product g @ theta, stacked over the rows; block @ g.T
+    # rounds the phases differently from grade 2 up.  exp in place: one
+    # (P, K) complex array less at the peak.
+    phases = 1j * (g[None] @ block[:, :, None])[..., 0]
+    np.exp(phases, out=phases)
     # einsum, not a BLAS product: on a few thousand 5x5 terms the threaded
     # BLAS call is no faster, doubles the CPU time and can stall for ~1 s
     # while its worker threads start.
-    return np.einsum("k,kab->ab", phases, mats)
+    out = np.einsum("pk,kab->pab", phases, mats)
+    return out if theta.ndim == 2 else out[0]
 
 
 def phase_sum(gammas, theta) -> complex:

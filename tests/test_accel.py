@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jacktorus import _accel
+from jacktorus.compositions import enumerate_Z
 
 
 def _phase(gamma, theta) -> complex:
@@ -22,6 +23,18 @@ def test_phase_matrix_sum_matches_explicit_sum():
         for a in range(3)
     ]
     assert np.max(np.abs(_accel.phase_matrix_sum(gammas, mats, theta) - np.array(expect))) < 1e-12
+
+
+def test_phase_matrix_sum_on_a_block_is_each_point_alone():
+    # a grade-5 index set of N = 5 (1500 terms) against 5x5 matrices, as in a (3,2) scan
+    rng = np.random.default_rng(2)
+    gammas = np.array(enumerate_Z(5, 5), dtype=np.int64)
+    mats = rng.normal(size=(len(gammas), 5, 5)) + 1j * rng.normal(size=(len(gammas), 5, 5))
+    thetas = rng.uniform(-np.pi, np.pi, (33, 5))
+    block = _accel.phase_matrix_sum(gammas, mats, thetas)
+    assert block.shape == (33, 5, 5)
+    for theta, got in zip(thetas, block):
+        assert np.array_equal(got, _accel.phase_matrix_sum(gammas, mats, theta))
 
 
 def test_phase_sum_matches_explicit_sum():

@@ -1,9 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
+from jacktorus import kernels
 from jacktorus.coeffs import CoeffStore
+from jacktorus.errors import PoleExcluded
 from jacktorus.kernels import (
     FloatCoeffs,
     TorusPoint,
@@ -208,3 +212,86 @@ def test_hermiticity_residual_sees_a_wrong_stored_matrix():
     store.grades[2][(2, -1, -1)] = Scaled(mat.num * 100 + mat.den, mat.den * 100).reduced()
     bad = psd_report(store, [2], samples=4, seed=1)
     assert good.hermiticity_residual < 1e-10 < bad.hermiticity_residual
+
+
+@pytest.mark.parametrize("orders", [[-1], [-1, 2], [2, 2], [1, 3, 1]], ids=str)
+def test_psd_report_rejects_a_negative_or_repeated_order(fc21, orders):
+    with pytest.raises(ValueError, match="distinct nonnegative orders"):
+        psd_report(fc21.store, orders, 4, seed=1)
+
+
+def _scan_per_order(fc, orders, samples, seed):
+    """The loop of test_psd_report_matches_a_scan_per_order, one point at a time:
+    min eigenvalue per order, Hermiticity and covariance residuals."""
+    points = sample_points(fc.N, samples, seed)
+    rng = np.random.default_rng(seed + 1)
+    herm = cov = 0.0
+    worst = {}
+    for n in orders:
+        worst[n] = min(min_eigenvalue(kernel_eval(n, x, fc)) for x in points)
+        for x in points:
+            k = kernel_eval(n, x, fc)
+            herm = max(herm, float(np.max(np.abs(k - k.conj().T))))
+            w = tuple(rng.permutation(fc.N) + 1)
+            tw = fc.rep_float(w)
+            resid = h_matrix(n, x.permuted(w), fc) - tw.T @ h_matrix(n, x, fc) @ tw
+            cov = max(cov, float(np.max(np.abs(resid))))
+    return worst, herm, cov
+
+
+@pytest.fixture(scope="module")
+def fc32():
+    store = CoeffStore(Partition((3, 2)), make_kappa(1, 5, (3, 2))).ensure_grade(5)
+    return FloatCoeffs(store)
+
+
+@pytest.mark.parametrize("samples", [1, kernels._BLOCK - 1, kernels._BLOCK, kernels._BLOCK + 1])
+@pytest.mark.parametrize("fc_name, orders", [("fc21", [1, 3, 4]), ("fc32", [0, 2, 5])], ids=["2,1", "3,2"])
+def test_block_scan_is_bit_identical_to_a_scan_point_by_point(request, fc_name, orders, samples):
+    fc = request.getfixturevalue(fc_name)
+    worst, herm, cov = _scan_per_order(fc, orders, samples, seed=7)
+    rep = psd_report(fc.store, orders, samples, seed=7)
+    assert rep.min_eigenvalues == worst
+    assert rep.hermiticity_residual == herm
+    assert rep.covariance_residual == cov
+    assert rep.worst == {"min_eigenvalue": min(worst.values()), "hermiticity": herm, "covariance": cov}
+
+
+def test_psd_report_memory_is_flat_in_the_sample_count():
+    # the scan holds one block of points at a time, so eight blocks of samples
+    # peak about where one block does
+    store = CoeffStore(Partition((3, 1)), make_kappa(1, 5, (3, 1))).ensure_grade(4)
+    orders = [1, 2, 3, 4]
+    psd_report(store, orders, 1, seed=2)  # one-time caches and lazy imports
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            psd_report(store, orders, samples, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(kernels._BLOCK), peak(8 * kernels._BLOCK)
+    assert eight <= 1.5 * one, (one, eight)
+
+
+WINDOW_SHAPES = [s.parts for n in range(3, 5) for s in valid_shapes(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_positivity_across_the_window(data):
+    """Every shape with N <= 4, kappa = p/q strictly inside (-1/h, 1/h), orders 1..4."""
+    parts = data.draw(st.sampled_from(WINDOW_SHAPES), label="shape")
+    h = Partition(parts).max_hook
+    q = data.draw(st.integers(h + 1, 100 * h), label="q")
+    p = data.draw(st.integers(-((q - 1) // h), (q - 1) // h), label="p")  # |p| h < q
+    try:
+        kap = make_kappa(p, q, parts)
+    except PoleExcluded:
+        reject()
+    assert kap.psd_range
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rep = psd_report(CoeffStore(Partition(parts), kap), range(1, 5), 30, seed)
+    assert rep.worst["min_eigenvalue"] >= -1e-9, rep.worst
