@@ -18,23 +18,45 @@ _BLOCK = 256
 def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     """sum_k exp(i <gamma_k, theta>) mats[k], at one point or at a block of points.
 
-    theta of shape (N,) gives a (d, d) matrix; theta of shape (P, N) gives the
-    (P, d, d) stack of the sums at its rows.  The phases are the per-point
-    products stacked, and each entry is summed over k in the per-point order, so
-    a row's floats are bit for bit those of a call with that row alone.
+    mats is a real (K, d, d) stack, and gammas is closed under negation in
+    reverse order (gammas[::-1] == -gammas, as enumerate_Z lists an index set);
+    anything else raises ValueError.  theta of shape (N,) gives a (d, d)
+    matrix; theta of shape (P, N) gives the (P, d, d) stack of the sums at its
+    rows.
+
+    The sum is done in real arithmetic: one exp per +-gamma pair, since
+    exp(-i phi) = conj(exp(i phi)), and two real einsums, one for the cosines
+    and one for the sines.  For d >= 2 (every shape the package accepts) each
+    float is bit for bit that of the complex sum over all K phases against the
+    stack cast to complex, and a row's floats are those of a call with that row
+    alone.
     """
     g = np.asarray(gammas, np.float64)
+    mats = np.asarray(mats)
+    if np.iscomplexobj(mats):
+        raise ValueError("phase_matrix_sum needs real coefficient matrices")
+    if not np.array_equal(g[::-1], -g):
+        raise ValueError("phase_matrix_sum needs gammas closed under negation in reverse order")
     theta = np.asarray(theta, np.float64)
     block = np.atleast_2d(theta)
+    k = len(g)
+    h = (k + 1) // 2
     # the per-point product g @ theta, stacked over the rows; block @ g.T
-    # rounds the phases differently from grade 2 up.  exp in place: one
-    # (P, K) complex array less at the peak.
-    phases = 1j * (g[None] @ block[:, :, None])[..., 0]
+    # rounds the phases differently from grade 2 up.  Only the first half: the
+    # product and exp are odd in gamma bit for bit, sign bits included.
+    phases = 1j * (g[None, :h] @ block[:, :, None])[..., 0]
     np.exp(phases, out=phases)
-    # einsum, not a BLAS product: on a few thousand 5x5 terms the threaded
-    # BLAS call is no faster, doubles the CPU time and can stall for ~1 s
-    # while its worker threads start.
-    out = np.einsum("pk,kab->pab", phases, mats)
+    # mirror[:, j] is the conjugate of exp(i <gamma_{h+j}, theta>)
+    mirror = phases[:, : k - h][:, ::-1]
+    c = np.concatenate([phases.real, mirror.real], axis=1)
+    s = np.concatenate([phases.imag, -mirror.imag], axis=1)
+    # (c + is) a = (c a, s a) exactly, and each real einsum sums over k in the
+    # order of the complex one.  einsum, not a BLAS product: on a few thousand
+    # 5x5 terms the threaded BLAS call is no faster, doubles the CPU time, can
+    # stall for ~1 s while its worker threads start, and rounds differently.
+    out = np.empty((len(block),) + mats.shape[1:], np.complex128)
+    out.real = np.einsum("pk,kab->pab", c, mats)
+    out.imag = np.einsum("pk,kab->pab", s, mats)
     return out if theta.ndim == 2 else out[0]
 
 

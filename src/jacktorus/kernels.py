@@ -51,21 +51,10 @@ class TorusPoint:
     def N(self) -> int:
         return len(self.angles)
 
-    def permuted(self, w) -> "TorusPoint":
-        """(xw)_i = x_{w(i)}."""
-        return TorusPoint.from_angles([self.angles[w[i] - 1] for i in range(self.N)])
-
-    def scaled(self, phase: float) -> "TorusPoint":
-        return TorusPoint.from_angles(self.angles + phase)
-
 
 def _sample_angles(n_vars: int, count: int, seed: int) -> np.ndarray:
     """count seeded torus points as a (count, n_vars) array of angles."""
     return np.random.default_rng(seed).uniform(-np.pi, np.pi, (count, n_vars))
-
-
-def sample_points(n_vars: int, count: int, seed: int) -> list[TorusPoint]:
-    return [TorusPoint.from_angles(a) for a in _sample_angles(n_vars, count, seed)]
 
 
 def cesaro_weight(n: int, m: int, delta: int) -> Fraction:
@@ -90,6 +79,10 @@ class FloatCoeffs:
     canonicalize(gamma) = (can, w), A_gamma = tau(w)^T A_can tau(w) for the
     float orthogonal tau(w).  A_{-gamma} comes from its own stored orbit, not
     as A_gamma^T, so the Hermiticity of H_n still checks the store.
+
+    A grade is its enumerate_Z indices and the real float64 (K, d, d) stack of
+    their matrices, in that order: gammas[::-1] == -gammas, which is what lets
+    _accel.phase_matrix_sum take one exp per +-gamma pair and two real einsums.
     """
 
     def __init__(self, store: CoeffStore):
@@ -114,7 +107,7 @@ class FloatCoeffs:
                 cans.append(canon[can])
                 taus.append(self.rep_float(w))
             taus = np.array(taus)
-            mats = (np.swapaxes(taus, 1, 2) @ np.array(cans) @ taus).astype(np.complex128)
+            mats = np.swapaxes(taus, 1, 2) @ np.array(cans) @ taus
             hit = (np.array(gammas, dtype=np.int64), mats)
             self._grades[n] = hit
         return hit

@@ -15,8 +15,9 @@ def _phase(gamma, theta) -> complex:
 
 def test_phase_matrix_sum_matches_explicit_sum():
     rng = np.random.default_rng(0)
-    gammas = rng.integers(-4, 5, size=(30, 4))
-    mats = rng.normal(size=(30, 3, 3)) + 1j * rng.normal(size=(30, 3, 3))
+    r = rng.integers(-4, 5, size=(15, 4))
+    gammas = np.concatenate([r, -r[::-1]])
+    mats = rng.normal(size=(30, 3, 3))
     theta = rng.uniform(-np.pi, np.pi, 4)
     expect = [
         [sum(_phase(g, theta) * complex(m[a, b]) for g, m in zip(gammas, mats)) for b in range(3)]
@@ -29,12 +30,59 @@ def test_phase_matrix_sum_on_a_block_is_each_point_alone():
     # a grade-5 index set of N = 5 (1500 terms) against 5x5 matrices, as in a (3,2) scan
     rng = np.random.default_rng(2)
     gammas = np.array(enumerate_Z(5, 5), dtype=np.int64)
-    mats = rng.normal(size=(len(gammas), 5, 5)) + 1j * rng.normal(size=(len(gammas), 5, 5))
+    mats = rng.normal(size=(len(gammas), 5, 5))
     thetas = rng.uniform(-np.pi, np.pi, (33, 5))
     block = _accel.phase_matrix_sum(gammas, mats, thetas)
     assert block.shape == (33, 5, 5)
     for theta, got in zip(thetas, block):
         assert np.array_equal(got, _accel.phase_matrix_sum(gammas, mats, theta))
+
+
+def _complex_phase_matrix_sum(gammas, mats, theta):
+    """The complex formulation: a phase for each of the K indices, and one
+    complex einsum against the stack cast to complex."""
+    g = np.asarray(gammas, np.float64)
+    block = np.atleast_2d(theta)
+    phases = 1j * (g[None] @ block[:, :, None])[..., 0]
+    np.exp(phases, out=phases)
+    out = np.einsum("pk,kab->pab", phases, mats.astype(np.complex128))
+    return out if np.ndim(theta) == 2 else out[0]
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+@pytest.mark.parametrize("n_vars, grade", [(5, n) for n in range(6)] + [(6, 3)])
+def test_phase_matrix_sum_is_bit_identical_to_the_complex_sum(n_vars, grade, dim):
+    # real stacks, one exp per +-gamma pair and two real einsums give the floats
+    # of the complex sum, sign bits included
+    rng = np.random.default_rng(100 * n_vars + 10 * grade + dim)
+    gammas = np.array(enumerate_Z(n_vars, grade), dtype=np.int64)
+    mats = rng.normal(size=(len(gammas), dim, dim))
+    thetas = rng.uniform(-np.pi, np.pi, (33, n_vars))
+    for theta in (thetas[:1], thetas[:32], thetas, thetas[0]):
+        got = _accel.phase_matrix_sum(gammas, mats, theta)
+        expect = _complex_phase_matrix_sum(gammas, mats, theta)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(expect.view(float)))
+
+
+def test_phase_matrix_sum_rejects_complex_matrices():
+    gammas = np.array(enumerate_Z(3, 2), dtype=np.int64)
+    mats = np.ones((len(gammas), 2, 2), dtype=np.complex128)
+    with pytest.raises(ValueError, match="real coefficient matrices"):
+        _accel.phase_matrix_sum(gammas, mats, np.zeros(3))
+
+
+@pytest.mark.parametrize("change", ["shuffled", "one-dropped"])
+def test_phase_matrix_sum_rejects_gammas_not_symmetric_in_reverse_order(change):
+    gammas = np.array(enumerate_Z(3, 2), dtype=np.int64)
+    if change == "shuffled":  # closed under negation, but not in reverse order
+        gammas = np.random.default_rng(0).permutation(gammas)
+    else:
+        gammas = gammas[1:]
+    mats = np.ones((len(gammas), 2, 2))
+    with pytest.raises(ValueError, match="closed under negation"):
+        _accel.phase_matrix_sum(gammas, mats, np.zeros(3))
 
 
 def test_phase_sum_matches_explicit_sum():

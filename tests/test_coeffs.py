@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacktorus import perms
 from jacktorus.coeffs import CoeffStore
@@ -236,6 +237,39 @@ def test_pole_raised_inside_recurrence():
     # gamma_1 + kappa c = 0 at gamma_1 = 1, c = 2
     assert err.value.witness_m == 1
     assert err.value.witness_c == 2
+
+
+GATE_SHAPES = [s.parts for n in range(3, 6) for s in valid_shapes(n)]
+
+
+@st.composite
+def _kappa_near_the_gate(draw, parts):
+    """+-m/c with m <= 8 and c up to one past the largest content of the shape
+    (the pole set and its neighbours), or an edge +-1/h of the PSD window;
+    moved by 0 or by +-1/r for r in 7..60."""
+    sign = draw(st.sampled_from([-1, 1]), label="sign")
+    if draw(st.booleans(), label="near a pole"):
+        c = draw(st.integers(1, max(parts[0], len(parts))), label="c")
+        base = Fraction(sign * draw(st.integers(1, 8), label="m"), c)
+    else:
+        base = Fraction(sign, Partition(parts).max_hook)
+    shift = draw(st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.sampled_from([-1, 1]), st.integers(7, 60))))
+    return base + shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pole_gate_admits_only_kappas_the_recurrence_can_solve(data):
+    """Soundness of make_kappa: every kappa it accepts solves to grade 4 without
+    PoleExcluded.  The converse does not hold at a fixed grade: the gate is a
+    superset of the recurrence's zero divisors."""
+    parts = data.draw(st.sampled_from(GATE_SHAPES), label="shape")
+    kappa = data.draw(_kappa_near_the_gate(parts), label="kappa")
+    try:
+        kap = make_kappa(kappa.numerator, kappa.denominator, parts)
+    except PoleExcluded:
+        return
+    CoeffStore(Partition(parts), kap).ensure_grade(4)
 
 
 def test_selfadjoint_residuals(store21):

@@ -18,12 +18,26 @@ from jacktorus.kernels import (
     kernel_eval,
     min_eigenvalue,
     psd_report,
-    sample_points,
     sigma_identity_residual,
 )
 from jacktorus.compositions import enumerate_Z
 from jacktorus.scalars import default_kappa, make_kappa
 from jacktorus.tableaux import Partition, Scaled, valid_shapes
+
+
+def sample_points(n_vars: int, count: int, seed: int) -> list[TorusPoint]:
+    """The points of a psd_report scan with this seed, one TorusPoint each."""
+    return [TorusPoint.from_angles(a) for a in kernels._sample_angles(n_vars, count, seed)]
+
+
+def permuted(x: TorusPoint, w) -> TorusPoint:
+    """(xw)_i = x_{w(i)}."""
+    return TorusPoint.from_angles([x.angles[w[i] - 1] for i in range(x.N)])
+
+
+def scaled(x: TorusPoint, phase: float) -> TorusPoint:
+    """x times the scalar exp(i phase)."""
+    return TorusPoint.from_angles(x.angles + phase)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +87,7 @@ def test_h_hermitian_and_covariant(fc21):
             h = h_matrix(n, x, fc21)
             assert np.max(np.abs(h - h.conj().T)) < 1e-10
             w = tuple(rng.permutation(3) + 1)
-            hw = h_matrix(n, x.permuted(w), fc21)
+            hw = h_matrix(n, permuted(x, w), fc21)
             tw = fc21.rep_float(w)
             assert np.max(np.abs(hw - tw.T @ h @ tw)) < 1e-10
 
@@ -89,7 +103,7 @@ def test_kernel_homogeneity(fc21):
     x = TorusPoint.from_angles([0.2, -0.9, 2.4])
     for n in (2, 4):
         a = kernel_eval(n, x, fc21)
-        b = kernel_eval(n, x.scaled(0.7), fc21)
+        b = kernel_eval(n, scaled(x, 0.7), fc21)
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -185,7 +199,7 @@ def test_psd_report_matches_a_scan_per_order(fc21):
             herm = max(herm, float(np.max(np.abs(k - k.conj().T))))
             w = tuple(rng.permutation(store.N) + 1)
             tw = fc21.rep_float(w)
-            resid = h_matrix(n, x.permuted(w), fc21) - tw.T @ h_matrix(n, x, fc21) @ tw
+            resid = h_matrix(n, permuted(x, w), fc21) - tw.T @ h_matrix(n, x, fc21) @ tw
             cov = max(cov, float(np.max(np.abs(resid))))
     rep = psd_report(store, orders, samples, seed)
     assert list(rep.min_eigenvalues) == orders
@@ -234,7 +248,7 @@ def _scan_per_order(fc, orders, samples, seed):
             herm = max(herm, float(np.max(np.abs(k - k.conj().T))))
             w = tuple(rng.permutation(fc.N) + 1)
             tw = fc.rep_float(w)
-            resid = h_matrix(n, x.permuted(w), fc) - tw.T @ h_matrix(n, x, fc) @ tw
+            resid = h_matrix(n, permuted(x, w), fc) - tw.T @ h_matrix(n, x, fc) @ tw
             cov = max(cov, float(np.max(np.abs(resid))))
     return worst, herm, cov
 
