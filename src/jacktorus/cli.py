@@ -27,12 +27,16 @@ from .diffsystem import (
     integrate_loop,
 )
 from .errors import JackTorusError, VerificationFailed, WriteFailed
-from .kernels import TorusPoint, psd_report, sigma_identity_residual
+from .kernels import _sample_angles, psd_report, sigma_identity_residual
 from .laurent import cherednik
-from .scalars import complex_pair, default_kappa, make_kappa, rational
+from .scalars import default_kappa, make_kappa
 from .tableaux import Partition, Scaled
 from .torusform import FormContext, gram, nsjp_norm
 from .ybgraph import NsjpGraph
+
+
+# The session settings, each a config-file key and a top-level flag.
+_SESSION_KEYS = ("shape", "kappa", "max_grade", "seed", "out")
 
 
 @dataclass
@@ -86,7 +90,7 @@ def _shape_value(val) -> tuple[int, ...]:
 def _rational_value(val) -> Fraction:
     if type(val) in (str, int):
         try:
-            return rational(val)
+            return Fraction(val)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"expected a rational such as 1/4, got {val!r}")
@@ -119,8 +123,13 @@ def _session(args) -> SessionConfig:
             raise argparse.ArgumentTypeError(f"--config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise argparse.ArgumentTypeError(f"--config {args.config}: expected a JSON object")
+        unknown = [key for key in loaded if key not in _SESSION_KEYS]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"--config {args.config}: unknown key {unknown[0]!r}; accepted keys: {', '.join(_SESSION_KEYS)}"
+            )
         merged.update(loaded)
-    for key in ("shape", "kappa", "max_grade", "seed", "out"):
+    for key in _SESSION_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -280,12 +289,10 @@ def cmd_kernel(cfg, args) -> int:
 
 
 def cmd_identity(cfg, args) -> int:
-    rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    for _ in range(args.samples):
-        x = TorusPoint.from_angles(rng.uniform(-np.pi, np.pi, args.N))
+    for thetas in _sample_angles(args.N, args.samples, cfg.seed):
         for n in range(args.max_order + 1):
-            worst = max(worst, sigma_identity_residual(n, x))
+            worst = max(worst, sigma_identity_residual(n, thetas))
     ok = worst < 1e-10
     return _emit(
         "identity",
@@ -310,7 +317,7 @@ def cmd_diffsys(cfg, args) -> int:
         loop = [base, base + e1, base + e1 + e2, base + e2, base]
         transported = integrate_loop(loop, args.loop_steps, shape, kap)
         results["loop_defect"] = float(np.max(np.abs(transported - np.eye(shape.dim))))
-        results["transported"] = [[complex_pair(z) for z in row] for row in transported]
+        results["transported"] = [[[float(z.real), float(z.imag)] for z in row] for row in transported]
         exact_zero &= results["loop_defect"] < 1e-6
     return _emit("diffsys", cfg, results, code=0 if exact_zero else 1)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from . import compositions, perms, tableaux
 from .compositions import Vec
 from .errors import PoleExcluded, StoreCorrupt, WriteFailed
-from .scalars import KappaParam, make_kappa, rational
+from .scalars import KappaParam, make_kappa
 from .tableaux import Partition, Scaled, total
 
 
@@ -294,7 +295,7 @@ def _read_store(path: str | Path):
         shape = Partition(ints(head["shape"]))
         if typed(head["N"], int) != shape.N:
             raise ValueError(f"N = {head['N']} but the shape has {shape.N} boxes")
-        value = rational(typed(head["kappa"], str))
+        value = Fraction(typed(head["kappa"], str))
         sealed = typed(head["sealed_grade"], int)
         order = [list(ints(c)) for c in typed(head["basis_order"], list)]
         grades: dict[int, dict[Vec, np.ndarray]] = {}
@@ -307,7 +308,7 @@ def _read_store(path: str | Path):
                 gamma = ints(e["gamma"])
                 if gamma in entries:
                     raise ValueError(f"grade {n} lists {list(gamma)} twice")
-                rows = [[rational(typed(x, str)) for x in typed(r, list)] for r in typed(e["matrix"], list)]
+                rows = [[Fraction(typed(x, str)) for x in typed(r, list)] for r in typed(e["matrix"], list)]
                 entries[gamma] = np.array(rows, dtype=object)
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise StoreCorrupt(f"store file {path} is unreadable or malformed: {type(exc).__name__}: {exc}") from None

@@ -10,8 +10,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 
-from . import perms
-from .errors import BadSupport, NegativeEntry, NotGraded, VerificationFailed
+from .errors import NegativeEntry, NotGraded, VerificationFailed
 from .perms import Perm
 
 Vec = tuple[int, ...]
@@ -179,19 +178,3 @@ def canonicalize(gamma: Vec) -> tuple[Vec, Perm]:
         w[old_pos] = new_pos + 1
     return canonical, tuple(w)
 
-
-def minimal_gamma(nu: Vec, k: int) -> Vec:
-    """Triangular-minimal vector among those with fixed negative part nu.
-
-    nu must vanish exactly on positions 1..k and be positive afterwards;
-    the positive part spreads n = |nu| as evenly as possible over 1..k.
-    """
-    n = sum(nu)
-    N = len(nu)
-    if k < 1 or k >= N:
-        raise BadSupport(f"k={k} out of range for N={N}")
-    if any(nu[i] != 0 for i in range(k)) or any(nu[i] <= 0 for i in range(k, N)):
-        raise BadSupport(f"{nu} must vanish exactly on positions 1..{k}")
-    p, m = divmod(n, k)
-    head = [p + 1] * m + [p] * (k - m)
-    return tuple(head) + tuple(-nu[i] for i in range(k, N))

@@ -30,28 +30,6 @@ from .errors import VerificationFailed
 _BLOCK = 32
 
 
-class TorusPoint:
-    """A point on the N-torus, stored as its angles."""
-
-    __slots__ = ("angles",)
-
-    def __init__(self, coords):
-        coords = np.asarray(coords, dtype=np.complex128)
-        if np.max(np.abs(np.abs(coords) - 1.0)) > 1e-12:
-            raise ValueError("coordinates must have unit modulus")
-        self.angles = np.angle(coords)
-
-    @classmethod
-    def from_angles(cls, angles) -> "TorusPoint":
-        p = cls.__new__(cls)
-        p.angles = np.asarray(angles, dtype=np.float64)
-        return p
-
-    @property
-    def N(self) -> int:
-        return len(self.angles)
-
-
 def _sample_angles(n_vars: int, count: int, seed: int) -> np.ndarray:
     """count seeded torus points as a (count, n_vars) array of angles."""
     return np.random.default_rng(seed).uniform(-np.pi, np.pi, (count, n_vars))
@@ -120,15 +98,11 @@ class FloatCoeffs:
         return tau
 
 
-def _h(n: int, thetas: np.ndarray, coeffs: FloatCoeffs) -> np.ndarray:
-    """H_n at the angles thetas: (d, d) for one point (N,), (P, d, d) for a block (P, N)."""
+def h_matrix(n: int, thetas: np.ndarray, coeffs: FloatCoeffs) -> np.ndarray:
+    """Grade-n matrix Laurent polynomial at torus angles, Hermitian there: (d, d) at
+    one point (N,), (P, d, d) at each point of a block (P, N)."""
     gammas, mats = coeffs.grade_arrays(n)
     return _accel.phase_matrix_sum(gammas, mats, thetas)
-
-
-def h_matrix(n: int, x: TorusPoint, coeffs: FloatCoeffs) -> np.ndarray:
-    """Grade-n matrix Laurent polynomial at a torus point; Hermitian there."""
-    return _h(n, x.angles, coeffs)
 
 
 def _cesaro_sum(n: int, hs, n_vars: int) -> np.ndarray:
@@ -139,9 +113,10 @@ def _cesaro_sum(n: int, hs, n_vars: int) -> np.ndarray:
     return out
 
 
-def kernel_eval(n: int, x: TorusPoint, coeffs: FloatCoeffs) -> np.ndarray:
-    """Cesaro-weighted approximant K_n; PSD for parameters in the admissible window."""
-    return _cesaro_sum(n, [h_matrix(m, x, coeffs) for m in range(n + 1)], coeffs.N)
+def kernel_eval(n: int, thetas: np.ndarray, coeffs: FloatCoeffs) -> np.ndarray:
+    """Cesaro-weighted approximant K_n at torus angles (N,); PSD for parameters in the
+    admissible window."""
+    return _cesaro_sum(n, [h_matrix(m, thetas, coeffs) for m in range(n + 1)], coeffs.N)
 
 
 def _adjoint(h: np.ndarray) -> np.ndarray:
@@ -170,37 +145,37 @@ def _z_exponents(n_vars: int, k: int) -> np.ndarray:
     return arr
 
 
-def complete_symmetric(n: int, x: TorusPoint) -> complex:
-    """h_n(x): sum of all degree-n monomials."""
+def complete_symmetric(n: int, thetas: np.ndarray) -> complex:
+    """h_n(x) at the point x of torus angles thetas (N,): sum of all degree-n monomials."""
     if n == 0:
         return 1.0 + 0.0j
-    return _accel.phase_sum(_composition_exponents(x.N, n), x.angles)
+    return _accel.phase_sum(_composition_exponents(len(thetas), n), thetas)
 
 
-def s_sum(k: int, x: TorusPoint) -> complex:
+def s_sum(k: int, thetas: np.ndarray) -> complex:
     """S_k(x): sum of x^gamma over the grade-k zero-sum indices."""
-    return _accel.phase_sum(_z_exponents(x.N, k), x.angles)
+    return _accel.phase_sum(_z_exponents(len(thetas), k), thetas)
 
 
-def cesaro_scalar(n: int, x: TorusPoint) -> complex:
+def cesaro_scalar(n: int, thetas: np.ndarray) -> complex:
     """The (C, N-1) scalar kernel; real and nonnegative on the torus."""
     total = 0.0 + 0.0j
     for k in range(n + 1):
-        total += float(cesaro_weight(n, k, x.N - 1)) * s_sum(k, x)
+        total += float(cesaro_weight(n, k, len(thetas) - 1)) * s_sum(k, thetas)
     return total
 
 
-def sigma_identity_residual(n: int, x: TorusPoint) -> float:
-    """| h_n(1/x) h_n(x) - ((N)_n / n!) sigma_n(x) |.
+def sigma_identity_residual(n: int, thetas: np.ndarray) -> float:
+    """| h_n(1/x) h_n(x) - ((N)_n / n!) sigma_n(x) | at the point x of torus angles thetas.
 
     Raises VerificationFailed when the scalar kernel sigma_n(x) is negative.
     """
-    hn = complete_symmetric(n, x)
+    hn = complete_symmetric(n, thetas)
     lhs = hn.conjugate() * hn
     count = Fraction(1)
     for i in range(n):
-        count *= Fraction(x.N + i, i + 1)
-    sig = cesaro_scalar(n, x)
+        count *= Fraction(len(thetas) + i, i + 1)
+    sig = cesaro_scalar(n, thetas)
     if not sig.real >= -1e-10:
         raise VerificationFailed(f"scalar kernel negative: {sig.real}")
     return abs(lhs - float(count) * sig)
@@ -261,13 +236,13 @@ def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelRepo
     cov_res = 0.0
     for start in range(0, samples, _BLOCK):
         block = thetas[start : start + _BLOCK]
-        hs = [_h(m, block, fc) for m in range(max(orders) + 1)]
+        hs = [h_matrix(m, block, fc) for m in range(max(orders) + 1)]
         for o, n in enumerate(orders):
             k = _cesaro_sum(n, hs, store.N)
             herm_res = max(herm_res, float(np.max(np.abs(k - _adjoint(k)))))
             worst[n] = min(worst[n], min_eigenvalue(k))
             ws = draws[o, start : start + _BLOCK]
-            hw = _h(n, np.take_along_axis(block, ws, axis=1), fc)
+            hw = h_matrix(n, np.take_along_axis(block, ws, axis=1), fc)
             tw = np.array([fc.rep_float(tuple(w + 1)) for w in ws])
             cov_res = max(cov_res, float(np.max(np.abs(hw - np.swapaxes(tw, 1, 2) @ hs[n] @ tw))))
     return KernelReport(

@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import perms, tableaux
-from .compositions import triangular_lt
 from .errors import LaurentInput
 from .perms import Perm
 from .scalars import KappaParam
@@ -51,9 +50,6 @@ class VVLaurent:
     @property
     def N(self) -> int:
         return self.shape.N
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_polynomial(self) -> bool:
         return all(min(a) >= 0 for a in self.terms)
@@ -167,8 +163,3 @@ def cherednik(i: int, f: VVLaurent) -> VVLaurent:
         out = out + group_action(perms.transposition(f.N, i, j), f).scale(-kap)
     return out
 
-
-def leading_exponents(f: VVLaurent) -> list[Vec]:
-    """Exponents not triangular-below any other exponent of the same degree."""
-    exps = list(f.terms)
-    return [a for a in exps if not any(triangular_lt(a, b) for b in exps if b != a)]

@@ -16,16 +16,6 @@ from .errors import PoleExcluded
 from .tableaux import Partition
 
 
-def rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text)
-
-
-def rational_str(q: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is one."""
-    return str(q)
-
-
 @dataclass(frozen=True)
 class KappaParam:
     """A validated rational deformation parameter for a fixed shape.
@@ -40,7 +30,7 @@ class KappaParam:
     psd_range: bool
 
     def __str__(self) -> str:
-        return rational_str(self.value)
+        return str(self.value)
 
 
 def pole_witness(kappa: Fraction, shape: tuple[int, ...]) -> tuple[int, int] | None:
@@ -92,7 +82,3 @@ def default_kappa(shape: tuple[int, ...]) -> KappaParam:
     part = Partition(shape)
     return make_kappa(1, part.max_hook + 1, part.parts)
 
-
-def complex_pair(z: complex) -> list[float]:
-    """Serialize a complex scalar as the pair [re, im]."""
-    return [float(z.real), float(z.imag)]

@@ -68,7 +68,7 @@ class Partition:
         return arm + leg + 1
 
     def hook_product(self) -> int:
-        return int(np.prod([self.hook(r, c) for r, c in self.boxes()]))
+        return math.prod(self.hook(r, c) for r, c in self.boxes())
 
     @property
     def dim(self) -> int:

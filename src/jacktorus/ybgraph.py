@@ -40,12 +40,6 @@ class GraphNode:
     steps: int
 
 
-def path_length(alpha: Vec, t: RSYT, shape: Partition) -> tuple[int, int]:
-    """Predicted (jumps, steps) from the root to the node (alpha, T)."""
-    t0 = tableaux.t_zero(shape)
-    return sum(alpha), compositions.steps_count(alpha) + t.inv - t0.inv
-
-
 class NsjpGraph:
     """Memoized Yang-Baxter traversal for one (shape, kappa) session.
 

@@ -121,6 +121,8 @@ def test_usage_error_exit_code():
         (["coeffs"], '{"shape": "2,1", "max_grade": -3}', "max_grade: expected an integer >= 0, got -3"),
         (["--seed", "-1", "--shape", "2,1", "kernel", "--max-order", "1", "--samples", "2"], None, "argument --seed: expected an integer >= 0, got '-1'"),
         (["kernel", "--max-order", "1", "--samples", "2"], '{"shape": "2,1", "seed": -1}', "seed: expected an integer >= 0, got -1"),
+        (["tableaux"], '{"shape": "2,1", "kapa": "1/5"}', "unknown key 'kapa'; accepted keys: shape, kappa, max_grade, seed, out"),
+        (["coeffs"], '{"shape": "2,1", "grade": 3}', "unknown key 'grade'; accepted keys: shape, kappa, max_grade, seed, out"),
     ],
     ids=[
         "shape-flag",
@@ -153,6 +155,8 @@ def test_usage_error_exit_code():
         "config-max-grade-negative",
         "seed-negative",
         "config-seed-negative",
+        "config-unknown-key",
+        "config-subcommand-flag-as-key",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
@@ -237,6 +241,10 @@ CLI_DIGESTS = {
         "10e4203a8e3029c7b5fc20354d7b45ee6d5fcef8551277c0e8e6aecdff9b503c",
     ("--shape", "3,1", "--kappa", "1/4", "verify", "--max-degree", "3"):
         "5fb5fb65c918c8d3305a75b8bd067c030310847f5c276fe76a66499150ca7823",
+    ("identity", "--N", "4", "--max-order", "6", "--samples", "30"):
+        "daded975134d1176d7561cee48beb81459a58b7466a5ecacab33361b873e8d2f",
+    ("--shape", "2,1", "--kappa", "1/5", "kernel", "--max-order", "4", "--samples", "40"):
+        "3c678b6c9ad07fc14a616374454f355f0d8221604ef5a6c96d2ce4ca387b733c",
 }
 
 
@@ -257,6 +265,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code = main(["--config", str(cfg), "--shape", "2,1", "tableaux"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["count"] == 2
+
+
+def test_tableaux_of_a_shape_past_the_int64_hook_product(capsys):
+    code = main(["--shape", "21,1", "tableaux"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["results"]["count"] == 21
 
 
 def test_out_file_written(tmp_path, capsys):

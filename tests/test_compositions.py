@@ -11,7 +11,6 @@ from jacktorus.compositions import (
     dominance_lt,
     enumerate_Z,
     grade,
-    minimal_gamma,
     phi,
     phi_inverse,
     prefix_key,
@@ -22,6 +21,24 @@ from jacktorus.compositions import (
     triangular_lt,
 )
 from jacktorus.errors import BadSupport, NegativeEntry, NotGraded
+
+
+def minimal_gamma(nu: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Triangular-minimal vector among those with fixed negative part nu.
+
+    nu must vanish exactly on positions 1..k and be positive afterwards;
+    the positive part spreads n = |nu| as evenly as possible over 1..k.
+    """
+    n = sum(nu)
+    N = len(nu)
+    if k < 1 or k >= N:
+        raise BadSupport(f"k={k} out of range for N={N}")
+    if any(nu[i] != 0 for i in range(k)) or any(nu[i] <= 0 for i in range(k, N)):
+        raise BadSupport(f"{nu} must vanish exactly on positions 1..{k}")
+    p, m = divmod(n, k)
+    head = [p + 1] * m + [p] * (k - m)
+    return tuple(head) + tuple(-nu[i] for i in range(k, N))
+
 
 vectors = st.lists(st.integers(0, 6), min_size=2, max_size=6).map(tuple)
 

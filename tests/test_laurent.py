@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jacktorus import perms
+from jacktorus.compositions import triangular_lt
 from jacktorus.errors import LaurentInput
 from jacktorus.laurent import (
     VVLaurent,
@@ -13,9 +14,14 @@ from jacktorus.laurent import (
     dunkl,
     e_shift,
     group_action,
-    leading_exponents,
 )
 from jacktorus.tableaux import Scaled, jucys_murphy, rep_matrix, simple_reflection, total, transposition_matrix
+
+
+def leading_exponents(f: VVLaurent) -> list[tuple[int, ...]]:
+    """Exponents not triangular-below any other exponent of the same degree."""
+    exps = list(f.terms)
+    return [a for a in exps if not any(triangular_lt(a, b) for b in exps if b != a)]
 
 
 def random_poly(shape, kappa, rng, nterms=4, max_exp=2):
@@ -78,7 +84,7 @@ def test_group_action_composition(shape21, kappa21, rng):
 
 def test_dunkl_annihilates_constants(shape21, kappa21):
     f = VVLaurent.monomial(shape21, kappa21, (0, 0, 0), 1)
-    assert dunkl(1, f).is_zero()
+    assert not dunkl(1, f).terms
 
 
 def test_dunkl_degree_one_identity(shape21, kappa21):

@@ -8,8 +8,6 @@ from jacktorus.scalars import (
     default_kappa,
     make_kappa,
     pole_witness,
-    rational,
-    rational_str,
     unchecked_kappa,
 )
 from jacktorus.tableaux import valid_shapes
@@ -57,12 +55,6 @@ def test_default_kappa_always_valid_and_psd(n):
 def test_unchecked_bypasses_gate():
     kap = unchecked_kappa(-1, 2, (3, 1))
     assert kap.value == Fraction(-1, 2)
-
-
-def test_serialization_round_trip():
-    assert rational_str(Fraction(3, 7)) == "3/7"
-    assert rational_str(Fraction(5)) == "5"
-    assert rational("-21/14") == Fraction(-3, 2)
 
 
 @given(

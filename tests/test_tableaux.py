@@ -49,6 +49,13 @@ def test_enumeration_count_21():
     assert len(enumerate_rsyt(Partition((2, 1)))) == 2
 
 
+def test_dim_past_the_int64_range():
+    # the hook product of (21, 1) is 22 * 20!, which overflows int64
+    shape = Partition((21, 1))
+    assert shape.hook_product() == 22 * factorial(20)
+    assert shape.dim == 21 == len(enumerate_rsyt(shape))
+
+
 def test_canonical_order_is_decreasing_lex():
     for shape in (Partition((3, 1)), Partition((3, 1, 1)), Partition((2, 2))):
         contents = [t.content for t in enumerate_rsyt(shape)]

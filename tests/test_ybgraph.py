@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 
 from jacktorus import perms
-from jacktorus.compositions import phi, rank_perm, steps_count
+from jacktorus.compositions import phi, rank_perm, steps_count, triangular_lt
 from jacktorus.errors import BadSupport, NegativeEntry, SpectralCollision
 from jacktorus.laurent import VVLaurent, cherednik, e_shift
 from jacktorus.scalars import unchecked_kappa
 from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero
-from jacktorus.ybgraph import NsjpGraph, path_length, spectral_vector
+from jacktorus.ybgraph import NsjpGraph, spectral_vector
+
+
+def path_length(alpha, t, shape) -> tuple[int, int]:
+    """Predicted (jumps, steps) from the root to the node (alpha, T)."""
+    t0 = t_zero(shape)
+    return sum(alpha), steps_count(alpha) + t.inv - t0.inv
+
+
+def leading_exponents(f: VVLaurent) -> list[tuple[int, ...]]:
+    """Exponents not triangular-below any other exponent of the same degree."""
+    exps = list(f.terms)
+    return [a for a in exps if not any(triangular_lt(a, b) for b in exps if b != a)]
 
 
 def test_spectral_at_origin(shape21, kappa21):
@@ -61,8 +73,6 @@ def test_eigen_property_exact(graph21, degree):
 
 
 def test_leading_term(graph21, shape21):
-    from jacktorus.laurent import leading_exponents
-
     for degree in range(4):
         for node in graph21.build_degree(degree):
             assert leading_exponents(node.poly) == [node.alpha]
