@@ -7,7 +7,7 @@ to 2n, the index grid of the torus measure's matrix Fourier coefficients.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
 from .errors import NegativeEntry, NotGraded, VerificationFailed
@@ -113,23 +113,26 @@ def compositions_of(total: int, parts: int, minimum: int = 0):
 
 
 def enumerate_Z(N: int, n: int) -> list[Vec]:
-    """All integer vectors with zero sum and absolute sum 2n, lexicographically."""
+    """All integer vectors with zero sum and absolute sum 2n, lexicographically.
+
+    Each vector is built once, from its positive support: at most min(n, N - 1)
+    positions with entries >= 1 summing to n, and entries <= 0 summing to -n
+    on the rest.
+    """
     if n == 0:
         return [(0,) * N]
     out: list[Vec] = []
-    for mask in range(1, 2**N - 1):
-        pos = [i for i in range(N) if mask & (1 << i)]
-        neg = [i for i in range(N) if not mask & (1 << i)]
-        if len(pos) > n:
-            continue
-        for pvals in compositions_of(n, len(pos), 1):
-            for nvals in compositions_of(n, len(neg)):
-                gamma = [0] * N
-                for i, v in zip(pos, pvals):
-                    gamma[i] = v
-                for i, v in zip(neg, nvals):
-                    gamma[i] = -v
-                out.append(tuple(gamma))
+    for k in range(1, min(n, N - 1) + 1):
+        for pos in combinations(range(N), k):
+            neg = [i for i in range(N) if i not in pos]
+            for pvals in compositions_of(n, k, 1):
+                for nvals in compositions_of(n, N - k):
+                    gamma = [0] * N
+                    for i, v in zip(pos, pvals):
+                        gamma[i] = v
+                    for i, v in zip(neg, nvals):
+                        gamma[i] = -v
+                    out.append(tuple(gamma))
     out.sort()
     return out
 

@@ -17,6 +17,7 @@ from jacktorus import perms
 from jacktorus.coeffs import CoeffStore
 from jacktorus.compositions import count_Z, enumerate_Z, phi, sort_desc, steps_count
 from jacktorus.diffsystem import (
+    connections,
     euler_residual,
     gamma_const,
     integrability_residual,
@@ -283,10 +284,10 @@ def test_criterion_11_differential_system():
         kap = make_kappa(*kap_pair, parts)
         for _ in range(20):
             x = rational_regular(shape.N)
-            assert not euler_residual(x, shape).num.any()
-            for i in range(1, shape.N + 1):
-                for j in range(i + 1, shape.N + 1):
-                    assert not integrability_residual(i, j, x, shape, kap).num.any()
+            m = connections(x, shape)
+            assert not euler_residual(x, m).num.any()
+            # kappa [M_i, M_j] for every pair i < j
+            assert not integrability_residual(m, kap).num.any()
     for n in range(4, 8):
         for shape in valid_shapes(n):
             gamma_const(shape)  # asserts the two formulas agree

@@ -123,6 +123,7 @@ def test_usage_error_exit_code():
         (["kernel", "--max-order", "1", "--samples", "2"], '{"shape": "2,1", "seed": -1}', "seed: expected an integer >= 0, got -1"),
         (["tableaux"], '{"shape": "2,1", "kapa": "1/5"}', "unknown key 'kapa'; accepted keys: shape, kappa, max_grade, seed, out"),
         (["coeffs"], '{"shape": "2,1", "grade": 3}', "unknown key 'grade'; accepted keys: shape, kappa, max_grade, seed, out"),
+        (["count", "--N", "30", "--n", "3"], None, "count_Z(30, 3) = 18502290 is more than the 1000000 vectors count will list"),
     ],
     ids=[
         "shape-flag",
@@ -157,6 +158,7 @@ def test_usage_error_exit_code():
         "config-seed-negative",
         "config-unknown-key",
         "config-subcommand-flag-as-key",
+        "count-too-many-vectors",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
@@ -226,8 +228,9 @@ def test_reports_are_byte_identical():
 
 
 # sha256 of the stdout of each run, recorded before the Jack polynomials, the pairing and the
-# representation checks moved from Fraction arrays to Scaled carriers; the golden store digests
-# are STORE_DIGESTS in test_coeffs.py
+# representation checks moved from Fraction arrays to Scaled carriers (the diffsys run: before
+# the exact connection checks became stacked products); the golden store digests are
+# STORE_DIGESTS in test_coeffs.py
 CLI_DIGESTS = {
     ("--shape", "3,2", "rep", "--word", "5,4,3,2,1"):
         "c8f9f666d5740f41338f21fed7eb30b02b39eac6a4b69bf552fe310990ec19a1",
@@ -245,6 +248,8 @@ CLI_DIGESTS = {
         "daded975134d1176d7561cee48beb81459a58b7466a5ecacab33361b873e8d2f",
     ("--shape", "2,1", "--kappa", "1/5", "kernel", "--max-order", "4", "--samples", "40"):
         "3c678b6c9ad07fc14a616374454f355f0d8221604ef5a6c96d2ce4ca387b733c",
+    ("--shape", "3,1", "--kappa", "1/4", "diffsys", "--points", "10", "--loop-steps", "2000"):
+        "6ef30f3aa1ed259b84afddff8843ba205a78343efc58832d6855a0828c756257",
 }
 
 
@@ -325,10 +330,12 @@ def test_verify_checks_every_pair_of_connection_matrices(monkeypatch, capsys):
 
     exact = cli.integrability_residual
 
-    def residual(i, j, x, shape, kappa):
-        if (i, j) == (2, 3):
-            return Scaled.of([[1, 0], [0, 0]])
-        return exact(i, j, x, shape, kappa)
+    def residual(m, kappa):
+        # the stack lists the pairs (1, 2), (1, 3), (2, 3): only the last one fails
+        out = exact(m, kappa)
+        num = out.num.copy()
+        num[2, 0, 0] += 1
+        return Scaled(num, out.den)
 
     monkeypatch.setattr(cli, "integrability_residual", residual)
     code = main(["--shape", "2,1", "--kappa", "1/4", "verify", "--max-degree", "1"])
@@ -336,6 +343,34 @@ def test_verify_checks_every_pair_of_connection_matrices(monkeypatch, capsys):
     assert code == 1
     assert [name for name, c in checks.items() if not c["passed"]] == ["diffsys"]
     assert "(2, 3)" in checks["diffsys"]["detail"]
+
+
+def test_connection_check_reports_euler_first_then_the_first_pair(monkeypatch):
+    import numpy as np
+
+    from jacktorus import cli
+    from jacktorus.scalars import make_kappa
+    from jacktorus.tableaux import Partition, Scaled
+
+    shape, kap = Partition((2, 1)), make_kappa(1, 4, (2, 1))
+    exact_euler, exact_pairs = cli.euler_residual, cli.integrability_residual
+
+    def bump(out, index):
+        num = out.num.copy()
+        num[index] += 1
+        return Scaled(num, out.den)
+
+    def two_pairs_fail(m, kappa):
+        # the stack lists the pairs (1, 2), (1, 3), (2, 3): the first failing one is named
+        return bump(bump(exact_pairs(m, kappa), (1, 0, 0)), (2, 1, 1))
+
+    def check():
+        return cli._connection_exact(np.random.default_rng(3), 2, shape, kap)
+
+    monkeypatch.setattr(cli, "integrability_residual", two_pairs_fail)
+    assert check().startswith("integrability residual of (1, 3) at")
+    monkeypatch.setattr(cli, "euler_residual", lambda x, m: bump(exact_euler(x, m), (0, 1)))
+    assert check().startswith("Euler residual at")
 
 
 def test_verify_builds_one_store_and_one_graph(monkeypatch, capsys):

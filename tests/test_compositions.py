@@ -7,6 +7,7 @@ from jacktorus import perms
 from jacktorus.compositions import (
     canonical_Z,
     canonicalize,
+    compositions_of,
     count_Z,
     dominance_lt,
     enumerate_Z,
@@ -108,6 +109,35 @@ def test_triangular_is_strict_partial_order(a, b, c):
         assert triangular_lt(a, c)
     if triangular_lt(a, b):
         assert not triangular_lt(b, a)
+
+
+def enumerate_Z_by_masks(N: int, n: int) -> list[tuple[int, ...]]:
+    """Oracle: the vectors of every sign mask of the N positions, sorted."""
+    if n == 0:
+        return [(0,) * N]
+    out = []
+    for mask in range(1, 2**N - 1):
+        pos = [i for i in range(N) if mask & (1 << i)]
+        neg = [i for i in range(N) if not mask & (1 << i)]
+        if len(pos) > n:
+            continue
+        for pvals in compositions_of(n, len(pos), 1):
+            for nvals in compositions_of(n, len(neg)):
+                gamma = [0] * N
+                for i, v in zip(pos, pvals):
+                    gamma[i] = v
+                for i, v in zip(neg, nvals):
+                    gamma[i] = -v
+                out.append(tuple(gamma))
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_enumerate_Z_matches_the_mask_oracle(N):
+    # the order matters too: phase sums pair gammas[k] with gammas[-1 - k] == -gammas[k]
+    for n in range(0, 5):
+        assert enumerate_Z(N, n) == enumerate_Z_by_masks(N, n)
 
 
 def test_enumerate_Z_grade_one():
