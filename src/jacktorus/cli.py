@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .ybgraph import NsjpGraph
 # The session settings, each a config-file key and a top-level flag.
 _SESSION_KEYS = ("shape", "kappa", "max_grade", "seed", "out")
 
-# the most vectors `count` lists to check the counting formula
+# the most vectors `count` or `identity` lists
 _COUNT_LIMIT = 10**6
 
 
@@ -209,8 +210,8 @@ def cmd_nsjp(cfg, args) -> int:
     if not 0 <= args.tableau < shape.dim:
         raise argparse.ArgumentTypeError(f"--tableau must lie in 0..{shape.dim - 1}, got {args.tableau}")
     graph = NsjpGraph(shape, kap)
-    node = graph.build_nsjp(tuple(max(a, 0) for a in alpha), args.tableau) if min(alpha) >= 0 else None
-    poly = graph.nsjp_laurent(alpha, args.tableau)
+    node = graph.node(alpha, args.tableau) if min(alpha) >= 0 else None
+    poly = node.poly if node else graph.nsjp_laurent(alpha, args.tableau)
     results = {
         "alpha": list(alpha),
         "tableau": graph.basis[args.tableau].to_lists(),
@@ -297,6 +298,13 @@ def cmd_kernel(cfg, args) -> int:
 
 
 def cmd_identity(cfg, args) -> int:
+    # each order n lists (and caches) its zero-sum indices and its degree-n monomials
+    listed = sum(compositions.count_Z(args.N, n) + math.comb(args.N + n - 1, n) for n in range(args.max_order + 1))
+    if listed > _COUNT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"identity --N {args.N} --max-order {args.max_order} would list {listed} vectors, "
+            f"more than {_COUNT_LIMIT}"
+        )
     worst = 0.0
     for thetas in _sample_angles(args.N, args.samples, cfg.seed):
         for n in range(args.max_order + 1):

@@ -122,9 +122,12 @@ def group_action(w: Perm, f: VVLaurent) -> VVLaurent:
 
 
 def e_shift(m: int, f: VVLaurent) -> VVLaurent:
-    """Multiply by the m-th power of x_1 x_2 ... x_N (m may be negative)."""
+    """Multiply by the m-th power of x_1 x_2 ... x_N (m may be negative).
+
+    m = 0 returns f itself: polynomials are never mutated after construction.
+    """
     if m == 0:
-        return f.copy()
+        return f
     return f.monomial_mul((m,) * f.N)
 
 

@@ -1,7 +1,9 @@
 """Construction of the vector-valued nonsymmetric Jack polynomials.
 
-Nodes (alpha, T) are reached from the root (0, T_0) by degree-raising jumps
-and adjacent-transposition steps; every constructed node is memoized.  The
+The degree-0 nodes (0, T) are the basis tensors x^0 (x) T, T.inv - T_0.inv
+tableau steps from the root (0, T_0).  Every other node (alpha, T) is
+reached from them by one rule, degree-raising jumps and
+adjacent-transposition steps, and every constructed node is memoized.  The
 divisions performed by exponent steps are guarded at runtime: if two
 adjacent spectral entries collide the build aborts rather than silently
 producing a wrong polynomial.
@@ -14,8 +16,8 @@ from fractions import Fraction
 
 from . import compositions, perms, tableaux
 from .compositions import Vec
-from .errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFailed
-from .laurent import VVLaurent, group_action
+from .errors import BadSupport, NegativeEntry, SpectralCollision
+from .laurent import VVLaurent, e_shift, group_action
 from .perms import Perm
 from .scalars import KappaParam
 from .tableaux import RSYT, Partition
@@ -41,11 +43,15 @@ class GraphNode:
 
 
 class NsjpGraph:
-    """Memoized Yang-Baxter traversal for one (shape, kappa) session.
+    """Memoized Yang-Baxter graph for one (shape, kappa) session.
 
-    descent_rule selects which descent resolves a non-jump exponent; "first"
-    and "last" must produce identical polynomials (path independence), which
-    the test suite exercises by sampling both.
+    The degree-0 nodes x^0 (x) T are built at construction.  Every other
+    node is built by ``node``: it walks back, one edge at a time, to the
+    nearest node already built, then takes the edges forward: a jump where
+    the last entry of the exponent is positive, otherwise a step at a
+    descent.  descent_rule selects that descent, "first" or "last"; both
+    must produce identical polynomials (path independence), which the test
+    suite exercises by sampling both.
     """
 
     def __init__(self, shape: Partition, kappa: KappaParam, descent_rule: str = "first"):
@@ -54,10 +60,16 @@ class NsjpGraph:
         self.shape = shape
         self.kappa = kappa
         self.basis = tableaux.enumerate_rsyt(shape)
-        self.t0_index = self.basis.index(tableaux.t_zero(shape))
         self.descent_rule = descent_rule
         self._nodes: dict[tuple[Vec, int], GraphNode] = {}
-        self._build_degree0()
+        # Degree 0 is the basis tensors.  Where c'(i) - c'(i+1) >= 2 the
+        # seminormal column of s_i gives sigma(s_i) T' = b T' + T, T being T'
+        # with i, i+1 swapped, so the tableau step s_i f - b f from x^0 (x) T'
+        # is exactly x^0 (x) T; each such swap adds the pair (i, i+1) to inv.
+        zero = (0,) * shape.N
+        t0_inv = tableaux.t_zero(shape).inv
+        for ti, t in enumerate(self.basis):
+            self._make_node(zero, ti, VVLaurent.monomial(shape, kappa, zero, ti), 0, t.inv - t0_inv)
 
     def _make_node(self, alpha: Vec, t_index: int, poly: VVLaurent, jumps: int, steps: int) -> GraphNode:
         node = GraphNode(
@@ -73,43 +85,19 @@ class NsjpGraph:
         self._nodes[(alpha, t_index)] = node
         return node
 
-    def _build_degree0(self) -> None:
-        """Populate the constant layer from the root via tableau steps.
-
-        From T, an entry pair i, i+1 with c(i) - c(i+1) >= 2 yields the
-        tableau with the two entries swapped; breadth-first search over
-        these moves reaches every tableau.
-        """
-        zero = (0,) * self.shape.N
-        root = VVLaurent.monomial(self.shape, self.kappa, zero, self.t0_index)
-        self._make_node(zero, self.t0_index, root, 0, 0)
-        frontier = [self.t0_index]
-        while frontier:
-            nxt = []
-            for ti in frontier:
-                t = self.basis[ti]
-                node = self._nodes[(zero, ti)]
-                for i in range(1, self.shape.N):
-                    if t.content[i - 1] - t.content[i] < 2:
-                        continue
-                    t2 = t.swap_entries(i)
-                    ti2 = self.basis.index(t2)
-                    if (zero, ti2) in self._nodes:
-                        continue
-                    bp = Fraction(1, t.content[i - 1] - t.content[i])
-                    si = perms.simple(self.shape.N, i)
-                    poly = group_action(si, node.poly) - node.poly.scale(bp)
-                    self._make_node(zero, ti2, poly, 0, node.steps + 1)
-                    nxt.append(ti2)
-            frontier = nxt
-        missing = [t for k, t in enumerate(self.basis) if (zero, k) not in self._nodes]
-        if missing:
-            raise VerificationFailed(f"tableau steps failed to reach {missing}")
+    def _parent(self, alpha: Vec) -> tuple[Vec, int | None]:
+        """The label one edge nearer the root, and the step's index i (None for a jump)."""
+        if alpha[-1] >= 1:
+            return compositions.phi_inverse(alpha), None
+        descents = [i for i in range(1, len(alpha)) if alpha[i - 1] > alpha[i]]
+        i = descents[0] if self.descent_rule == "first" else descents[-1]
+        delta = list(alpha)
+        delta[i - 1], delta[i] = delta[i], delta[i - 1]
+        return tuple(delta), i
 
     def node(self, alpha, t_index: int) -> GraphNode:
         alpha = tuple(alpha)
-        key = (alpha, t_index)
-        hit = self._nodes.get(key)
+        hit = self._nodes.get((alpha, t_index))
         if hit is not None:
             return hit
         if len(alpha) != self.shape.N:
@@ -119,44 +107,36 @@ class NsjpGraph:
         if not 0 <= t_index < len(self.basis):
             raise IndexError(f"tableau index {t_index} out of range for {len(self.basis)} tableaux")
 
-        if alpha[-1] >= 1:
-            # degree-raising jump from the rotated predecessor
-            beta = compositions.phi_inverse(alpha)
-            prev = self.node(beta, t_index)
-            w0inv = perms.inverse(perms.cycle(self.shape.N))
-            e_n = tuple(0 if k < self.shape.N - 1 else 1 for k in range(self.shape.N))
-            poly = group_action(w0inv, prev.poly).monomial_mul(e_n)
-            return self._make_node(alpha, t_index, poly, prev.jumps + 1, prev.steps)
+        # every label of positive degree has a parent and degree 0 is built,
+        # so the walk ends
+        path = []
+        while (alpha, t_index) not in self._nodes:
+            beta, i = self._parent(alpha)
+            path.append((alpha, i))
+            alpha = beta
+        prev = self._nodes[(alpha, t_index)]
+        n = self.shape.N
+        w0inv = perms.inverse(perms.cycle(n))
+        e_n = (0,) * (n - 1) + (1,)
+        for alpha, i in reversed(path):
+            if i is None:
+                # degree-raising jump from the rotated predecessor
+                poly = group_action(w0inv, prev.poly).monomial_mul(e_n)
+                prev = self._make_node(alpha, t_index, poly, prev.jumps + 1, prev.steps)
+                continue
+            gap = prev.spectral[i - 1] - prev.spectral[i]
+            if gap == 0:
+                raise SpectralCollision(
+                    f"spectral entries {i}, {i + 1} coincide at {prev.alpha}, tableau {prev.tableau.rows}"
+                )
+            poly = group_action(perms.simple(n, i), prev.poly) - prev.poly.scale(self.kappa.value / gap)
+            prev = self._make_node(alpha, t_index, poly, prev.jumps, prev.steps + 1)
+        return prev
 
-        descents = [i for i in range(1, self.shape.N) if alpha[i - 1] > alpha[i]]
-        if not descents:
-            raise AssertionError(f"unreachable exponent {alpha}")
-        i = descents[0] if self.descent_rule == "first" else descents[-1]
-        delta = list(alpha)
-        delta[i - 1], delta[i] = delta[i], delta[i - 1]
-        prev = self.node(tuple(delta), t_index)
-        gap = prev.spectral[i - 1] - prev.spectral[i]
-        if gap == 0:
-            raise SpectralCollision(
-                f"spectral entries {i}, {i + 1} coincide at {prev.alpha}, tableau {prev.tableau.rows}"
-            )
-        si = perms.simple(self.shape.N, i)
-        poly = group_action(si, prev.poly) - prev.poly.scale(self.kappa.value / gap)
-        return self._make_node(alpha, t_index, poly, prev.jumps, prev.steps + 1)
-
-    def build_nsjp(self, alpha, t: RSYT | int) -> GraphNode:
-        t_index = t if isinstance(t, int) else self.basis.index(t)
-        return self.node(alpha, t_index)
-
-    def nsjp_laurent(self, alpha, t: RSYT | int) -> VVLaurent:
+    def nsjp_laurent(self, alpha, t_index: int) -> VVLaurent:
         """Laurent extension: divide by the needed power of x_1 ... x_N."""
-        alpha = tuple(alpha)
         m = max(0, -min(alpha))
-        shifted = tuple(a + m for a in alpha)
-        poly = self.build_nsjp(shifted, t).poly
-        if m == 0:
-            return poly
-        return poly.monomial_mul((-m,) * self.shape.N)
+        return e_shift(-m, self.node(tuple(a + m for a in alpha), t_index).poly)
 
     def build_degree(self, d: int) -> list[GraphNode]:
         """All nodes of degree exactly d, exponents visited triangular-ascending."""

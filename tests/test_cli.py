@@ -124,6 +124,11 @@ def test_usage_error_exit_code():
         (["tableaux"], '{"shape": "2,1", "kapa": "1/5"}', "unknown key 'kapa'; accepted keys: shape, kappa, max_grade, seed, out"),
         (["coeffs"], '{"shape": "2,1", "grade": 3}', "unknown key 'grade'; accepted keys: shape, kappa, max_grade, seed, out"),
         (["count", "--N", "30", "--n", "3"], None, "count_Z(30, 3) = 18502290 is more than the 1000000 vectors count will list"),
+        (
+            ["identity", "--N", "14", "--max-order", "4", "--samples", "1"],
+            None,
+            "identity --N 14 --max-order 4 would list 2395269 vectors, more than 1000000",
+        ),
     ],
     ids=[
         "shape-flag",
@@ -159,6 +164,7 @@ def test_usage_error_exit_code():
         "config-unknown-key",
         "config-subcommand-flag-as-key",
         "count-too-many-vectors",
+        "identity-too-many-vectors",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
@@ -192,6 +198,16 @@ def test_kernel_and_identity(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["results"]["passed"]
     code = main(["identity", "--N", "3", "--max-order", "4", "--samples", "5"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["results"]["passed"]
+
+
+def test_identity_below_the_vector_limit_runs(monkeypatch, capsys):
+    from jacktorus import cli
+
+    # 718,779 vectors: under the limit; the residual itself is not computed here
+    monkeypatch.setattr(cli, "sigma_identity_residual", lambda n, thetas: 0.0)
+    code = main(["identity", "--N", "12", "--max-order", "4", "--samples", "1"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["results"]["passed"]
 
@@ -250,6 +266,11 @@ CLI_DIGESTS = {
         "3c678b6c9ad07fc14a616374454f355f0d8221604ef5a6c96d2ce4ca387b733c",
     ("--shape", "3,1", "--kappa", "1/4", "diffsys", "--points", "10", "--loop-steps", "2000"):
         "6ef30f3aa1ed259b84afddff8843ba205a78343efc58832d6855a0828c756257",
+    ("--shape", "2,2,1", "--kappa=-1/5", "nsjp", "--alpha", "1,0,2,0,1", "--tableau", "4"):
+        "4ff6520d3ecf44c20f9a0e4d5527c5d4b4bfef5b049b19d41bb38c377dfa8186",
+    # a degree-0 node six tableau steps from the root
+    ("--shape", "3,2,1", "--kappa", "1/7", "nsjp", "--alpha", "0,0,0,0,0,0", "--tableau", "15"):
+        "560d9aada040e419571b07cad9e579775ae625beb20acd4b822768ea9c9c1c14",
 }
 
 

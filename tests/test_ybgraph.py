@@ -1,13 +1,19 @@
+import inspect
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from jacktorus import perms
+from jacktorus import perms, ybgraph
 from jacktorus.compositions import phi, rank_perm, steps_count, triangular_lt
 from jacktorus.errors import BadSupport, NegativeEntry, SpectralCollision
-from jacktorus.laurent import VVLaurent, cherednik, e_shift
-from jacktorus.scalars import unchecked_kappa
-from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero
+from jacktorus.laurent import VVLaurent, cherednik, e_shift, group_action
+from jacktorus.scalars import default_kappa, make_kappa, unchecked_kappa
+from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero, valid_shapes
 from jacktorus.ybgraph import NsjpGraph, spectral_vector
+
+SHAPES_TO_6 = [shape for n in range(3, 7) for shape in valid_shapes(n)]
 
 
 def path_length(alpha, t, shape) -> tuple[int, int]:
@@ -48,11 +54,68 @@ def test_spectral_uses_rank(kappa31, shape31):
     assert xi == expect
 
 
-def test_degree_zero_is_pure_tensor(graph21, shape21, kappa21):
-    for ti in range(2):
-        node = graph21.node((0, 0, 0), ti)
-        assert node.poly == VVLaurent.monomial(shape21, kappa21, (0, 0, 0), ti)
-        assert node.jumps == 0
+@pytest.fixture(params=[(shape, sign) for shape in SHAPES_TO_6 for sign in (1, -1)],
+                ids=lambda p: f"{p[0].parts}-{'default' if p[1] > 0 else 'negative'}")
+def degree0(request):
+    """The graph of every valid shape with N <= 6, at the default kappa and at -1/(h+2)."""
+    shape, sign = request.param
+    kap = default_kappa(shape.parts) if sign > 0 else make_kappa(-1, shape.max_hook + 2, shape.parts)
+    return NsjpGraph(shape, kap)
+
+
+def test_degree_zero_is_one_seminormal_step_from_its_neighbours(degree0):
+    # s_i f' - b f' at x^0 (x) T' is x^0 (x) T, T' with i, i+1 swapped, when c'(i) - c'(i+1) >= 2
+    zero = (0,) * degree0.shape.N
+    seen = set()
+    for k, t in enumerate(degree0.basis):
+        src = degree0.node(zero, k)
+        for i in range(1, degree0.shape.N):
+            diff = t.content[i - 1] - t.content[i]
+            if diff < 2:
+                continue
+            dst = degree0.node(zero, degree0.basis.index(t.swap_entries(i)))
+            step = group_action(perms.simple(degree0.shape.N, i), src.poly) - src.poly.scale(Fraction(1, diff))
+            assert step == dst.poly
+            assert dst.tableau.inv == t.inv + 1 and dst.steps == src.steps + 1
+            seen.add(dst.t_index)
+    # every tableau but the root is one such step from another
+    assert len(seen) == len(degree0.basis) - 1
+
+
+def test_degree_zero_is_pure_tensor(degree0):
+    zero = (0,) * degree0.shape.N
+    t0 = t_zero(degree0.shape)
+    for k, t in enumerate(degree0.basis):
+        node = degree0.node(zero, k)
+        assert node.poly == VVLaurent.monomial(degree0.shape, degree0.kappa, zero, k)
+        assert node.jumps == 0 and node.steps == t.inv - t0.inv
+        for i in range(1, degree0.shape.N + 1):
+            assert cherednik(i, node.poly) == node.poly.scale(node.spectral[i - 1])
+
+
+def test_degree_zero_is_built_without_the_group_action(monkeypatch):
+    def refuse(w, f):
+        raise AssertionError("the degree-0 layer needs no group action")
+
+    monkeypatch.setattr(ybgraph, "group_action", refuse)
+    shape = Partition((3, 2, 1))
+    kap = default_kappa(shape.parts)
+    graph = NsjpGraph(shape, kap)
+    zero = (0,) * 6
+    nodes = [graph.node(zero, k) for k in range(16)]
+    assert shape.dim == 16
+    assert [node.poly for node in nodes] == [VVLaurent.monomial(shape, kap, zero, k) for k in range(16)]
+
+
+def test_node_builds_a_long_path_without_recursion(shape21, kappa21):
+    graph = NsjpGraph(shape21, kappa21)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        node = graph.node((0, 0, 20), 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (node.jumps, node.steps) == path_length((0, 0, 20), node.tableau, shape21)
 
 
 def test_lowest_degree_one_is_pure_monomial(graph21, shape21, kappa21):
