@@ -40,7 +40,8 @@ from .ybgraph import NsjpGraph
 # The session settings, each a config-file key and a top-level flag.
 _SESSION_KEYS = ("shape", "kappa", "max_grade", "seed", "out")
 
-# the most vectors `count` or `identity` lists
+# the most vectors `count` or `identity` lists, and the most edge-exponent
+# pairs (path length times the exponents of the built degree) `nsjp` builds
 _COUNT_LIMIT = 10**6
 
 
@@ -209,6 +210,14 @@ def cmd_nsjp(cfg, args) -> int:
         raise argparse.ArgumentTypeError(f"--alpha needs {shape.N} entries, got {len(alpha)}")
     if not 0 <= args.tableau < shape.dim:
         raise argparse.ArgumentTypeError(f"--tableau must lie in 0..{shape.dim - 1}, got {args.tableau}")
+    # every node on the path to the shifted label is built: bound its edges times its exponents
+    built = [a - min(min(alpha), 0) for a in alpha]
+    d = sum(built)
+    work = (d + compositions.steps_count(built)) * math.comb(d + shape.N - 1, shape.N - 1)
+    if work > _COUNT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"--alpha {','.join(map(str, alpha))} needs {work} edge-exponent pairs, more than {_COUNT_LIMIT}"
+        )
     graph = NsjpGraph(shape, kap)
     node = graph.node(alpha, args.tableau) if min(alpha) >= 0 else None
     poly = node.poly if node else graph.nsjp_laurent(alpha, args.tableau)

@@ -2,7 +2,13 @@
 
 A polynomial is a map exponent-vector -> coefficient vector, the coefficient
 living in the tableau basis of the module and held as a reduced
-``tableaux.Scaled``: Python ints over one positive denominator.
+``tableaux.Scaled``: Python ints over one positive denominator.  The
+constructor reduces every coefficient it is given; ``copy``,
+``monomial_mul`` and ``e_shift`` only move terms that are already reduced,
+so they keep the carriers as they are.  Those carriers are the integer
+columns ``torusform.gram`` multiplies exactly on int64 limbs, every partial
+sum below 2^62 and no BLAS involved, so the result is the same for any
+thread count; ``torusform.pair`` stays on object products as the oracle.
 Divided differences are expanded termwise by the geometric-sum identity
 
     (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j)
@@ -42,6 +48,13 @@ class VVLaurent:
                     self.terms[tuple(alpha)] = v.reduced()
 
     @classmethod
+    def _of_reduced(cls, shape: Partition, kappa: KappaParam, terms: dict) -> "VVLaurent":
+        """A polynomial on terms that are already nonzero and reduced, taken as they are."""
+        out = cls(shape, kappa)
+        out.terms = terms
+        return out
+
+    @classmethod
     def monomial(cls, shape: Partition, kappa: KappaParam, alpha, t_index: int) -> "VVLaurent":
         v = np.zeros(shape.dim, dtype=object)
         v[t_index] = 1
@@ -58,7 +71,7 @@ class VVLaurent:
         return {sum(a) for a in self.terms}
 
     def copy(self) -> "VVLaurent":
-        return VVLaurent(self.shape, self.kappa, self.terms)
+        return VVLaurent._of_reduced(self.shape, self.kappa, dict(self.terms))
 
     def _add_term(self, alpha: Vec, v: Scaled) -> None:
         cur = self.terms.get(alpha)
@@ -85,7 +98,7 @@ class VVLaurent:
 
     def monomial_mul(self, beta) -> "VVLaurent":
         beta = tuple(beta)
-        return VVLaurent(
+        return VVLaurent._of_reduced(
             self.shape,
             self.kappa,
             {tuple(a + b for a, b in zip(alpha, beta)): v for alpha, v in self.terms.items()},

@@ -228,6 +228,37 @@ class Scaled:
         return (self.num / self.den).astype(float)
 
 
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product a @ b of two Python-int object matrices, taken from int64 limb products.
+
+    Each entry x is split into signed limbs of s = (62 - K.bit_length()) // 2
+    bits, K the inner dimension: x = sum_k sign(x) d_k 2^(s k) with
+    0 <= d_k < 2^s.  Every partial sum of a limb product is at most
+    K (2^s - 1)^2 < 2^62 in magnitude, so each int64 matmul is exact whatever
+    its summation order; the limb products are shift-added back as Python
+    ints.  numpy's integer matmul is its own single-threaded loop, not BLAS,
+    so the result does not depend on the BLAS thread count.
+    """
+    s = (62 - a.shape[1].bit_length()) // 2
+    la, lb = _limbs(a, s), _limbs(b, s)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    for i, x in enumerate(la):
+        for j, y in enumerate(lb):
+            out += (x @ y).astype(object) << (s * (i + j))
+    return out
+
+
+def _limbs(m: np.ndarray, s: int) -> list[np.ndarray]:
+    """Signed s-bit int64 limbs of an int object matrix, lowest first; none for a zero matrix."""
+    mag, neg, mask = np.abs(m), m < 0, (1 << s) - 1
+    out = []
+    while mag.any():
+        limb = (mag & mask).astype(np.int64)
+        out.append(np.where(neg, -limb, limb))
+        mag = mag >> s
+    return out
+
+
 def total(terms: list[Scaled]) -> Scaled:
     """Sum of a non-empty list of carriers, over the lcm of their denominators."""
     den = math.lcm(*(t.den for t in terms))

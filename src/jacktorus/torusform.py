@@ -5,9 +5,13 @@ vector-valued Laurent polynomials are paired through the coefficient store,
 using the exact pairing matrices G_{alpha-beta} as ``tableaux.Scaled``
 carriers.  ``pair`` sums term pair by term pair, each one integer product
 fv^T G gv over the product of the three denominators.  ``gram`` builds a
-whole Gram matrix as one integer matrix product C^T P C per degree and
-checks one diagonal entry per degree against ``pair``.  Norms, pairings and
-Gram entries are ``Fraction`` scalars.
+whole Gram matrix as one integer matrix product C^T (P C) per degree, both
+products taken exactly from int64 limb products by ``tableaux.int_matmul``
+(every partial sum below 2^62, numpy's single-threaded integer loop, so no
+dependence on the BLAS thread count), and checks one diagonal entry per
+degree against ``pair``, which stays on Python-int object products as the
+independent oracle.  Norms, pairings and Gram entries are ``Fraction``
+scalars.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .coeffs import CoeffStore
 from .compositions import Vec
 from .errors import SpectralCollision, VerificationFailed
 from .scalars import KappaParam
-from .tableaux import RSYT, Scaled, norm0
+from .tableaux import RSYT, Scaled, int_matmul, norm0
 from .ybgraph import NsjpGraph
 
 
@@ -154,12 +158,13 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
     per exponent and tableau index, one column per polynomial) and P_d the
     pairing blocks G_{alpha-beta} between those exponents.  Both are scaled
     to Python ints (C_d per column by the lcm of its denominators, P_d by one
-    common lcm), so the product is exact and the single division comes last.
+    common lcm), and ``int_matmul`` takes both products exactly on int64
+    limbs, so the single division comes last.
     The pairing depends only on alpha - beta, so Laurent labels need no shift.
 
-    The pairwise ``pair`` is the oracle: the diagonal entry of the polynomial
-    with the most terms in each degree block is recomputed with it, and a
-    disagreement raises VerificationFailed.
+    The pairwise ``pair``, on object products, is the oracle: the diagonal
+    entry of the polynomial with the most terms in each degree block is
+    recomputed with it, and a disagreement raises VerificationFailed.
     """
     polys = [graph.nsjp_laurent(alpha, t) for alpha, t in nodes]
     dim = ctx.store.dim
@@ -182,7 +187,7 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
             for alpha, v in zip(cols[a], vecs):
                 cmat[row[alpha] : row[alpha] + dim, c] = v.num * (scales[c] // v.den)
         pmat, lp = _pairing_block(row, ctx)
-        prod = cmat.T @ (pmat @ cmat)
+        prod = int_matmul(cmat.T, int_matmul(pmat, cmat))
         for i, a in enumerate(idx):
             for j, b in enumerate(idx):
                 if prod[i, j]:

@@ -3,10 +3,15 @@
 The degree-0 nodes (0, T) are the basis tensors x^0 (x) T, T.inv - T_0.inv
 tableau steps from the root (0, T_0).  Every other node (alpha, T) is
 reached from them by one rule, degree-raising jumps and
-adjacent-transposition steps, and every constructed node is memoized.  The
-divisions performed by exponent steps are guarded at runtime: if two
-adjacent spectral entries collide the build aborts rather than silently
-producing a wrong polynomial.
+adjacent-transposition steps, and every constructed node is memoized.  Each
+edge is built in one pass: a step s_i f - (kappa/gap) f sums both
+contributions to an exponent and reduces each coefficient once, and a jump
+moves sigma(w0^-1) v to its shifted exponent, reduced once.  The reduced
+integer carriers are what ``torusform.gram`` multiplies exactly on int64
+limbs (every partial sum below 2^62, numpy's single-threaded integer loop,
+so independent of the BLAS thread count).  The divisions performed by
+exponent steps are guarded at runtime: if two adjacent spectral entries
+collide the build aborts rather than silently producing a wrong polynomial.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import BadSupport, NegativeEntry, SpectralCollision
 from .laurent import VVLaurent, e_shift, group_action
 from .perms import Perm
 from .scalars import KappaParam
-from .tableaux import RSYT, Partition
+from .tableaux import RSYT, Partition, Scaled, total
 
 
 def spectral_vector(alpha: Vec, t: RSYT, kappa: KappaParam) -> tuple[Fraction, ...]:
@@ -120,7 +125,8 @@ class NsjpGraph:
         e_n = (0,) * (n - 1) + (1,)
         for alpha, i in reversed(path):
             if i is None:
-                # degree-raising jump from the rotated predecessor
+                # degree-raising jump from the rotated predecessor: group_action
+                # reduces each carrier once, monomial_mul only moves them
                 poly = group_action(w0inv, prev.poly).monomial_mul(e_n)
                 prev = self._make_node(alpha, t_index, poly, prev.jumps + 1, prev.steps)
                 continue
@@ -129,7 +135,16 @@ class NsjpGraph:
                 raise SpectralCollision(
                     f"spectral entries {i}, {i + 1} coincide at {prev.alpha}, tableau {prev.tableau.rows}"
                 )
-            poly = group_action(perms.simple(n, i), prev.poly) - prev.poly.scale(self.kappa.value / gap)
+            # s_i f - (kappa/gap) f in one pass: both contributions to an
+            # exponent are summed, then reduced once by the constructor
+            s_i = perms.simple(n, i)
+            mat = tableaux.rep_matrix(self.shape, s_i)
+            c = -self.kappa.value / gap
+            parts: dict[Vec, list[Scaled]] = {}
+            for beta, v in prev.poly.terms.items():
+                parts.setdefault(perms.act(s_i, beta), []).append(mat @ v)
+                parts.setdefault(beta, []).append(v * c)
+            poly = VVLaurent(self.shape, self.kappa, {beta: total(vs) for beta, vs in parts.items()})
             prev = self._make_node(alpha, t_index, poly, prev.jumps, prev.steps + 1)
         return prev
 

@@ -55,3 +55,24 @@ def ctx21(store21):
 @pytest.fixture(scope="session")
 def ctx31(store31):
     return FormContext(store31)
+
+
+@pytest.fixture
+def perturb_gram_product(monkeypatch):
+    """Install a fault in torusform's exact products: perturb(out) edits each block's C^T (P C) in place."""
+    from jacktorus import torusform
+
+    real = torusform.int_matmul
+    last = [None]
+
+    def install(perturb):
+        def faulty(a, b):
+            out = real(a, b)
+            if b is last[0]:  # the outer product takes the inner P C as its right operand
+                perturb(out)
+            last[0] = out
+            return out
+
+        monkeypatch.setattr(torusform, "int_matmul", faulty)
+
+    return install

@@ -65,6 +65,24 @@ def test_gram_subcommand(capsys):
     assert doc["results"]["norms_match"] is True
 
 
+def test_gram_reports_a_block_product_wrong_off_the_diagonal(perturb_gram_product, capsys):
+    def bump_corner(out):
+        out[0, 1] += 1
+
+    perturb_gram_product(bump_corner)
+    code = main(["--shape", "2,1", "--kappa", "1/4", "gram", "--max-degree", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["results"]["offdiagonal_nonzero"] > 0 and doc["results"]["norms_match"] is True
+
+
+def test_nsjp_below_the_edge_limit_runs(capsys):
+    # 101,598 edge-exponent pairs: under the limit
+    code = main(["--shape", "2,1", "nsjp", "--alpha", "0,0,40"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["results"]["jumps"] == 40
+
+
 def test_coeffs_persists_store(tmp_path, capsys):
     store = tmp_path / "s.json"
     code = main(["--shape", "2,1", "--kappa", "1/4", "coeffs", "--grade", "2", "--store", str(store)])
@@ -129,6 +147,11 @@ def test_usage_error_exit_code():
             None,
             "identity --N 14 --max-order 4 would list 2395269 vectors, more than 1000000",
         ),
+        (
+            ["--shape", "2,1", "nsjp", "--alpha", "0,0,330"],
+            None,
+            "--alpha 0,0,330 needs 54286648 edge-exponent pairs, more than 1000000",
+        ),
     ],
     ids=[
         "shape-flag",
@@ -165,6 +188,7 @@ def test_usage_error_exit_code():
         "config-subcommand-flag-as-key",
         "count-too-many-vectors",
         "identity-too-many-vectors",
+        "nsjp-too-many-edges",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
@@ -268,6 +292,9 @@ CLI_DIGESTS = {
         "6ef30f3aa1ed259b84afddff8843ba205a78343efc58832d6855a0828c756257",
     ("--shape", "2,2,1", "--kappa=-1/5", "nsjp", "--alpha", "1,0,2,0,1", "--tableau", "4"):
         "4ff6520d3ecf44c20f9a0e4d5527c5d4b4bfef5b049b19d41bb38c377dfa8186",
+    # 175-row degree-3 blocks: the exact products take more than one int64 limb
+    ("--shape", "3,2", "--kappa", "1/5", "gram", "--max-degree", "3"):
+        "f42c9d5bee3345afd49cbd585b402d848086276ecc9b5e973336d6f31da75a03",
     # a degree-0 node six tableau steps from the root
     ("--shape", "3,2,1", "--kappa", "1/7", "nsjp", "--alpha", "0,0,0,0,0,0", "--tableau", "15"):
         "560d9aada040e419571b07cad9e579775ae625beb20acd4b822768ea9c9c1c14",

@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacktorus import perms
 from jacktorus.errors import InvalidShape
@@ -12,6 +14,7 @@ from jacktorus.tableaux import (
     RSYT,
     Scaled,
     enumerate_rsyt,
+    int_matmul,
     jucys_murphy,
     norm0,
     norm0_diag,
@@ -197,3 +200,52 @@ def test_texts_are_lowest_terms():
     mat = Scaled(np.array([[2, -3], [0, 6]], dtype=object), 6)
     assert mat.texts() == [["1/3", "-1/2"], ["0", "1"]]
     assert Scaled(np.array([4, 2], dtype=object), 4).texts() == ["1", "1/2"]
+
+
+def _limb_bits(k: int) -> int:
+    return (62 - k.bit_length()) // 2
+
+
+@st.composite
+def _int_matrix_pair(draw):
+    """Two Python-int matrices (m x K, K x n) whose entries straddle s, 2s and ~200 bits."""
+    k = draw(st.one_of(st.integers(1, 8), st.sampled_from([63, 64, 1000, 4095, 4096])), label="K")
+    m, n = draw(st.integers(0, 3), label="m"), draw(st.integers(0, 3), label="n")
+    s = _limb_bits(k)
+    edges = [0, (1 << s) - 1, 1 << s, (1 << 2 * s) - 1, 1 << 2 * s]
+    widths = st.sampled_from([s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 199, 200])
+    value = st.one_of(
+        st.sampled_from(edges + [-x for x in edges]),
+        widths.flatmap(lambda b: st.integers(-(1 << b), 1 << b)),
+    )
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def matrix(rows, cols):
+        pool = [0] if draw(st.booleans(), label="zero") else draw(st.lists(value, min_size=1, max_size=8))
+        return np.array([[rnd.choice(pool) for _ in range(cols)] for _ in range(rows)], dtype=object).reshape(rows, cols)
+
+    return matrix(m, k), matrix(k, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_int_matrix_pair())
+def test_int_matmul_is_the_object_product(pair):
+    a, b = pair
+    out = int_matmul(a, b)
+    expect = a @ b
+    assert out.dtype == object and out.shape == expect.shape
+    assert all(type(x) is int for x in out.flat)
+    assert np.array_equal(out, expect)
+
+
+@pytest.mark.parametrize("k", [1, 2, 63, 64, 4095, 4096])
+@pytest.mark.parametrize("width", ["s", "2s", "200"])
+@pytest.mark.parametrize("top", [0, 1], ids=["2^w-1", "2^w"])
+def test_int_matmul_at_the_int64_bound(k, width, top):
+    # all-ones entries fill every limb: K products of 2^s - 1 limbs make the largest partial sum
+    s = _limb_bits(k)
+    x = (1 << {"s": s, "2s": 2 * s, "200": 200}[width]) - 1 + top
+    a = np.full((2, k), x, dtype=object)
+    b = np.full((k, 2), -x, dtype=object)
+    b[:, 1] = x
+    assert np.array_equal(int_matmul(a, b), a @ b)

@@ -283,7 +283,31 @@ def test_gram_raises_when_the_pairwise_oracle_disagrees(graph21, ctx21, monkeypa
         gram(graph21, _nodes_to_degree(graph21, 1), ctx21)
 
 
-SHAPES_TO_5 = [s.parts for n in range(3, 6) for s in valid_shapes(n)]
+def test_gram_raises_when_a_block_product_is_wrong_on_the_diagonal(graph21, ctx21, perturb_gram_product):
+    from jacktorus.errors import VerificationFailed
+
+    def bump_diagonal(out):
+        out[np.diag_indices_from(out)] += 1
+
+    perturb_gram_product(bump_diagonal)
+    with pytest.raises(VerificationFailed):
+        gram(graph21, _nodes_to_degree(graph21, 2), ctx21)
+
+
+def test_pair_takes_no_limb_products(graph21, ctx21, monkeypatch):
+    # the oracle stays on object products, independent of the products it checks
+    from jacktorus import tableaux, torusform
+
+    def refuse(a, b):
+        raise AssertionError("pair must not use int_matmul")
+
+    monkeypatch.setattr(torusform, "int_matmul", refuse)
+    monkeypatch.setattr(tableaux, "int_matmul", refuse)
+    f = graph21.node((1, 0, 1), 1).poly
+    assert pair(f, f, ctx21) == nsjp_norm((1, 0, 1), graph21.basis[1], graph21.kappa)
+
+
+SHAPES_TO_6 = [s.parts for n in range(3, 7) for s in valid_shapes(n)]
 
 
 @lru_cache(maxsize=None)
@@ -299,11 +323,11 @@ def _setup(parts):
     return graph, FormContext(CoeffStore(shape, kap)), _nodes_to_degree(graph, 2)
 
 
-@pytest.mark.parametrize("parts", SHAPES_TO_5, ids=[",".join(map(str, p)) for p in SHAPES_TO_5])
+@pytest.mark.parametrize("parts", SHAPES_TO_6, ids=[",".join(map(str, p)) for p in SHAPES_TO_6])
 @settings(max_examples=2, deadline=None)
 @given(data=st.data())
 def test_gram_is_diagonal_with_closed_form_norms(parts, data):
-    """Every shape with N <= 5 at the default parameter, to degree 2, in any node order."""
+    """Every shape with N <= 6 at the default parameter, to degree 2, in any node order."""
     graph, ctx, nodes = _setup(parts)
     nodes = data.draw(st.permutations(nodes), label="nodes")
     mat = gram(graph, nodes, ctx)

@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 from fractions import Fraction
 
@@ -116,6 +117,29 @@ def test_node_builds_a_long_path_without_recursion(shape21, kappa21):
     finally:
         sys.setrecursionlimit(limit)
     assert (node.jumps, node.steps) == path_length((0, 0, 20), node.tableau, shape21)
+
+
+@pytest.mark.parametrize("rule", ["first", "last"])
+@pytest.mark.parametrize("shape", [s for n in (3, 4) for s in valid_shapes(n)], ids=lambda s: str(s.parts))
+def test_each_edge_is_the_operator_formula_on_its_parent(shape, rule):
+    """Steps are s_i f - (kappa/gap) f and jumps sigma(w0^-1) f times x_N, with every carrier reduced."""
+    kap = default_kappa(shape.parts)
+    graph = NsjpGraph(shape, kap, descent_rule=rule)
+    n = shape.N
+    w0inv = perms.inverse(perms.cycle(n))
+    e_n = (0,) * (n - 1) + (1,)
+    for degree in range(1, 4):
+        for node in graph.build_degree(degree):
+            beta, i = graph._parent(node.alpha)
+            parent = graph.node(beta, node.t_index)
+            if i is None:
+                expect = group_action(w0inv, parent.poly).monomial_mul(e_n)
+            else:
+                gap = parent.spectral[i - 1] - parent.spectral[i]
+                expect = group_action(perms.simple(n, i), parent.poly) - parent.poly.scale(kap.value / gap)
+            assert node.poly == expect
+            for v in node.poly.terms.values():
+                assert v.num.any() and math.gcd(v.den, *v.num.flat) == 1
 
 
 def test_lowest_degree_one_is_pure_monomial(graph21, shape21, kappa21):
