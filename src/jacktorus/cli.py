@@ -4,6 +4,8 @@ Each run emits a single JSON document {command, config, version, results};
 identical inputs (including the seed) produce byte-identical reports.
 Computation failures (excluded parameter, singular point, failed check,
 unwritable file) exit 1 with a structured error record; usage errors exit 2.
+A reader that closes stdout early ends the run quietly with exit 1, after
+any ``--out`` file has been written in full.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,8 +176,18 @@ def _emit(command: str, cfg: SessionConfig, results, code: int = 0) -> int:
             Path(cfg.out).write_text(text + "\n")
         except OSError as exc:
             raise WriteFailed(f"cannot write report file {cfg.out}: {exc.strerror or exc}") from None
-    print(text)
-    return code
+    return code if _print(text) else 1
+
+
+def _print(text: str) -> bool:
+    """Print text to stdout; False when the reader has closed it."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # point stdout at /dev/null so that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -548,7 +561,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _print(json.dumps(doc, indent=1, sort_keys=True))
         return 1
 
 

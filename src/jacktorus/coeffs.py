@@ -4,7 +4,16 @@ The store solves, grade by grade, the linear recurrence that determines the
 coefficient matrix at each zero-sum index from strictly lower data: indices
 are grouped by their negative part, processed triangular-ascending in the
 positive part, and the left operator is inverted exactly through its
-Jucys-Murphy diagonalization.
+Jucys-Murphy diagonalization.  That inverse depends only on (gamma_1, m), m
+the multiplicity of gamma_1, and is built once per pair and kept.
+
+Only non-increasing indices are stored; the matrix at any other zero-sum
+index delta is sigma(w)^{-1} cA_can sigma(w), can = w.delta its sorted
+representative.  The first lookup of delta canonicalizes and conjugates, and
+the result stays in a memo for the lifetime of the store object, so each
+index is canonicalized and conjugated at most once however many right sides
+read it.  A memo entry is checked against the stored carrier it came from on
+every use, so replacing a stored matrix can never leave a stale one behind.
 
 Internal carrier: the similarity-transformed matrices
     cA = D^{-1/2} A D^{1/2},   D = diag of tableau norms,
@@ -15,9 +24,10 @@ of entries and denominator, so a stored carrier is unique.  Every recurrence
 and conjugation identity holds for cA verbatim with sigma(w) in place of the
 orthogonal tau(w); the adjoint identity picks up a D-twist, equivalently
 G_{-gamma} = G_gamma^T for the pairing matrices G = D cA.  ``coeff`` and
-``pairing_matrix`` return carriers too; entries become text only in ``save``
-and come back through ``Scaled.of`` only in ``load``, and orthonormal-convention
-matrices appear only as kernel floats.
+``pairing_matrix`` return carriers too; entries become "p/q" text only in
+``save`` (``Scaled.texts``) and come back as integers only in ``load``
+(``Scaled.from_texts``), and orthonormal-convention matrices appear only as
+kernel floats.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ class CoeffStore:
             0: {zero: tableaux.rep_matrix(shape, perms.identity(shape.N))}
         }
         self.sealed_grade = 0
+        # zero-sum index -> (grade, canonical index, stored carrier, carrier at the index)
+        self._moved: dict[Vec, tuple[int, Vec, Scaled, Scaled]] = {}
+        # (g1, m) -> inverse of the left operator g1 I + kappa sum_{l>m} sigma(1,l)
+        self._left_inverses: dict[tuple[int, int], Scaled] = {}
 
     @property
     def N(self) -> int:
@@ -96,9 +110,8 @@ class CoeffStore:
         )
 
     def _solve_one(self, gamma: Vec, current: dict[Vec, Scaled]) -> Scaled:
-        """Assemble the right side at a sorted index and invert the left operator."""
+        """Assemble the right side at a sorted index and apply the inverse left operator."""
         kap = self.kappa.value
-        p, q = kap.numerator, kap.denominator
         g1 = gamma[0]
         m = sum(1 for g in gamma if g == g1)
         terms = []
@@ -112,8 +125,17 @@ class CoeffStore:
             if right is not None:
                 terms.append(right @ sig)
         rhs = total(terms) * -kap
-        # (g1 I + kappa sum_{l>m} sigma(1,l)) = sigma(1,m) (g1 I + kappa JM_m) sigma(1,m); row T
-        # of the diagonal inverse is q / (q g1 + p c(m,T)), written over the lcm L of those values
+        return (self._left_inverse(gamma, g1, m) @ rhs).reduced()
+
+    def _left_inverse(self, gamma: Vec, g1: int, m: int) -> Scaled:
+        """Inverse of g1 I + kappa sum_{l>m} sigma(1,l), reduced; built once per (g1, m) and kept."""
+        inv = self._left_inverses.get((g1, m))
+        if inv is not None:
+            return inv
+        kap = self.kappa.value
+        p, q = kap.numerator, kap.denominator
+        # the operator is sigma(1,m) (g1 I + kappa JM_m) sigma(1,m); row T of the diagonal
+        # inverse is q / (q g1 + p c(m,T)), written over the lcm L of those values
         rows = [q * g1 + p * t.content[m - 1] for t in self.basis]
         if 0 in rows:
             c = self.basis[rows.index(0)].content[m - 1]
@@ -121,7 +143,8 @@ class CoeffStore:
         lcm = math.lcm(*rows)
         inner = Scaled(np.diag(np.array([q * (lcm // r) for r in rows], dtype=object)), lcm)
         conj = tableaux.transposition_matrix(self.shape, 1, m)
-        return (conj @ inner @ conj @ rhs).reduced()
+        inv = self._left_inverses[(g1, m)] = (conj @ inner @ conj).reduced()
+        return inv
 
     def _line_sum(self, gamma: Vec, j: int, last: int, current) -> Scaled | None:
         """Sum of cA over gamma + l(e_j - e_1) for l = 1..last; None when empty."""
@@ -130,22 +153,36 @@ class CoeffStore:
         return total([self._fetch(_move(gamma, j, 1, ell), current) for ell in range(1, last + 1)])
 
     def _fetch(self, delta: Vec, current: dict[Vec, Scaled] | None) -> Scaled:
-        """Carried matrix at an arbitrary zero-sum index, via canonical lookup."""
+        """Carried matrix at an arbitrary zero-sum index: sigma(w)^{-1} cA_can sigma(w), can = w.delta.
+
+        The first fetch of delta canonicalizes it and conjugates the stored
+        carrier; the result is kept in a memo that lives as long as the store
+        object, so each index is canonicalized and conjugated at most once.  A
+        memo entry is used only while its grade still holds the very carrier
+        it was made from, so a replaced stored matrix is never hidden.
+        """
+        hit = self._moved.get(delta)
+        if hit is not None and self._stored(hit[0], hit[1], current) is hit[2]:
+            return hit[3]
         can, w = compositions.canonicalize(delta)
         s = compositions.grade(can)
-        if s <= self.sealed_grade:
-            stored = self.grades[s][can]
-        elif current is not None and can in current:
-            stored = current[can]
-        else:
+        stored = self._stored(s, can, current)
+        if stored is None:
             raise AssertionError(
                 f"lookup of {delta} (canonical {can}, grade {s}) before it was solved"
             )
-        if perms.is_identity(w):
-            return stored
-        mat = tableaux.rep_matrix(self.shape, w)
-        mat_inv = tableaux.rep_matrix(self.shape, perms.inverse(w))
-        return mat_inv @ stored @ mat
+        mat = stored
+        if not perms.is_identity(w):
+            sig = tableaux.rep_matrix(self.shape, w)
+            mat = (tableaux.rep_matrix(self.shape, perms.inverse(w)) @ stored @ sig).reduced()
+        self._moved[delta] = (s, can, stored, mat)
+        return mat
+
+    def _stored(self, s: int, can: Vec, current: dict[Vec, Scaled] | None) -> Scaled | None:
+        """The solved carrier at a canonical index of grade s; None when it is not solved yet."""
+        if s <= self.sealed_grade:
+            return self.grades[s].get(can)
+        return None if current is None else current.get(can)
 
     def _carrier(self, gamma: Vec) -> Scaled:
         """cA at a zero-sum index, solving the grades it needs first."""
@@ -211,30 +248,25 @@ class CoeffStore:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "header": {
-                "N": self.N,
-                "shape": list(self.shape.parts),
-                "kappa": str(self.kappa.value),
-                "sealed_grade": self.sealed_grade,
-                "basis_order": [list(t.content) for t in self.basis],
-            },
-            "grades": [
-                {
-                    "n": n,
-                    "entries": [
-                        {"gamma": list(g), "matrix": m.texts()}
-                        for g, m in sorted(self.grades[n].items())
-                    ],
-                }
-                for n in sorted(self.grades)
-            ],
+        header = {
+            "N": self.N,
+            "shape": list(self.shape.parts),
+            "kappa": str(self.kappa.value),
+            "sealed_grade": self.sealed_grade,
+            "basis_order": [list(t.content) for t in self.basis],
         }
+        # json.dumps({"grades": [...], "header": header}, indent=1, sort_keys=True), written
+        # one grade at a time so that only one grade's entry texts are alive at once
+        grades = []
+        for n in sorted(self.grades):
+            entries = [{"gamma": list(g), "matrix": m.texts()} for g, m in sorted(self.grades[n].items())]
+            grades.append(_indented({"n": n, "entries": entries}, 2))
+        text = '{\n "grades": [\n  ' + ",\n  ".join(grades) + '\n ],\n "header": ' + _indented(header, 1) + "\n}"
         # write beside the target, then rename over it: a failed write leaves the old file
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
+            tmp.write_text(text)
             os.replace(tmp, path)
         except OSError as exc:
             raise WriteFailed(f"cannot write store file {path}: {exc.strerror or exc}") from None
@@ -247,7 +279,8 @@ class CoeffStore:
 
         The checks are structural (layout and types, N, parameter, shape,
         basis order, grades exactly 0..sealed, the canonical indices of each,
-        matrix sizes); stored entries are not recomputed.
+        matrix sizes, entries "p" or "p/q" as ``Scaled.from_texts`` reads
+        them); stored entries are not recomputed.
         """
         shape, value, sealed, order, grades = _read_store(path)
         if kappa is None:
@@ -264,11 +297,10 @@ class CoeffStore:
         for n in range(sealed + 1):
             if set(grades[n]) != set(compositions.canonical_Z(store.N, n)):
                 raise StoreCorrupt(f"grade {n} of the store file has the wrong indices")
-        for n, entries in grades.items():
+        for entries in grades.values():
             for gamma, mat in entries.items():
-                if mat.shape != (store.dim, store.dim):
+                if mat.num.shape != (store.dim, store.dim):
                     raise StoreCorrupt(f"matrix at {list(gamma)} is not {store.dim}x{store.dim}")
-                entries[gamma] = Scaled.of(mat)
         store.grades.update(grades)
         store.sealed_grade = sealed
         return store
@@ -277,8 +309,9 @@ class CoeffStore:
 def _read_store(path: str | Path):
     """Decode the saved layout: (shape, parameter, sealed grade, basis order, grades).
 
-    Raises StoreCorrupt for invalid JSON, missing keys, values of the wrong type
-    and a grade or an index listed twice.
+    Raises StoreCorrupt for invalid or too deeply nested JSON, missing keys,
+    values of the wrong type, a matrix entry that is not "p" or "p/q" and a
+    grade or an index listed twice.
     """
 
     def typed(val, kind):
@@ -298,7 +331,7 @@ def _read_store(path: str | Path):
         value = Fraction(typed(head["kappa"], str))
         sealed = typed(head["sealed_grade"], int)
         order = [list(ints(c)) for c in typed(head["basis_order"], list)]
-        grades: dict[int, dict[Vec, np.ndarray]] = {}
+        grades: dict[int, dict[Vec, Scaled]] = {}
         for rec in typed(doc["grades"], list):
             n = typed(rec["n"], int)
             if n in grades:
@@ -308,11 +341,15 @@ def _read_store(path: str | Path):
                 gamma = ints(e["gamma"])
                 if gamma in entries:
                     raise ValueError(f"grade {n} lists {list(gamma)} twice")
-                rows = [[Fraction(typed(x, str)) for x in typed(r, list)] for r in typed(e["matrix"], list)]
-                entries[gamma] = np.array(rows, dtype=object)
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                entries[gamma] = Scaled.from_texts(typed(e["matrix"], list))
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise StoreCorrupt(f"store file {path} is unreadable or malformed: {type(exc).__name__}: {exc}") from None
     return shape, value, sealed, order, grades
+
+
+def _indented(val, depth: int) -> str:
+    """json.dumps(val, indent=1, sort_keys=True) as it reads nested at the given depth."""
+    return json.dumps(val, indent=1, sort_keys=True).replace("\n", "\n" + " " * depth)
 
 
 def _move(gamma: Vec, i: int, j: int, ell: int) -> Vec:

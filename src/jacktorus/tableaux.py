@@ -11,7 +11,8 @@ Every representation, coefficient and pairing matrix and every coefficient
 vector of the package is a ``Scaled``: one read-only Python-int array over
 one positive denominator.  ``Fraction``
 entries enter only through ``Scaled.of`` (the seminormal entries, the norm
-diagonal, parsed store text) and leave as text through ``Scaled.texts``.
+diagonal).  Text is integer "p/q": ``Scaled.texts`` writes it and
+``Scaled.from_texts`` reads it back, with no ``Fraction`` in between.
 
 Canonical basis order: content vectors in decreasing lexicographic order.
 """
@@ -19,6 +20,7 @@ Canonical basis order: content vectors in decreasing lexicographic order.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -221,11 +223,43 @@ class Scaled:
 
     def texts(self) -> list:
         """The entries as "p/q" strings in lowest terms ("p" when q = 1), nested like the array."""
-        return np.frompyfunc(lambda x: str(Fraction(x, self.den)), 1, 1)(self.num).tolist()
+        den = self.den
+
+        def text(x):
+            g = math.gcd(x, den)
+            return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+        return np.frompyfunc(text, 1, 1)(self.num).tolist()
+
+    @classmethod
+    def from_texts(cls, texts) -> "Scaled":
+        """Reduced carrier of nested "p" or "p/q" strings, the inverse of ``texts``.
+
+        An entry is an optional sign and decimal digits, optionally followed
+        by "/" and a positive integer; terms need not be lowest.  Raises
+        ValueError for any other entry.
+        """
+        p, q = (np.asarray(a, dtype=object) for a in np.frompyfunc(_ratio, 1, 2)(np.array(texts, dtype=object)))
+        den = math.lcm(*q.flat)
+        return cls(np.asarray(p * (den // q), dtype=object), den)
 
     def floats(self) -> np.ndarray:
         """The entries as floats, each the correctly rounded quotient."""
         return (self.num / self.den).astype(float)
+
+
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(text) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, of a store entry "p" or "p/q"."""
+    match = _RATIO.fullmatch(text) if type(text) is str else None
+    q = int(match[2] or 1) if match else 0
+    if q == 0:
+        raise ValueError(f"{text!r} is not an integer or a ratio p/q with q >= 1")
+    p = int(match[1])
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

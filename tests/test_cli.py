@@ -2,10 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from jacktorus.cli import main
+from jacktorus.coeffs import CoeffStore
+from jacktorus.tableaux import Scaled
 
 RUN = [sys.executable, "-m", "jacktorus.cli"]
 
@@ -464,6 +467,10 @@ def _invalid_json(doc):
     return json.dumps(doc)[:-1]
 
 
+def _deeply_nested(doc):
+    return "[" * 100000 + "]" * 100000
+
+
 def _float_entry(doc):
     doc["grades"][1]["entries"][0]["matrix"][0][0] = 0.5
 
@@ -516,6 +523,7 @@ def _grade_twice(doc):
         ({}, _matrix_not_square),
         ({}, _empty_document),
         ({}, _invalid_json),
+        ({}, _deeply_nested),
         ({}, _float_entry),
         ({}, _sealed_grade_text),
         ({}, _index_missing),
@@ -534,6 +542,7 @@ def _grade_twice(doc):
         "matrix-size",
         "empty-document",
         "invalid-json",
+        "deeply-nested",
         "float-entry",
         "sealed-grade-text",
         "index-missing",
@@ -558,3 +567,64 @@ def test_coeffs_rejects_bad_store(tmp_path, capsys, overrides, corrupt):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["error"]["type"] == "StoreCorrupt"
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    # the report (about 150 kB) is larger than a pipe buffer, so its write meets the closed pipe
+    out = tmp_path / "report.json"
+    args = ["--shape", "2,1", "--out", str(out), "nsjp", "--alpha", "0,0,40"]
+    proc = subprocess.Popen([*RUN, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert head.startswith(b"{")
+    assert err == b""
+    assert out.read_text() == run_cli(*args).stdout
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("-3/7", Fraction(-3, 7)),
+        ("2/4", Fraction(1, 2)),
+        ("-6/4", Fraction(-3, 2)),
+        ("+5", Fraction(5)),
+        ("0/9", Fraction(0)),
+        ("-0", Fraction(0)),
+        ("1/0", None),
+        ("1/-2", None),
+        ("1.5", None),
+        ("", None),
+        ("a", None),
+        ("1//2", None),
+        ("1e3", None),
+        (" 1", None),
+        ("1_000", None),
+    ],
+    ids=repr,
+)
+def test_store_entry_grammar(tmp_path, capsys, entry, value):
+    """An entry is [+-]digits, optionally "/" and a positive integer; it loads as its value, reduced."""
+    store = tmp_path / "s.json"
+    args = ["--shape", "2,1", "--kappa", "1/4", "coeffs", "--grade", "2", "--store", str(store)]
+    assert main(args) == 0
+    capsys.readouterr()
+    doc = json.loads(store.read_text())
+    entry_doc = doc["grades"][1]["entries"][0]
+    entry_doc["matrix"][1][0] = entry
+    store.write_text(json.dumps(doc))
+    code = main(args)
+    out = json.loads(capsys.readouterr().out)
+    if value is None:
+        assert code == 1
+        assert out["error"]["type"] == "StoreCorrupt"
+        return
+    assert code == 0
+    rows = [[Fraction(x) for x in row] for row in entry_doc["matrix"]]
+    expected = Scaled.of(rows)
+    loaded = CoeffStore.load(store).grades[1][tuple(entry_doc["gamma"])]
+    assert loaded.den == expected.den
+    assert loaded.num.tolist() == expected.num.tolist()
+    assert Fraction(loaded.num[1, 0], loaded.den) == value

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacktorus import perms
 from jacktorus.coeffs import CoeffStore
-from jacktorus.compositions import enumerate_Z, sort_desc, split_pi_nu, triangular_lt
+from jacktorus.compositions import canonicalize, enumerate_Z, sort_desc, split_pi_nu, triangular_lt
 from jacktorus.errors import PoleExcluded, StoreCorrupt
 from jacktorus.scalars import default_kappa, make_kappa, unchecked_kappa
 from jacktorus.tableaux import (
@@ -425,3 +425,68 @@ def test_carriers_are_canonical(stores_to_grade_4, graph21, graph31):
         assert type(mat.den) is int and mat.den > 0
         assert all(type(x) is int for x in mat.num.flat)
         assert math.gcd(mat.den, *mat.num.flat) == 1
+
+
+@pytest.mark.parametrize("parts, pq, grade", list(STORE_DIGESTS), ids=str)
+def test_saved_store_loads_to_the_solved_carriers(tmp_path, parts, pq, grade):
+    path = tmp_path / "store.json"
+    store = CoeffStore(Partition(parts), _kappa(parts, pq)).ensure_grade(grade)
+    store.save(path)
+    loaded = CoeffStore.load(path)
+    assert loaded.sealed_grade == grade
+    assert loaded.grades.keys() == store.grades.keys()
+    for n, grade_mats in store.grades.items():
+        assert loaded.grades[n].keys() == grade_mats.keys()
+        for g, mat in grade_mats.items():
+            assert loaded.grades[n][g].den == mat.den
+            assert loaded.grades[n][g].num.tolist() == mat.num.tolist()
+
+
+# every valid shape with N <= 5, with the grade each is checked to
+_MEMO_CASES = [(shape, {3: 3, 4: 2, 5: 2}[n]) for n in (3, 4, 5) for shape in valid_shapes(n)]
+
+
+def _direct_conjugates(store, top):
+    """sigma(w^{-1}) cA_can sigma(w) at every zero-sum index up to grade top, from the stored grades."""
+    out = {}
+    for n in range(top + 1):
+        for delta in enumerate_Z(store.N, n):
+            can, w = canonicalize(delta)
+            sig, sig_inv = rep_matrix(store.shape, w), rep_matrix(store.shape, perms.inverse(w))
+            out[delta] = sig_inv @ store.grades[n][can] @ sig
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(_MEMO_CASES), rnd=st.randoms(use_true_random=False))
+def test_memoized_moved_carriers_match_a_direct_conjugation(tmp_path_factory, case, rnd):
+    shape, top = case
+    kappa = default_kappa(shape.parts)
+    path = tmp_path_factory.mktemp("memo") / "store.json"
+    CoeffStore(shape, kappa).ensure_grade(top - 1).save(path)
+    fresh = CoeffStore(shape, kappa)
+    extended = CoeffStore.load(path, kappa)
+    extended.ensure_grade(top)
+    for store in (fresh, extended):
+        deltas = [d for n in range(top + 1) for d in enumerate_Z(shape.N, n)]
+        rnd.shuffle(deltas)
+        got = {d: store.coeff(d) for d in deltas}
+        # a second pass reads every index from the memo
+        rnd.shuffle(deltas)
+        again = {d: store.coeff(d) for d in deltas}
+        expected = _direct_conjugates(store, top)
+        assert got.keys() == expected.keys()
+        for d in deltas:
+            assert got[d] == expected[d], (shape.parts, d)
+            assert again[d] is got[d]
+    assert all(extended.grades[n] == fresh.grades[n] for n in range(top + 1))
+
+
+def test_a_replaced_stored_matrix_reaches_every_moved_index(shape21, kappa21):
+    store = CoeffStore(shape21, kappa21).ensure_grade(2)
+    moved = [d for d in enumerate_Z(3, 2) if canonicalize(d)[0] == (2, -1, -1)]
+    before = {d: store.coeff(d) for d in moved}  # now held in the memo
+    store.grades[2][(2, -1, -1)] = store.grades[2][(2, -1, -1)] * 2
+    assert len(moved) == 3
+    for d in moved:
+        assert store.coeff(d) == before[d] * 2

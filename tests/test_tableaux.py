@@ -249,3 +249,21 @@ def test_int_matmul_at_the_int64_bound(k, width, top):
     b = np.full((k, 2), -x, dtype=object)
     b[:, 1] = x
     assert np.array_equal(int_matmul(a, b), a @ b)
+
+
+_BIG = st.integers(-(2**260), 2**260)
+_ENTRY = st.one_of(st.just(0), st.integers(-300, 300), _BIG)
+_DEN = st.one_of(st.just(1), st.integers(1, 300), st.integers(1, 2**240))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), data=st.data(), den=_DEN)
+def test_texts_match_fraction_strings(rows, cols, data, den):
+    entries = data.draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols))
+    mat = Scaled(np.array(entries, dtype=object).reshape(rows, cols), den)
+    texts = mat.texts()
+    assert [x for row in texts for x in row] == [str(Fraction(x, den)) for x in entries]
+    # and back: the reduced carrier Scaled.of gives for the same values
+    back, ref = Scaled.from_texts(texts), Scaled.of([[Fraction(x) for x in row] for row in texts])
+    assert back.den == ref.den
+    assert back.num.tolist() == ref.num.tolist()
