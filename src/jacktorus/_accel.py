@@ -51,9 +51,9 @@ def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     c = np.concatenate([phases.real, mirror.real], axis=1)
     s = np.concatenate([phases.imag, -mirror.imag], axis=1)
     # (c + is) a = (c a, s a) exactly, and each real einsum sums over k in the
-    # order of the complex one.  einsum, not a BLAS product: on a few thousand
-    # 5x5 terms the threaded BLAS call is no faster, doubles the CPU time, can
-    # stall for ~1 s while its worker threads start, and rounds differently.
+    # order of the complex one.  einsum, not a BLAS product: BLAS sums over k
+    # in an order of its own (blocked, and split by thread), so its floats
+    # would not be those of the complex sum.
     out = np.empty((len(block),) + mats.shape[1:], np.complex128)
     out.real = np.einsum("pk,kab->pab", c, mats)
     out.imag = np.einsum("pk,kab->pab", s, mats)

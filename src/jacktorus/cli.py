@@ -20,6 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+# One BLAS thread unless the environment already names a count.  It must be
+# set before numpy is first imported: OpenBLAS starts its workers then, and
+# on the small products of a CLI run they cost CPU time and gain no speed.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__, compositions, tableaux
@@ -128,7 +133,7 @@ def _session(args) -> SessionConfig:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise argparse.ArgumentTypeError(f"--config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise argparse.ArgumentTypeError(f"--config {args.config}: expected a JSON object")

@@ -40,23 +40,6 @@ def phi_inverse(alpha: Vec) -> Vec:
     return (alpha[-1] - 1,) + alpha[:-1]
 
 
-def dominance_lt(alpha: Vec, beta: Vec) -> bool:
-    """Partial-sum comparison: every prefix sum of alpha <= that of beta, alpha != beta."""
-    if alpha == beta:
-        return False
-    return all(a <= b for a, b in zip(accumulate(alpha), accumulate(beta)))
-
-
-def triangular_lt(alpha: Vec, beta: Vec) -> bool:
-    """The strict triangular order used by the leading-term structure."""
-    if sum(alpha) != sum(beta) or alpha == beta:
-        return False
-    ap, bp = sort_desc(alpha), sort_desc(beta)
-    if ap == bp:
-        return dominance_lt(alpha, beta)
-    return dominance_lt(ap, bp)
-
-
 def prefix_key(alpha: Vec) -> Vec:
     """Prefix-sum tuple; its lexicographic order linearly extends dominance."""
     return tuple(accumulate(alpha))

@@ -6,9 +6,10 @@ living in the tableau basis of the module and held as a reduced
 constructor reduces every coefficient it is given; ``copy``,
 ``monomial_mul`` and ``e_shift`` only move terms that are already reduced,
 so they keep the carriers as they are.  Those carriers are the integer
-columns ``torusform.gram`` multiplies exactly on int64 limbs, every partial
-sum below 2^62 and no BLAS involved, so the result is the same for any
-thread count; ``torusform.pair`` stays on object products as the oracle.
+columns ``torusform.gram`` multiplies exactly on float64 limbs, every partial
+sum an integer below 2^53 that float64 holds exactly, so the result is the
+same in any summation order and for any BLAS thread count;
+``torusform.pair`` stays on object products as the oracle.
 Divided differences are expanded termwise by the geometric-sum identity
 
     (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j)

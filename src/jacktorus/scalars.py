@@ -70,13 +70,6 @@ def make_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
     return KappaParam(value, part.parts, psd_range=abs(value) < Fraction(1, part.max_hook))
 
 
-def unchecked_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
-    """Bypass the pole gate; used to demonstrate in-recurrence pole detection."""
-    part = Partition(shape)
-    value = Fraction(p, q)
-    return KappaParam(value, part.parts, psd_range=abs(value) < Fraction(1, part.max_hook))
-
-
 def default_kappa(shape: tuple[int, ...]) -> KappaParam:
     """1/(h+1) for the maximal hook h: always admissible, always in the PSD window."""
     part = Partition(shape)

@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import perms
-from .compositions import _partitions
 from .errors import InvalidShape, VerificationFailed
 from .perms import Perm
 
@@ -263,34 +262,42 @@ def _ratio(text) -> tuple[int, int]:
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product a @ b of two Python-int object matrices, taken from int64 limb products.
+    """Exact product a @ b of two Python-int object matrices, taken from one float64 limb product.
 
-    Each entry x is split into signed limbs of s = (62 - K.bit_length()) // 2
+    Each entry x is split into signed limbs of s = (53 - K.bit_length()) // 2
     bits, K the inner dimension: x = sum_k sign(x) d_k 2^(s k) with
-    0 <= d_k < 2^s.  Every partial sum of a limb product is at most
-    K (2^s - 1)^2 < 2^62 in magnitude, so each int64 matmul is exact whatever
-    its summation order; the limb products are shift-added back as Python
-    ints.  numpy's integer matmul is its own single-threaded loop, not BLAS,
-    so the result does not depend on the BLAS thread count.
+    0 <= d_k < 2^s.  The limbs of a are stacked by rows and those of b by
+    columns, so one float64 matmul takes every limb pair at once.  Each
+    partial sum of a limb pair's product is an integer of magnitude at most
+    K (2^s - 1)^2 < 2^53, which float64 holds exactly, so every sum is exact
+    in any summation order, with or without FMA, at any BLAS thread count.
+    The blocks are cast to int64 and shift-added back as Python ints.
     """
-    s = (62 - a.shape[1].bit_length()) // 2
+    (m, k), n = a.shape, b.shape[1]
+    s = _limb_bits(k)
     la, lb = _limbs(a, s), _limbs(b, s)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    for i, x in enumerate(la):
-        for j, y in enumerate(lb):
-            out += (x @ y).astype(object) << (s * (i + j))
+    prod = (la.reshape(-1, k) @ lb.transpose(1, 0, 2).reshape(k, -1)).astype(np.int64)
+    prod = prod.reshape(len(la), m, len(lb), n)  # prod[i, :, j] = limb i of a @ limb j of b
+    out = np.zeros((m, n), dtype=object)
+    for i, j in np.ndindex(len(la), len(lb)):
+        out += prod[i, :, j].astype(object) << (s * (i + j))
     return out
 
 
-def _limbs(m: np.ndarray, s: int) -> list[np.ndarray]:
-    """Signed s-bit int64 limbs of an int object matrix, lowest first; none for a zero matrix."""
+def _limb_bits(k: int) -> int:
+    """Limb width for inner dimension k: 2s <= 53 - k.bit_length(), so k (2^s - 1)^2 < 2^53."""
+    return (53 - k.bit_length()) // 2
+
+
+def _limbs(m: np.ndarray, s: int) -> np.ndarray:
+    """Signed s-bit float64 limbs of an int object matrix, lowest first, stacked; none for a zero matrix."""
     mag, neg, mask = np.abs(m), m < 0, (1 << s) - 1
     out = []
     while mag.any():
-        limb = (mag & mask).astype(np.int64)
+        limb = (mag & mask).astype(np.float64)
         out.append(np.where(neg, -limb, limb))
         mag = mag >> s
-    return out
+    return np.array(out, dtype=np.float64).reshape(len(out), *m.shape)
 
 
 def total(terms: list[Scaled]) -> Scaled:
@@ -364,7 +371,3 @@ def jucys_murphy(shape: Partition, i: int) -> Scaled:
     zero = Scaled(np.zeros((shape.dim, shape.dim), dtype=object), 1)
     return total([zero] + [transposition_matrix(shape, i, j) for j in range(i + 1, shape.N + 1)]).reduced()
 
-
-def valid_shapes(n: int) -> list[Partition]:
-    """All partitions of n with at least two rows and two columns."""
-    return [Partition(p) for p in _partitions(n, n, n) if len(p) >= 2 and p[0] >= 2]

@@ -6,11 +6,11 @@ using the exact pairing matrices G_{alpha-beta} as ``tableaux.Scaled``
 carriers.  ``pair`` sums term pair by term pair, each one integer product
 fv^T G gv over the product of the three denominators.  ``gram`` builds a
 whole Gram matrix as one integer matrix product C^T (P C) per degree, both
-products taken exactly from int64 limb products by ``tableaux.int_matmul``
-(every partial sum below 2^62, numpy's single-threaded integer loop, so no
-dependence on the BLAS thread count), and checks one diagonal entry per
-degree against ``pair``, which stays on Python-int object products as the
-independent oracle.  Norms, pairings and Gram entries are ``Fraction``
+products taken exactly by ``tableaux.int_matmul`` from one float64 product of
+their limbs (every partial sum an integer below 2^53, which float64 holds
+exactly, so the result is the same in any summation order and at any BLAS
+thread count), and checks one diagonal entry per degree against ``pair``,
+which stays on Python-int object products as the independent oracle.  Norms, pairings and Gram entries are ``Fraction``
 scalars.
 """
 
@@ -31,13 +31,6 @@ from .tableaux import RSYT, Scaled, int_matmul, norm0
 from .ybgraph import NsjpGraph
 
 
-def pochhammer(t: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(m):
-        out *= t + i
-    return out
-
-
 def norm_partition(lam, t: RSYT, kappa: KappaParam) -> Fraction:
     """Squared torus norm of the Jack polynomial at a partition label.
 
@@ -49,36 +42,6 @@ def norm_partition(lam, t: RSYT, kappa: KappaParam) -> Fraction:
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"{lam} is not a partition")
     return nsjp_norm(lam, t, kappa)
-
-
-def e_factor(alpha, t: RSYT, eps: int, kappa: KappaParam) -> Fraction:
-    """Correction factor accumulated by sorting alpha, for eps = +1 or -1.
-
-    May legitimately vanish on the closed boundary |kappa| = 1/h of the
-    positivity window (a zero factor marks a zero-norm partition label).
-    """
-    alpha = tuple(alpha)
-    r = compositions.rank_perm(alpha)
-    kap = kappa.value
-    c = t.content
-    out = Fraction(1)
-    for i in range(len(alpha)):
-        for j in range(i + 1, len(alpha)):
-            if alpha[i] < alpha[j]:
-                den = alpha[j] - alpha[i] + kap * (c[r[j] - 1] - c[r[i] - 1])
-                if den == 0:
-                    raise SpectralCollision(f"degenerate inverted pair ({i + 1},{j + 1})")
-                out *= 1 + eps * kap / den
-    return out
-
-
-def covariant_norm(lam, t: RSYT, kappa: KappaParam) -> Fraction:
-    """Norm for the companion form in which x_i is adjoint to the Dunkl operator."""
-    lam = tuple(lam)
-    out = norm_partition(lam, t, kappa)
-    for i in range(len(lam)):
-        out *= pochhammer(1 + kappa.value * t.content[i], lam[i])
-    return out
 
 
 def nsjp_norm(alpha, t: RSYT, kappa: KappaParam) -> Fraction:
@@ -158,7 +121,7 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
     per exponent and tableau index, one column per polynomial) and P_d the
     pairing blocks G_{alpha-beta} between those exponents.  Both are scaled
     to Python ints (C_d per column by the lcm of its denominators, P_d by one
-    common lcm), and ``int_matmul`` takes both products exactly on int64
+    common lcm), and ``int_matmul`` takes both products exactly on float64
     limbs, so the single division comes last.
     The pairing depends only on alpha - beta, so Laurent labels need no shift.
 

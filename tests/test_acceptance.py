@@ -26,7 +26,7 @@ from jacktorus.diffsystem import (
 from jacktorus.errors import PoleExcluded
 from jacktorus.kernels import psd_report, sigma_identity_residual
 from jacktorus.laurent import cherednik
-from jacktorus.scalars import make_kappa, unchecked_kappa
+from jacktorus.scalars import make_kappa
 from jacktorus.tableaux import (
     Partition,
     Scaled,
@@ -36,10 +36,10 @@ from jacktorus.tableaux import (
     rep_matrix,
     simple_reflection,
     t_zero,
-    valid_shapes,
 )
 from jacktorus.torusform import FormContext, nsjp_norm, pair
 from jacktorus.ybgraph import NsjpGraph
+from support import e_factor, unchecked_kappa, valid_shapes
 
 
 def criterion(num, desc):
@@ -145,7 +145,7 @@ def test_criterion_4_nsjp_eigen(session21, session31):
 
 @criterion(5, "flagship Gram: exact diagonality with closed-form norms")
 def test_criterion_5_flagship_gram(session21, session31):
-    from jacktorus.torusform import e_factor, norm_partition
+    from jacktorus.torusform import norm_partition
 
     for (shape, kap, graph, store), degree in ((session21, 3), (session31, 2)):
         ctx = FormContext(store)

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from jacktorus.cli import main
+from jacktorus.cli import build_parser, main
 from jacktorus.coeffs import CoeffStore
 from jacktorus.tableaux import Scaled
 
@@ -321,6 +322,54 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code = main(["--config", str(cfg), "--shape", "2,1", "tableaux"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["count"] == 2
+
+
+def test_a_deeply_nested_config_is_a_usage_error(tmp_path):
+    # json's decoder recurses once per nesting level, so this file raises RecursionError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    out = run_cli("--config", str(cfg), "count", "--N", "3", "--n", "1")
+    assert out.returncode == 2 and out.stdout == ""
+    usage = build_parser().format_usage()
+    assert out.stderr.startswith(usage)
+    error = out.stderr[len(usage) :]
+    assert error.startswith(f"jacktorus: error: --config {cfg}: maximum recursion depth exceeded")
+    assert error.count("\n") == 1 and error.endswith("\n")
+
+
+# Each command's floats pass through numpy products; the (3,2) Gram's 175-row blocks take two
+# limbs, so its float64 limb product is a GEMM that OpenBLAS splits across threads.
+THREAD_CASES = [
+    ("--shape", "3,2", "--kappa", "1/5", "gram", "--max-degree", "3"),
+    ("--shape", "3,2", "--kappa", "1/5", "kernel", "--max-order", "3", "--samples", "20"),
+    ("--shape", "3,1", "--kappa", "1/4", "diffsys", "--points", "10", "--loop-steps", "2000"),
+    ("--shape", "2,1", "verify", "--max-degree", "2"),
+]
+
+
+def _run_with_blas_threads(args, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    return subprocess.run([*RUN, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("args", THREAD_CASES, ids=" ".join)
+def test_stdout_does_not_depend_on_the_blas_thread_count(args):
+    one, two = (_run_with_blas_threads(args, n) for n in ("1", "2"))
+    assert one.returncode == 0 and two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout
+
+
+def test_importing_the_cli_defaults_blas_to_one_thread():
+    probe = (
+        "import os, sys, jacktorus; numpy_first = 'numpy' in sys.modules; import jacktorus.cli; "
+        "print(numpy_first, os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for preset, expect in ((None, "False 1"), ("2", "False 2")):
+        run_env = env if preset is None else dict(env, OPENBLAS_NUM_THREADS=preset)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=run_env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == expect
 
 
 def test_tableaux_of_a_shape_past_the_int64_hook_product(capsys):

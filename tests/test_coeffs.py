@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from jacktorus import perms
 from jacktorus.coeffs import CoeffStore
-from jacktorus.compositions import canonicalize, enumerate_Z, sort_desc, split_pi_nu, triangular_lt
+from jacktorus.compositions import canonicalize, enumerate_Z, sort_desc, split_pi_nu
 from jacktorus.errors import PoleExcluded, StoreCorrupt
-from jacktorus.scalars import default_kappa, make_kappa, unchecked_kappa
+from jacktorus.scalars import default_kappa, make_kappa
 from jacktorus.tableaux import (
     Partition,
     Scaled,
@@ -21,9 +21,9 @@ from jacktorus.tableaux import (
     simple_reflection,
     total,
     transposition_matrix,
-    valid_shapes,
 )
 from jacktorus.torusform import nsjp_norm
+from support import triangular_lt, unchecked_kappa, valid_shapes
 
 
 def is_zero(mat) -> bool:

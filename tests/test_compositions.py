@@ -9,7 +9,6 @@ from jacktorus.compositions import (
     canonicalize,
     compositions_of,
     count_Z,
-    dominance_lt,
     enumerate_Z,
     grade,
     phi,
@@ -19,9 +18,9 @@ from jacktorus.compositions import (
     sort_desc,
     split_pi_nu,
     steps_count,
-    triangular_lt,
 )
 from jacktorus.errors import BadSupport, NegativeEntry, NotGraded
+from support import dominance_lt, triangular_lt
 
 
 def minimal_gamma(nu: tuple[int, ...], k: int) -> tuple[int, ...]:

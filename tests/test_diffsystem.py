@@ -21,7 +21,8 @@ from jacktorus.diffsystem import (
 )
 from jacktorus.errors import PathNearSingular, SingularPoint
 from jacktorus.scalars import default_kappa
-from jacktorus.tableaux import Partition, Scaled, rep_matrix, total, transposition_matrix, valid_shapes
+from jacktorus.tableaux import Partition, Scaled, rep_matrix, total, transposition_matrix
+from support import valid_shapes
 
 POINTS_21 = [
     (Fraction(1), Fraction(2), Fraction(3)),

@@ -21,7 +21,8 @@ from jacktorus.kernels import (
 )
 from jacktorus.compositions import enumerate_Z
 from jacktorus.scalars import default_kappa, make_kappa
-from jacktorus.tableaux import Partition, Scaled, valid_shapes
+from jacktorus.tableaux import Partition, Scaled
+from support import valid_shapes
 
 
 def permuted(x: np.ndarray, w) -> np.ndarray:

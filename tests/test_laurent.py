@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from jacktorus import perms
-from jacktorus.compositions import triangular_lt
 from jacktorus.errors import LaurentInput
 from jacktorus.laurent import (
     VVLaurent,
@@ -16,6 +15,7 @@ from jacktorus.laurent import (
     group_action,
 )
 from jacktorus.tableaux import Scaled, jucys_murphy, rep_matrix, simple_reflection, total, transposition_matrix
+from support import triangular_lt
 
 
 def leading_exponents(f: VVLaurent) -> list[tuple[int, ...]]:

@@ -8,9 +8,8 @@ from jacktorus.scalars import (
     default_kappa,
     make_kappa,
     pole_witness,
-    unchecked_kappa,
 )
-from jacktorus.tableaux import valid_shapes
+from support import unchecked_kappa, valid_shapes
 
 
 def test_admissible_quarter():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacktorus import perms
+from jacktorus import perms, tableaux
 from jacktorus.errors import InvalidShape
 from jacktorus.tableaux import (
     Partition,
@@ -21,8 +21,8 @@ from jacktorus.tableaux import (
     rep_matrix,
     simple_reflection,
     t_zero,
-    valid_shapes,
 )
+from support import valid_shapes
 
 CONTENTS_31 = {(2, 1, -1, 0), (2, -1, 1, 0), (-1, 2, 1, 0)}
 CONTENTS_311 = {
@@ -203,7 +203,7 @@ def test_texts_are_lowest_terms():
 
 
 def _limb_bits(k: int) -> int:
-    return (62 - k.bit_length()) // 2
+    return (53 - k.bit_length()) // 2
 
 
 @st.composite
@@ -242,13 +242,31 @@ def test_int_matmul_is_the_object_product(pair):
 @pytest.mark.parametrize("width", ["s", "2s", "200"])
 @pytest.mark.parametrize("top", [0, 1], ids=["2^w-1", "2^w"])
 def test_int_matmul_at_the_int64_bound(k, width, top):
-    # all-ones entries fill every limb: K products of 2^s - 1 limbs make the largest partial sum
+    # all-ones entries fill every limb: K products of 2^s - 1 limbs make the largest partial
+    # sum, K (2^s - 1)^2 < 2^53, the float64 bound that the limb width keeps (the name is from
+    # the int64 limbs that came before)
     s = _limb_bits(k)
     x = (1 << {"s": s, "2s": 2 * s, "200": 200}[width]) - 1 + top
     a = np.full((2, k), x, dtype=object)
     b = np.full((k, 2), -x, dtype=object)
     b[:, 1] = x
     assert np.array_equal(int_matmul(a, b), a @ b)
+
+
+def test_a_limb_one_bit_too_wide_breaks_the_product(monkeypatch):
+    # the bound is tight enough to matter: with every limb one bit wider, some K's all-ones
+    # product has partial sums past 2^53 that float64 rounds
+    real = tableaux._limb_bits
+    monkeypatch.setattr(tableaux, "_limb_bits", lambda k: real(k) + 1)
+    wrong = []
+    for k in (1, 2, 63, 64, 4095, 4096):
+        x = (1 << real(k) + 1) - 1
+        a = np.full((2, k), x, dtype=object)
+        b = np.full((k, 2), -x, dtype=object)
+        b[:, 1] = x
+        if not np.array_equal(int_matmul(a, b), a @ b):
+            wrong.append(k)
+    assert wrong
 
 
 _BIG = st.integers(-(2**260), 2**260)

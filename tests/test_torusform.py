@@ -10,17 +10,15 @@ from jacktorus.compositions import compositions_of, sort_desc
 from jacktorus.errors import SpectralCollision
 from jacktorus.laurent import VVLaurent, dunkl, group_action
 from jacktorus.scalars import default_kappa, make_kappa
-from jacktorus.tableaux import Scaled, enumerate_rsyt, norm0, t_zero, valid_shapes
+from jacktorus.tableaux import RSYT, Scaled, enumerate_rsyt, norm0, t_zero
 from jacktorus.torusform import (
     FormContext,
-    covariant_norm,
-    e_factor,
     gram,
     norm_partition,
     nsjp_norm,
     pair,
-    pochhammer,
 )
+from support import e_factor, valid_shapes
 
 
 def test_norm_partition_trivial(shape21, kappa21):
@@ -102,6 +100,22 @@ def test_nsjp_norm_finite_on_positivity_boundary():
     assert val > 0
     f = graph.nsjp_laurent(alpha, 2)
     assert pair(f, f, ctx) == val
+
+
+def pochhammer(t: Fraction, m: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(m):
+        out *= t + i
+    return out
+
+
+def covariant_norm(lam, t: RSYT, kappa) -> Fraction:
+    """Norm for the companion form in which x_i is adjoint to the Dunkl operator."""
+    lam = tuple(lam)
+    out = norm_partition(lam, t, kappa)
+    for i in range(len(lam)):
+        out *= pochhammer(1 + kappa.value * t.content[i], lam[i])
+    return out
 
 
 def test_covariant_ratio(shape21, kappa21):

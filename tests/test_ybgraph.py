@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from jacktorus import perms, ybgraph
-from jacktorus.compositions import phi, rank_perm, steps_count, triangular_lt
+from jacktorus.compositions import phi, rank_perm, steps_count
 from jacktorus.errors import BadSupport, NegativeEntry, SpectralCollision
 from jacktorus.laurent import VVLaurent, cherednik, e_shift, group_action
-from jacktorus.scalars import default_kappa, make_kappa, unchecked_kappa
-from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero, valid_shapes
+from jacktorus.scalars import default_kappa, make_kappa
+from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero
 from jacktorus.ybgraph import NsjpGraph, spectral_vector
+from support import triangular_lt, unchecked_kappa, valid_shapes
 
 SHAPES_TO_6 = [shape for n in range(3, 7) for shape in valid_shapes(n)]
 
