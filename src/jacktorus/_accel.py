@@ -14,24 +14,36 @@ import numpy as np
 # by a fifth; blocks of this size keep it flat at no cost in speed.
 _BLOCK = 256
 
+# Point rows and terms of each GEMM in phase_matrix_sum.  With OpenBLAS the
+# floats of a GEMM row depend on the product's shape (its row count too), and
+# those of a long product on the BLAS thread count; products of this one shape,
+# summed in order, make a point's floats those of any block it is in, at any
+# thread count.
+_ROWS = 32
+_TERMS = 128
+
 
 def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     """sum_k exp(i <gamma_k, theta>) mats[k], at one point or at a block of points.
 
-    mats is a real (K, d, d) stack, and gammas is closed under negation in
-    reverse order (gammas[::-1] == -gammas, as enumerate_Z lists an index set);
-    anything else raises ValueError.  theta of shape (N,) gives a (d, d)
-    matrix; theta of shape (P, N) gives the (P, d, d) stack of the sums at its
-    rows.
+    mats is a real (K, d, d) stack, and gammas is an integer (K, N) array closed
+    under negation in reverse order (gammas[::-1] == -gammas, as enumerate_Z
+    lists an index set); anything else raises ValueError.  theta of shape (N,)
+    gives a (d, d) matrix; theta of shape (P, N) gives the (P, d, d) stack of
+    the sums at its rows.
 
-    The sum is done in real arithmetic: one exp per +-gamma pair, since
-    exp(-i phi) = conj(exp(i phi)), and two real einsums, one for the cosines
-    and one for the sines.  For d >= 2 (every shape the package accepts) each
-    float is bit for bit that of the complex sum over all K phases against the
-    stack cast to complex, and a row's floats are those of a call with that row
-    alone.
+    A phase is the product of N entries of the point's power table
+    x_j^m = exp(i m theta_j), |m| <= max |gamma|; the phase of -gamma is the
+    conjugate of that of gamma.  The sum is one real GEMM per 128 terms of the
+    cosine and sine rows of 32 points against mats as (K, d*d), summed in order.
+    Every product has that shape, so a point's floats do not depend on the block
+    it is in or on the BLAS thread count.  With u = 2**-53, the real and the
+    imaginary part of entry (a, b) are each within
+        u * sum_k |mats[k, a, b]| * (K + 6 N + sum_j |gamma_kj theta_j|)
+    of the exact sum: a table entry is off by u (|m theta_j| + 3), each of the
+    N - 1 complex products by 2.25 u, and a GEMM entry by K u sum_k |c_k a_k|.
     """
-    g = np.asarray(gammas, np.float64)
+    g = np.asarray(gammas, np.int64)
     mats = np.asarray(mats)
     if np.iscomplexobj(mats):
         raise ValueError("phase_matrix_sum needs real coefficient matrices")
@@ -41,23 +53,31 @@ def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     block = np.atleast_2d(theta)
     k = len(g)
     h = (k + 1) // 2
-    # the per-point product g @ theta, stacked over the rows; block @ g.T
-    # rounds the phases differently from grade 2 up.  Only the first half: the
-    # product and exp are odd in gamma bit for bit, sign bits included.
-    phases = 1j * (g[None, :h] @ block[:, :, None])[..., 0]
-    np.exp(phases, out=phases)
-    # mirror[:, j] is the conjugate of exp(i <gamma_{h+j}, theta>)
-    mirror = phases[:, : k - h][:, ::-1]
-    c = np.concatenate([phases.real, mirror.real], axis=1)
-    s = np.concatenate([phases.imag, -mirror.imag], axis=1)
-    # (c + is) a = (c a, s a) exactly, and each real einsum sums over k in the
-    # order of the complex one.  einsum, not a BLAS product: BLAS sums over k
-    # in an order of its own (blocked, and split by thread), so its floats
-    # would not be those of the complex sum.
-    out = np.empty((len(block),) + mats.shape[1:], np.complex128)
-    out.real = np.einsum("pk,kab->pab", c, mats)
-    out.imag = np.einsum("pk,kab->pab", s, mats)
-    return out if theta.ndim == 2 else out[0]
+    # padded to whole groups of rows before any arithmetic: numpy's complex
+    # product rounds a one-element array unlike a longer one
+    padded = np.zeros((-(-len(block) // _ROWS) * _ROWS, block.shape[1]))
+    padded[: len(block)] = block
+    top = int(np.abs(g).max(initial=0))
+    up = np.exp(1j * (np.arange(top + 1) * padded[:, :, None]))
+    x = np.concatenate([up[:, :, :0:-1].conj(), up], axis=2)  # x[p, j, top + m] = x_j^m
+    phases = x[:, 0, g[:h, 0] + top]
+    for j in range(1, g.shape[1]):
+        phases *= x[:, j, g[:h, j] + top]
+    half = phases.reshape(-1, _ROWS, h)
+    # lhs[q, :32] are the cosines of group q's points, lhs[q, 32:] their sines;
+    # column h + j mirrors column k - h - 1 - j, the phase of its negation
+    lhs = np.empty((len(half), 2, _ROWS, k))
+    lhs[:, 0, :, :h], lhs[:, 1, :, :h] = half.real, half.imag
+    mirror = half[..., : k - h][..., ::-1]
+    lhs[:, 0, :, h:], lhs[:, 1, :, h:] = mirror.real, -mirror.imag
+    lhs = lhs.reshape(len(half), 2 * _ROWS, k)
+    flat = mats.reshape(k, -1)
+    acc = lhs[..., :_TERMS] @ flat[:_TERMS]
+    for t in range(_TERMS, k, _TERMS):
+        acc += lhs[..., t : t + _TERMS] @ flat[t : t + _TERMS]
+    out = acc[:, :_ROWS].astype(np.complex128).reshape((len(padded),) + mats.shape[1:])
+    out.imag = acc[:, _ROWS:].reshape(out.shape)
+    return out[: len(block)] if theta.ndim == 2 else out[0]
 
 
 def phase_sum(gammas, theta) -> complex:

@@ -23,10 +23,11 @@ from . import _accel, compositions, tableaux
 from .coeffs import CoeffStore
 from .errors import VerificationFailed
 
-# Sample points psd_report evaluates at once.  Its working arrays (each grade's
-# phases and H at every point of the block) grow with the block.  On a (3,2)
-# scan to order 5 (2-vCPU VM), 32 points add about 0.7 MB to the process's peak
-# RSS and run as fast as 64 (+1.8 MB); 8 points are about 15% slower.
+# Sample points psd_report evaluates at once: one group of the 32 point rows that
+# every GEMM of _accel.phase_matrix_sum takes.  Any block size gives the same
+# floats, but a block that is not a multiple of 32 leaves rows of a GEMM unused,
+# and the working arrays (each grade's phases and H at every point of the block)
+# grow with the block.
 _BLOCK = 32
 
 
@@ -60,7 +61,8 @@ class FloatCoeffs:
 
     A grade is its enumerate_Z indices and the real float64 (K, d, d) stack of
     their matrices, in that order: gammas[::-1] == -gammas, which is what lets
-    _accel.phase_matrix_sum take one exp per +-gamma pair and two real einsums.
+    _accel.phase_matrix_sum take the phases of the -gamma half as the conjugates
+    of the others, and sum the stack as real GEMMs against cosines and sines.
     """
 
     def __init__(self, store: CoeffStore):
@@ -217,7 +219,8 @@ def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelRepo
     eigenvalues of all its Hermitian parts in one call, H_n at the permuted
     points in one phase sum and the covariance as one stacked tau(w)^T H_n tau(w).
     The covariance permutations are drawn orders outer, points inner.  Every
-    reported float is bit for bit that of a scan one point at a time.
+    reported float is bit for bit that of a scan one point at a time, at any
+    block size and any BLAS thread count.
     """
     orders = list(orders)
     if not orders:

@@ -1,6 +1,7 @@
 """The numeric kernels against results they do not compute themselves."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -38,32 +39,75 @@ def test_phase_matrix_sum_on_a_block_is_each_point_alone():
         assert np.array_equal(got, _accel.phase_matrix_sum(gammas, mats, theta))
 
 
-def _complex_phase_matrix_sum(gammas, mats, theta):
-    """The complex formulation: a phase for each of the K indices, and one
-    complex einsum against the stack cast to complex."""
-    g = np.asarray(gammas, np.float64)
-    block = np.atleast_2d(theta)
-    phases = 1j * (g[None] @ block[:, :, None])[..., 0]
-    np.exp(phases, out=phases)
-    out = np.einsum("pk,kab->pab", phases, mats.astype(np.complex128))
-    return out if np.ndim(theta) == 2 else out[0]
+U = 2.0**-53  # unit roundoff of float64
 
 
-@pytest.mark.parametrize("dim", [2, 5])
-@pytest.mark.parametrize("n_vars, grade", [(5, n) for n in range(6)] + [(6, 3)])
-def test_phase_matrix_sum_is_bit_identical_to_the_complex_sum(n_vars, grade, dim):
-    # real stacks, one exp per +-gamma pair and two real einsums give the floats
-    # of the complex sum, sign bits included
+def _fsum_reference(gammas, mats, thetas):
+    """sum_k exp(i <gamma_k, theta>) mats[k] at each row theta of thetas, every real and
+    imaginary part a math.fsum of cmath.exp phases times the entries, and a bound on its
+    distance from phase_matrix_sum's; both (P, d, d).
+
+    The bound: the exact sum differs from
+    - phase_matrix_sum's by at most u sum_k |a_k| (K + 6N + s_k), its docstring's bound;
+    - this reference by at most u sum_k |a_k| (2 s_k + 5): each float gamma_kj theta_j is
+      off by u |gamma_kj theta_j| and the fsum of the angle by u |angle| <= u s_k, so the
+      angle by 2 u s_k; cmath.exp by 2u per part, under 3u in modulus; each product
+      with a_k by u |a_k|, and the fsum of the products by u sum_k |a_k|;
+    where u = 2**-53, a_k is the entry mats[k, a, b] and s_k = sum_j |gamma_kj theta_j|.
+    Their sum, u sum_k |a_k| (K + 6N + 5 + 3 s_k), leaves out terms of order K u**2,
+    which the factor 1 + 2**-20 covers along with the rounding of the bound itself.
+    """
+    k, n_vars = gammas.shape
+    flat = mats.reshape(k, -1)
+    ref = np.empty((len(thetas), flat.shape[1]), np.complex128)
+    bound = np.empty((len(thetas), flat.shape[1]))
+    for p, theta in enumerate(thetas.tolist()):
+        terms = [[g * t for g, t in zip(gamma, theta)] for gamma in gammas.tolist()]
+        phases = np.array([cmath.exp(1j * math.fsum(row)) for row in terms])
+        ref[p].real = [math.fsum(col) for col in (phases.real[:, None] * flat).T.tolist()]
+        ref[p].imag = [math.fsum(col) for col in (phases.imag[:, None] * flat).T.tolist()]
+        weight = k + 6 * n_vars + 5 + 3 * np.abs(terms).sum(axis=1)
+        bound[p] = (1 + 2**-20) * U * (np.abs(flat) * weight[:, None]).sum(axis=0)
+    return ref.reshape((len(thetas),) + mats.shape[1:]), bound.reshape((len(thetas),) + mats.shape[1:])
+
+
+def _within(got, ref, bound):
+    return bool(np.all(np.abs(got.real - ref.real) <= bound) and np.all(np.abs(got.imag - ref.imag) <= bound))
+
+
+def _fsum_case(n_vars, grade, dim):
     rng = np.random.default_rng(100 * n_vars + 10 * grade + dim)
     gammas = np.array(enumerate_Z(n_vars, grade), dtype=np.int64)
     mats = rng.normal(size=(len(gammas), dim, dim))
     thetas = rng.uniform(-np.pi, np.pi, (33, n_vars))
-    for theta in (thetas[:1], thetas[:32], thetas, thetas[0]):
-        got = _accel.phase_matrix_sum(gammas, mats, theta)
-        expect = _complex_phase_matrix_sum(gammas, mats, theta)
-        assert got.shape == expect.shape
-        assert np.array_equal(got, expect)
-        assert np.array_equal(np.signbit(got.view(float)), np.signbit(expect.view(float)))
+    return gammas, mats, thetas
+
+
+# The name is from when the sum was bit for bit the complex one; it is kept so that these
+# test ids stay.  The test now holds every entry to the bound derived in _fsum_reference.
+@pytest.mark.parametrize("dim", [2, 5])
+@pytest.mark.parametrize("n_vars, grade", [(5, n) for n in range(6)] + [(6, 3)])
+def test_phase_matrix_sum_is_bit_identical_to_the_complex_sum(n_vars, grade, dim):
+    gammas, mats, thetas = _fsum_case(n_vars, grade, dim)
+    ref, bound = _fsum_reference(gammas, mats, thetas)
+    for rows in (slice(0, 1), slice(0, 32), slice(0, 33)):
+        got = _accel.phase_matrix_sum(gammas, mats, thetas[rows])
+        assert got.shape == ref[rows].shape
+        assert _within(got, ref[rows], bound[rows])
+    assert _within(_accel.phase_matrix_sum(gammas, mats, thetas[0]), ref[0], bound[0])
+
+
+@pytest.mark.parametrize("term", [0, 700, 1499])
+def test_the_fsum_bound_sees_an_entry_moved_by_1e_9(term):
+    # the largest case above: 1500 terms, where the bound is loosest
+    gammas, mats, thetas = _fsum_case(5, 5, 5)
+    ref, bound = _fsum_reference(gammas, mats, thetas)
+    assert bound.max() < 1e-9 / 2**0.5  # a move of 1e-9 shifts the real or the imaginary part more
+    moved = mats.copy()
+    moved[term, 1, 3] += 1e-9
+    assert _within(_accel.phase_matrix_sum(gammas, mats, thetas), ref, bound)
+    for theta, r, b in zip(thetas, ref, bound):
+        assert not _within(_accel.phase_matrix_sum(gammas, moved, theta), r, b)
 
 
 def test_phase_matrix_sum_rejects_complex_matrices():

@@ -273,8 +273,9 @@ def test_reports_are_byte_identical():
 
 # sha256 of the stdout of each run, recorded before the Jack polynomials, the pairing and the
 # representation checks moved from Fraction arrays to Scaled carriers (the diffsys run: before
-# the exact connection checks became stacked products); the golden store digests are
-# STORE_DIGESTS in test_coeffs.py
+# the exact connection checks became stacked products; the kernel run and the two verify
+# runs: when the phase sums became fixed-shape GEMMs, which moved their kernel floats by at
+# most 4e-16 and nothing else); the golden store digests are STORE_DIGESTS in test_coeffs.py
 CLI_DIGESTS = {
     ("--shape", "3,2", "rep", "--word", "5,4,3,2,1"):
         "c8f9f666d5740f41338f21fed7eb30b02b39eac6a4b69bf552fe310990ec19a1",
@@ -285,13 +286,13 @@ CLI_DIGESTS = {
     ("--shape", "2,2", "--kappa=-1/5", "gram", "--max-degree", "3"):
         "b4fabed3923434947f6a05e4ceca49101d04f17d4f4c9629f61c16cdb749bea0",
     ("--shape", "2,1", "verify", "--max-degree", "2"):
-        "10e4203a8e3029c7b5fc20354d7b45ee6d5fcef8551277c0e8e6aecdff9b503c",
+        "26bc9fc74135b8effe21311fbedfad8075090d68b0c4c8337f6d822978442536",
     ("--shape", "3,1", "--kappa", "1/4", "verify", "--max-degree", "3"):
-        "5fb5fb65c918c8d3305a75b8bd067c030310847f5c276fe76a66499150ca7823",
+        "0004b41543d5873abdc99b06a0eeb7bfee5e858a01d90f9080f47b955a0cb6a2",
     ("identity", "--N", "4", "--max-order", "6", "--samples", "30"):
         "daded975134d1176d7561cee48beb81459a58b7466a5ecacab33361b873e8d2f",
     ("--shape", "2,1", "--kappa", "1/5", "kernel", "--max-order", "4", "--samples", "40"):
-        "3c678b6c9ad07fc14a616374454f355f0d8221604ef5a6c96d2ce4ca387b733c",
+        "75a94cc32b8ddfb184905e6cefd54db9b54318d684130c94580faa44fd0be191",
     ("--shape", "3,1", "--kappa", "1/4", "diffsys", "--points", "10", "--loop-steps", "2000"):
         "6ef30f3aa1ed259b84afddff8843ba205a78343efc58832d6855a0828c756257",
     ("--shape", "2,2,1", "--kappa=-1/5", "nsjp", "--alpha", "1,0,2,0,1", "--tableau", "4"):
@@ -344,6 +345,8 @@ THREAD_CASES = [
     ("--shape", "3,2", "--kappa", "1/5", "kernel", "--max-order", "3", "--samples", "20"),
     ("--shape", "3,1", "--kappa", "1/4", "diffsys", "--points", "10", "--loop-steps", "2000"),
     ("--shape", "2,1", "verify", "--max-degree", "2"),
+    # d = 16, and grades 2 to 4 take more than one 128-term GEMM per group of points
+    ("--shape", "3,2,1", "--kappa", "1/6", "kernel", "--max-order", "4", "--samples", "40"),
 ]
 
 

@@ -260,6 +260,13 @@ def test_block_scan_is_bit_identical_to_a_scan_point_by_point(request, fc_name, 
     assert rep.worst == {"min_eigenvalue": min(worst.values()), "hermiticity": herm, "covariance": cov}
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_psd_report_does_not_depend_on_the_block_size(fc32, monkeypatch, block):
+    expect = psd_report(fc32.store, [0, 2, 5], 70, seed=3).to_dict()
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    assert psd_report(fc32.store, [0, 2, 5], 70, seed=3).to_dict() == expect
+
+
 def test_psd_report_memory_is_flat_in_the_sample_count():
     # the scan holds one block of points at a time, so eight blocks of samples
     # peak about where one block does
@@ -279,13 +286,13 @@ def test_psd_report_memory_is_flat_in_the_sample_count():
     assert eight <= 1.5 * one, (one, eight)
 
 
-WINDOW_SHAPES = [s.parts for n in range(3, 5) for s in valid_shapes(n)]
+WINDOW_SHAPES = [s.parts for n in range(3, 6) for s in valid_shapes(n)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_kernel_positivity_across_the_window(data):
-    """Every shape with N <= 4, kappa = p/q strictly inside (-1/h, 1/h), orders 1..4."""
+    """Every shape with N <= 5, kappa = p/q strictly inside (-1/h, 1/h), orders 1..4."""
     parts = data.draw(st.sampled_from(WINDOW_SHAPES), label="shape")
     h = Partition(parts).max_hook
     q = data.draw(st.integers(h + 1, 100 * h), label="q")
