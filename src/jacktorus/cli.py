@@ -318,6 +318,11 @@ def _kernel_failures(rep) -> list[str]:
 
 def cmd_kernel(cfg, args) -> int:
     shape, kap = _validated(cfg)
+    listed = sum(compositions.count_Z(shape.N, n) for n in range(args.max_order + 1))
+    if listed > _COUNT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"kernel --max-order {args.max_order} on N = {shape.N} would list {listed} indices, more than {_COUNT_LIMIT}"
+        )
     store = CoeffStore(shape, kap)
     rep = psd_report(store, range(1, args.max_order + 1), args.samples, cfg.seed)
     ok = not _kernel_failures(rep)

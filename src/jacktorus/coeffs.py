@@ -9,11 +9,10 @@ the multiplicity of gamma_1, and is built once per pair and kept.
 
 Only non-increasing indices are stored; the matrix at any other zero-sum
 index delta is sigma(w)^{-1} cA_can sigma(w), can = w.delta its sorted
-representative.  The first lookup of delta canonicalizes and conjugates, and
-the result stays in a memo for the lifetime of the store object, so each
-index is canonicalized and conjugated at most once however many right sides
-read it.  A memo entry is checked against the stored carrier it came from on
-every use, so replacing a stored matrix can never leave a stale one behind.
+representative.  Each ``ensure_grade`` call memoizes the carriers its right
+sides read, and the grade being solved, so it canonicalizes and conjugates
+each index at most once.  No stored matrix changes during the call, so the
+memo never hides a replaced one; it is dropped on return.
 
 Internal carrier: the similarity-transformed matrices
     cA = D^{-1/2} A D^{1/2},   D = diag of tableau norms,
@@ -63,8 +62,6 @@ class CoeffStore:
             0: {zero: tableaux.rep_matrix(shape, perms.identity(shape.N))}
         }
         self.sealed_grade = 0
-        # zero-sum index -> (grade, canonical index, stored carrier, carrier at the index)
-        self._moved: dict[Vec, tuple[int, Vec, Scaled, Scaled]] = {}
         # (g1, m) -> inverse of the left operator g1 I + kappa sum_{l>m} sigma(1,l)
         self._left_inverses: dict[tuple[int, int], Scaled] = {}
 
@@ -75,27 +72,33 @@ class CoeffStore:
     # -- solving ---------------------------------------------------------
 
     def ensure_grade(self, n: int) -> "CoeffStore":
+        """Seal every grade up to n under one memo of the carriers their right sides read."""
+        memo: dict[Vec, Scaled] = {}
         while self.sealed_grade < n:
-            self.solve_grade(self.sealed_grade + 1)
+            self.solve_grade(self.sealed_grade + 1, memo)
         return self
 
-    def solve_grade(self, n: int) -> "CoeffStore":
-        """Seal grade n; grades below must already be sealed."""
+    def solve_grade(self, n: int, memo: dict[Vec, Scaled] | None = None) -> "CoeffStore":
+        """Seal grade n; grades below must already be sealed.
+
+        memo (zero-sum index -> carrier) is the calling ``ensure_grade``'s memo;
+        each index of grade n enters it once solved.  Called alone: a fresh one.
+        """
         if n <= self.sealed_grade:
             return self
         if n != self.sealed_grade + 1:
             raise ValueError(f"grade {n - 1} not sealed yet")
+        memo = {} if memo is None else memo
         reps = compositions.canonical_Z(self.N, n)
         # group by the negative part; solve each group triangular-ascending
         # in the positive part so every same-grade lookup is already known
         groups: dict[Vec, list[Vec]] = {}
         for g in reps:
             groups.setdefault(compositions.split_pi_nu(g)[1], []).append(g)
-        current: dict[Vec, Scaled] = {}
         for nu in sorted(groups):
             for gamma in self._class_order(groups[nu]):
-                current[gamma] = self._solve_one(gamma, current)
-        self.grades[n] = current
+                memo[gamma] = self._solve_one(gamma, memo)
+        self.grades[n] = {g: memo[g] for g in reps}
         self.sealed_grade = n
         return self
 
@@ -109,7 +112,7 @@ class CoeffStore:
             block, key=lambda g: compositions.prefix_key(compositions.split_pi_nu(g)[0])
         )
 
-    def _solve_one(self, gamma: Vec, current: dict[Vec, Scaled]) -> Scaled:
+    def _solve_one(self, gamma: Vec, memo: dict[Vec, Scaled]) -> Scaled:
         """Assemble the right side at a sorted index and apply the inverse left operator."""
         kap = self.kappa.value
         g1 = gamma[0]
@@ -118,10 +121,10 @@ class CoeffStore:
         for j in range(m + 1, self.N + 1):
             gj = gamma[j - 1]
             sig = tableaux.transposition_matrix(self.shape, 1, j)
-            left = self._line_sum(gamma, j, g1 - 1 - max(gj, 0), current)
+            left = self._line_sum(gamma, j, g1 - 1 - max(gj, 0), memo)
             if left is not None:
                 terms.append(sig @ left)
-            right = self._line_sum(gamma, j, -gj, current)
+            right = self._line_sum(gamma, j, -gj, memo)
             if right is not None:
                 terms.append(right @ sig)
         rhs = total(terms) * -kap
@@ -146,48 +149,38 @@ class CoeffStore:
         inv = self._left_inverses[(g1, m)] = (conj @ inner @ conj).reduced()
         return inv
 
-    def _line_sum(self, gamma: Vec, j: int, last: int, current) -> Scaled | None:
+    def _line_sum(self, gamma: Vec, j: int, last: int, memo: dict[Vec, Scaled]) -> Scaled | None:
         """Sum of cA over gamma + l(e_j - e_1) for l = 1..last; None when empty."""
         if last < 1:
             return None
-        return total([self._fetch(_move(gamma, j, 1, ell), current) for ell in range(1, last + 1)])
+        return total([self._fetch(_move(gamma, j, 1, ell), memo) for ell in range(1, last + 1)])
 
-    def _fetch(self, delta: Vec, current: dict[Vec, Scaled] | None) -> Scaled:
+    def _fetch(self, delta: Vec, memo: dict[Vec, Scaled]) -> Scaled:
         """Carried matrix at an arbitrary zero-sum index: sigma(w)^{-1} cA_can sigma(w), can = w.delta.
 
-        The first fetch of delta canonicalizes it and conjugates the stored
-        carrier; the result is kept in a memo that lives as long as the store
-        object, so each index is canonicalized and conjugated at most once.  A
-        memo entry is used only while its grade still holds the very carrier
-        it was made from, so a replaced stored matrix is never hidden.
+        A miss canonicalizes delta, conjugates the carrier at can (from the memo
+        or a sealed grade) and keeps the result in the memo.  Lookups from
+        outside the recurrence pass an empty one, so nothing is kept.
         """
-        hit = self._moved.get(delta)
-        if hit is not None and self._stored(hit[0], hit[1], current) is hit[2]:
-            return hit[3]
+        mat = memo.get(delta)
+        if mat is not None:
+            return mat
         can, w = compositions.canonicalize(delta)
         s = compositions.grade(can)
-        stored = self._stored(s, can, current)
+        stored = memo.get(can) or self.grades.get(s, {}).get(can)
         if stored is None:
-            raise AssertionError(
-                f"lookup of {delta} (canonical {can}, grade {s}) before it was solved"
-            )
+            raise AssertionError(f"lookup of {delta} (canonical {can}, grade {s}) before it was solved")
         mat = stored
         if not perms.is_identity(w):
             sig = tableaux.rep_matrix(self.shape, w)
             mat = (tableaux.rep_matrix(self.shape, perms.inverse(w)) @ stored @ sig).reduced()
-        self._moved[delta] = (s, can, stored, mat)
+        memo[delta] = mat
         return mat
-
-    def _stored(self, s: int, can: Vec, current: dict[Vec, Scaled] | None) -> Scaled | None:
-        """The solved carrier at a canonical index of grade s; None when it is not solved yet."""
-        if s <= self.sealed_grade:
-            return self.grades[s].get(can)
-        return None if current is None else current.get(can)
 
     def _carrier(self, gamma: Vec) -> Scaled:
         """cA at a zero-sum index, solving the grades it needs first."""
         self.ensure_grade(compositions.grade(gamma))
-        return self._fetch(gamma, None)
+        return self._fetch(gamma, {})
 
     # -- lookups ---------------------------------------------------------
 

@@ -229,6 +229,7 @@ def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelRepo
         raise ValueError(f"psd_report needs distinct nonnegative orders, got {orders}")
     if samples < 1:
         raise ValueError(f"psd_report needs at least one sample point, got {samples}")
+    store.ensure_grade(max(orders))  # every grade under one memo, not one grade per call
     fc = FloatCoeffs(store)
     thetas = _sample_angles(store.N, samples, seed)
     rng = np.random.default_rng(seed + 1)

@@ -7,11 +7,10 @@ adjacent-transposition steps, and every constructed node is memoized.  Each
 edge is built in one pass: a step s_i f - (kappa/gap) f sums both
 contributions to an exponent and reduces each coefficient once, and a jump
 moves sigma(w0^-1) v to its shifted exponent, reduced once.  The reduced
-integer carriers are what ``torusform.gram`` multiplies exactly on int64
-limbs (every partial sum below 2^62, numpy's single-threaded integer loop,
-so independent of the BLAS thread count).  The divisions performed by
-exponent steps are guarded at runtime: if two adjacent spectral entries
-collide the build aborts rather than silently producing a wrong polynomial.
+integer carriers are what ``torusform.gram`` multiplies exactly (see
+``tableaux.int_matmul``).  The divisions performed by exponent steps are
+guarded at runtime: if two adjacent spectral entries collide the build
+aborts rather than silently producing a wrong polynomial.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jacktorus
 from jacktorus.cli import build_parser, main
 from jacktorus.coeffs import CoeffStore
 from jacktorus.tableaux import Scaled
@@ -156,6 +159,11 @@ def test_usage_error_exit_code():
             None,
             "--alpha 0,0,330 needs 54286648 edge-exponent pairs, more than 1000000",
         ),
+        (
+            ["--shape", "3,2,1", "kernel", "--max-order", "20"],
+            None,
+            "kernel --max-order 20 on N = 6 would list 7638259 indices, more than 1000000",
+        ),
     ],
     ids=[
         "shape-flag",
@@ -193,6 +201,7 @@ def test_usage_error_exit_code():
         "count-too-many-vectors",
         "identity-too-many-vectors",
         "nsjp-too-many-edges",
+        "kernel-too-many-indices",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
@@ -238,6 +247,28 @@ def test_identity_below_the_vector_limit_runs(monkeypatch, capsys):
     code = main(["identity", "--N", "12", "--max-order", "4", "--samples", "1"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["results"]["passed"]
+
+
+def test_kernel_below_the_index_limit_runs(monkeypatch, capsys):
+    from jacktorus import cli
+    from jacktorus.kernels import KernelReport
+
+    def report(store, orders, samples, seed):
+        # 951,705 indices to order 13: under the limit; the scan itself is not run here
+        return KernelReport(
+            shape=store.shape.parts,
+            kappa=str(store.kappa.value),
+            orders=list(orders),
+            samples=samples,
+            seed=seed,
+            min_eigenvalues={n: 0.5 for n in orders},
+            worst={"min_eigenvalue": 0.5, "hermiticity": 0.0, "covariance": 0.0},
+        )
+
+    monkeypatch.setattr(cli, "psd_report", report)
+    code = main(["--shape", "3,2,1", "kernel", "--max-order", "13", "--samples", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["results"]["report"]["orders"] == list(range(1, 14))
 
 
 def test_diffsys_subcommand(capsys):
@@ -410,6 +441,18 @@ def test_kernel_fails_on_covariance_residual(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["results"]["passed"] is False
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips asserts, so a check written as one would pass vacuously
+    paths = sorted(Path(jacktorus.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(paths) > 10 and found == []
 
 
 def test_verify_fails_under_optimize():

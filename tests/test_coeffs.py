@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacktorus import perms
+from jacktorus import coeffs, perms
 from jacktorus.coeffs import CoeffStore
 from jacktorus.compositions import canonicalize, enumerate_Z, sort_desc, split_pi_nu
 from jacktorus.errors import PoleExcluded, StoreCorrupt
@@ -471,14 +472,13 @@ def test_memoized_moved_carriers_match_a_direct_conjugation(tmp_path_factory, ca
         deltas = [d for n in range(top + 1) for d in enumerate_Z(shape.N, n)]
         rnd.shuffle(deltas)
         got = {d: store.coeff(d) for d in deltas}
-        # a second pass reads every index from the memo
         rnd.shuffle(deltas)
         again = {d: store.coeff(d) for d in deltas}
         expected = _direct_conjugates(store, top)
         assert got.keys() == expected.keys()
         for d in deltas:
             assert got[d] == expected[d], (shape.parts, d)
-            assert again[d] is got[d]
+            assert again[d] == got[d]
     assert all(extended.grades[n] == fresh.grades[n] for n in range(top + 1))
 
 
@@ -490,3 +490,38 @@ def test_a_replaced_stored_matrix_reaches_every_moved_index(shape21, kappa21):
     assert len(moved) == 3
     for d in moved:
         assert store.coeff(d) == before[d] * 2
+
+
+@pytest.mark.parametrize("parts, top", [((2, 1), 3), ((2, 2, 1), 2)])
+def test_lookups_keep_no_per_index_state(parts, top):
+    shape = Partition(parts)
+    store = CoeffStore(shape, default_kappa(parts)).ensure_grade(top)
+
+    def sizes():
+        attrs = {name: len(val) for name, val in vars(store).items() if isinstance(val, dict)}
+        return attrs, {n: len(grade) for n, grade in store.grades.items()}
+
+    before = sizes()
+    for n in range(top + 1):
+        for delta in enumerate_Z(shape.N, n):
+            store.coeff(delta)
+            store.pairing_matrix(delta)
+    assert sizes() == before
+
+
+def test_one_ensure_grade_call_canonicalizes_each_index_at_most_once(tmp_path, monkeypatch):
+    shape = Partition((3, 1, 1))
+    kappa = default_kappa(shape.parts)
+    path = tmp_path / "store.json"
+    CoeffStore(shape, kappa).ensure_grade(2).save(path)
+    calls = Counter()
+
+    def counting(delta):
+        calls[delta] += 1
+        return canonicalize(delta)
+
+    monkeypatch.setattr(coeffs.compositions, "canonicalize", counting)
+    for store in (CoeffStore(shape, kappa), CoeffStore.load(path, kappa)):
+        calls.clear()
+        store.ensure_grade(4)
+        assert calls and max(calls.values()) == 1, calls.most_common(3)
