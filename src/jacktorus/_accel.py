@@ -105,8 +105,16 @@ def rk4_transport(theta0, theta1, steps, kappa, gconst, pair_mats, pair_i, pair_
     pair_mats[p] is the transposition matrix for the pair (pair_i[p], pair_j[p]);
     the connection is
         conn = sum_p pair_mats[p] (dx_i - dx_j)/(x_i - x_j) - gconst (sum_j dx_j/x_j) I,
-    where sum_j dx_j/x_j = i sum_j dtheta_j.  The field is linear in L, so the
-    classical RK4 step with A = kappa conn is L -> L P_k, where
+    where sum_j dx_j/x_j = i sum_j dtheta_j.  With x_j = exp(i theta_j),
+        (dx_i - dx_j)/(x_i - x_j) = i (dtheta_i + dtheta_j)/2
+                                    + (dtheta_i - dtheta_j)/2 cot((theta_i - theta_j)/2),
+    so A = kappa conn is a constant matrix plus, for the moving pairs only (those
+    with dtheta_i != dtheta_j), the real rate kappa (dtheta_i - dtheta_j)/2 cot(...)
+    times pair_mats[p].  A block of steps takes A at all its times from one real
+    product of those rates with the moving pairs' matrices, as (m, 2 d*d) floats
+    (real and imaginary parts interleaved).
+
+    The field is linear in L, so the classical RK4 step is L -> L P_k, where
         P_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4),   B2 = (I + h/2 A0) A1,
         B3 = (I + h/2 B2) A1,   B4 = (I + h B3) A2,
     and A0, A1, A2 are A at t_k, t_k + h/2 and t_k + h.
@@ -114,17 +122,23 @@ def rk4_transport(theta0, theta1, steps, kappa, gconst, pair_mats, pair_i, pair_
     theta0 = np.asarray(theta0, np.float64)
     dtheta = np.asarray(theta1, np.float64) - theta0
     pair_mats = np.asarray(pair_mats, np.complex128)
-    eye = np.eye(pair_mats.shape[1], dtype=np.complex128)
-    shift = kappa * gconst * 1j * dtheta.sum() * eye
+    d = pair_mats.shape[1]
+    eye = np.eye(d, dtype=np.complex128)
+    half_sum = (dtheta[pair_i] + dtheta[pair_j]) / 2
+    half_diff = (dtheta[pair_i] - dtheta[pair_j]) / 2
+    const = np.tensordot(1j * kappa * half_sum, pair_mats, 1) - (1j * kappa * gconst * dtheta.sum()) * eye
+    moving = np.flatnonzero(half_diff)
+    rate = half_diff[moving]
+    half_angle = (theta0[pair_i] - theta0[pair_j])[moving] / 2
+    flat = np.ascontiguousarray(pair_mats[moving]).reshape(len(moving), d * d).view(np.float64)
     h = 1.0 / steps
     el = eye
     for k0 in range(0, steps, _BLOCK):
         nb = min(_BLOCK, steps - k0)
         t = (2 * k0 + np.arange(2 * nb + 1)) * (h / 2)
-        x = np.exp(1j * (theta0 + t[:, None] * dtheta))
-        dx = 1j * dtheta * x
-        w = (dx[:, pair_i] - dx[:, pair_j]) / (x[:, pair_i] - x[:, pair_j])
-        a = np.einsum("tp,pab->tab", kappa * w, pair_mats) - shift
+        angle = half_angle + t[:, None] * rate
+        f = kappa * rate * np.cos(angle) / np.sin(angle)
+        a = const + (f @ flat).view(np.complex128).reshape(-1, d, d)
         a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
         b2 = a1 + (h / 2) * a0 @ a1
         b3 = a1 + (h / 2) * b2 @ a1

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,10 @@ _SESSION_KEYS = ("shape", "kappa", "max_grade", "seed", "out")
 # the most vectors `count` or `identity` lists, and the most edge-exponent
 # pairs (path length times the exponents of the built degree) `nsjp` builds
 _COUNT_LIMIT = 10**6
+
+# the coordinates of the exact connection checks' sample points, sorted: the
+# distinct nonzero a/b with |a| <= 12, 1 <= b <= 6 (92 of them)
+_REGULAR_VALUES = tuple(sorted({Fraction(a, b) for a in range(-12, 13) if a for b in range(1, 7)}))
 
 
 @dataclass
@@ -352,7 +357,7 @@ def cmd_identity(cfg, args) -> int:
 
 def cmd_diffsys(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    exact_zero = _connection_exact(np.random.default_rng(cfg.seed), args.points, shape, kap) is None
+    exact_zero = _connection_exact(random.Random(cfg.seed), args.points, shape, kap) is None
     results = {
         "gamma": str(gamma_const(shape)),
         "points": args.points,
@@ -370,21 +375,22 @@ def cmd_diffsys(cfg, args) -> int:
     return _emit("diffsys", cfg, results, code=0 if exact_zero else 1)
 
 
-def _random_regular(rng, n: int):
-    while True:
-        vals = [Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 7))) for _ in range(n)]
-        if 0 not in vals and len(set(vals)) == n:
-            return tuple(vals)
-
-
-def _connection_exact(rng, points: int, shape, kap) -> str | None:
+def _connection_exact(rng: random.Random, points: int, shape, kap) -> str | None:
     """The first nonzero exact residual at random regular rational points, or None.
 
-    At each point: the Euler identity, then the integrability of every pair i < j.
+    A point is N distinct values of _REGULAR_VALUES drawn by rng, so it has no
+    zero and no repeated coordinate, and N above len(_REGULAR_VALUES) is a usage
+    error when there is a point to draw.  At each point: the Euler identity,
+    then the integrability of every pair i < j.
     """
+    if points and shape.N > len(_REGULAR_VALUES):
+        raise argparse.ArgumentTypeError(
+            f"the exact connection check draws N = {shape.N} distinct coordinates from only "
+            f"{len(_REGULAR_VALUES)} values a/b, 0 < |a| <= 12, 1 <= b <= 6"
+        )
     pairs = list(itertools.combinations(range(1, shape.N + 1), 2))
     for _ in range(points):
-        x = _random_regular(rng, shape.N)
+        x = tuple(rng.sample(_REGULAR_VALUES, shape.N))
         m = connections(x, shape)
         if euler_residual(x, m).num.any():
             return f"Euler residual at {x}"
@@ -475,7 +481,7 @@ def cmd_verify(cfg, args) -> int:
         return rep.worst
 
     def diffsys_suite():
-        failure = _connection_exact(np.random.default_rng(cfg.seed), 5, shape, kap)
+        failure = _connection_exact(random.Random(cfg.seed), 5, shape, kap)
         _require(failure is None, failure)
         return "exact at 5 random rational points"
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from jacktorus import _accel
+from jacktorus import _accel, diffsystem
 from jacktorus.compositions import enumerate_Z
+from jacktorus.tableaux import Partition
 
 
 def _phase(gamma, theta) -> complex:
@@ -207,6 +208,49 @@ def test_rk4_matches_stepwise_reference_for_noncommuting_field(steps):
     theta0 = rng.uniform(0, 2, 3)
     theta1 = theta0 + rng.uniform(0.1, 0.3, 3)
     mats = rng.normal(size=(3, 2, 2)).astype(np.complex128)
+    pi, pj = np.array([0, 0, 1]), np.array([1, 2, 2])
+    got = _accel.rk4_transport(theta0, theta1, steps, 0.25, 0.7, mats, pi, pj)
+    expect = _rk4_reference(theta0, theta1, steps, 0.25, 0.7, mats, pi, pj)
+    assert np.max(np.abs(got - expect)) < 1e-12
+
+
+def test_pair_quotient_is_the_half_sum_plus_the_cotangent_term():
+    # (dx_i - dx_j)/(x_i - x_j) = i (dtheta_i + dtheta_j)/2 + (dtheta_i - dtheta_j)/2 cot((theta_i - theta_j)/2)
+    rng = np.random.default_rng(6)
+    theta = rng.uniform(-np.pi, np.pi, (2, 1000))
+    dtheta = rng.normal(size=(2, 1000))
+    x = np.exp(1j * theta)
+    dx = 1j * dtheta * x
+    quotient = (dx[0] - dx[1]) / (x[0] - x[1])
+    half = (theta[0] - theta[1]) / 2
+    identity = 1j * (dtheta[0] + dtheta[1]) / 2 + (dtheta[0] - dtheta[1]) / 2 * np.cos(half) / np.sin(half)
+    assert np.all(np.abs(identity - quotient) <= 1e-12 * (1 + np.abs(quotient)))
+
+
+@pytest.mark.parametrize("steps", [1, 256, 257, 700])
+def test_rk4_matches_stepwise_reference_when_some_pairs_do_not_move(steps):
+    # the (3,1) transpositions; pairs (1,2) and (3,4) keep their angle difference, so their
+    # quotient is the constant i (dtheta_i + dtheta_j)/2: 0.25i for (1,2), 0 for (3,4).  The
+    # angles are dyadic, so the differences are exact and those two pairs do not move at all.
+    shape = Partition((3, 1))
+    mats, pi, pj = diffsystem._pair_arrays(shape)
+    assert not np.iscomplex(mats).any()
+    theta0 = np.array([0.0, 1.5, 3.0, 4.5])
+    theta1 = np.array([0.25, 1.75, 3.0, 4.5])
+    dtheta = theta1 - theta0
+    assert np.flatnonzero(dtheta[pi] == dtheta[pj]).tolist() == [0, 5]
+    kappa, g = 0.25, float(diffsystem.gamma_const(shape))
+    got = _accel.rk4_transport(theta0, theta1, steps, kappa, g, mats, pi, pj)
+    expect = _rk4_reference(theta0, theta1, steps, kappa, g, mats, pi, pj)
+    assert np.max(np.abs(got - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 257])
+def test_rk4_keeps_the_imaginary_part_of_complex_pair_matrices(steps):
+    rng = np.random.default_rng(7)
+    theta0 = rng.uniform(0, 2, 3)
+    theta1 = theta0 + np.array([0.25, 0.1, 0.1])
+    mats = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
     pi, pj = np.array([0, 0, 1]), np.array([1, 2, 2])
     got = _accel.rk4_transport(theta0, theta1, steps, 0.25, 0.7, mats, pi, pj)
     expect = _rk4_reference(theta0, theta1, steps, 0.25, 0.7, mats, pi, pj)

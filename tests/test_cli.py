@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -287,6 +288,53 @@ def test_diffsys_loop_stays_clear_for_four_variables(capsys):
     assert doc["results"]["loop_defect"] < 1e-6
 
 
+def test_diffsys_on_more_variables_than_sample_values_is_a_usage_error():
+    # a point needs N distinct coordinates out of 92 values, so N = 93 cannot be sampled
+    out = subprocess.run(
+        [*RUN, "--shape", "92,1", "diffsys", "--points", "1"], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.endswith(
+        "jacktorus: error: the exact connection check draws N = 93 distinct coordinates from only "
+        "92 values a/b, 0 < |a| <= 12, 1 <= b <= 6\n"
+    )
+    # without a point to draw, the check and the report go ahead
+    out = subprocess.run(
+        [*RUN, "--shape", "92,1", "diffsys", "--points", "0"], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0 and json.loads(out.stdout)["results"]["points"] == 0
+
+
+def test_verify_reports_too_few_sample_values_as_the_diffsys_failure(monkeypatch, capsys):
+    from jacktorus import cli
+
+    monkeypatch.setattr(cli, "_REGULAR_VALUES", cli._REGULAR_VALUES[:2])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--shape", "2,1", "--kappa", "1/4", "diffsys", "--points", "1"])
+    assert exit_info.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1].removeprefix("jacktorus: error: ")
+    assert message.startswith("the exact connection check draws N = 3 distinct coordinates from only 2 values")
+    code = main(["--shape", "2,1", "--kappa", "1/4", "verify", "--max-degree", "1"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["results"]["checks"]}
+    assert code == 1
+    assert [name for name, c in checks.items() if not c["passed"]] == ["diffsys"]
+    assert checks["diffsys"]["detail"] == f"ArgumentTypeError: {message}"
+
+
+def test_diffsys_does_not_import_numpy_random():
+    # the exact check's points come from the stdlib generator; numpy.random costs import time and memory
+    probe = (
+        "import contextlib, io, sys\n"
+        "from jacktorus.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--shape', '3,1', '--kappa', '1/4', 'diffsys', '--points', '5', '--loop-steps', '300'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0 False"
+
+
 def test_verify_green(capsys):
     code = main(["--shape", "2,1", "--kappa", "1/4", "verify", "--max-degree", "2"])
     doc = json.loads(capsys.readouterr().out)
@@ -303,10 +351,12 @@ def test_reports_are_byte_identical():
 
 
 # sha256 of the stdout of each run, recorded before the Jack polynomials, the pairing and the
-# representation checks moved from Fraction arrays to Scaled carriers (the diffsys run: before
-# the exact connection checks became stacked products; the kernel run and the two verify
-# runs: when the phase sums became fixed-shape GEMMs, which moved their kernel floats by at
-# most 4e-16 and nothing else); the golden store digests are STORE_DIGESTS in test_coeffs.py
+# representation checks moved from Fraction arrays to Scaled carriers (the diffsys run: when
+# the RK4 connection field became one real product per block, which moved its loop_defect by
+# 2.0e-22, its transported entries by at most 7.2e-18 and nothing else; the kernel run and the
+# two verify runs: when the phase sums became fixed-shape GEMMs, which moved their kernel
+# floats by at most 4e-16 and nothing else); the golden store digests are STORE_DIGESTS in
+# test_coeffs.py
 CLI_DIGESTS = {
     ("--shape", "3,2", "rep", "--word", "5,4,3,2,1"):
         "c8f9f666d5740f41338f21fed7eb30b02b39eac6a4b69bf552fe310990ec19a1",
@@ -325,7 +375,7 @@ CLI_DIGESTS = {
     ("--shape", "2,1", "--kappa", "1/5", "kernel", "--max-order", "4", "--samples", "40"):
         "75a94cc32b8ddfb184905e6cefd54db9b54318d684130c94580faa44fd0be191",
     ("--shape", "3,1", "--kappa", "1/4", "diffsys", "--points", "10", "--loop-steps", "2000"):
-        "6ef30f3aa1ed259b84afddff8843ba205a78343efc58832d6855a0828c756257",
+        "b356f3d94821f7ce9653a4b1fb307ab102d0bc84efd03866f21713f1f2cb4de0",
     ("--shape", "2,2,1", "--kappa=-1/5", "nsjp", "--alpha", "1,0,2,0,1", "--tableau", "4"):
         "4ff6520d3ecf44c20f9a0e4d5527c5d4b4bfef5b049b19d41bb38c377dfa8186",
     # 175-row degree-3 blocks: the exact products take more than one int64 limb
@@ -378,6 +428,8 @@ THREAD_CASES = [
     ("--shape", "2,1", "verify", "--max-degree", "2"),
     # d = 16, and grades 2 to 4 take more than one 128-term GEMM per group of points
     ("--shape", "3,2,1", "--kappa", "1/6", "kernel", "--max-order", "4", "--samples", "40"),
+    # d = 16: each RK4 block's (513, 15) by (15, 512) field product is one OpenBLAS may thread
+    ("--shape", "3,2,1", "--kappa", "1/6", "diffsys", "--points", "2", "--loop-steps", "4000"),
 ]
 
 
@@ -492,8 +544,6 @@ def test_verify_checks_every_pair_of_connection_matrices(monkeypatch, capsys):
 
 
 def test_connection_check_reports_euler_first_then_the_first_pair(monkeypatch):
-    import numpy as np
-
     from jacktorus import cli
     from jacktorus.scalars import make_kappa
     from jacktorus.tableaux import Partition, Scaled
@@ -511,7 +561,7 @@ def test_connection_check_reports_euler_first_then_the_first_pair(monkeypatch):
         return bump(bump(exact_pairs(m, kappa), (1, 0, 0)), (2, 1, 1))
 
     def check():
-        return cli._connection_exact(np.random.default_rng(3), 2, shape, kap)
+        return cli._connection_exact(random.Random(3), 2, shape, kap)
 
     monkeypatch.setattr(cli, "integrability_residual", two_pairs_fail)
     assert check().startswith("integrability residual of (1, 3) at")
