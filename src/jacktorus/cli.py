@@ -39,7 +39,6 @@ from .diffsystem import (
 )
 from .errors import JackTorusError, VerificationFailed, WriteFailed
 from .kernels import _sample_angles, psd_report, sigma_identity_residual
-from .laurent import cherednik
 from .scalars import default_kappa, make_kappa
 from .tableaux import Partition, Scaled
 from .torusform import FormContext, gram, nsjp_norm
@@ -446,15 +445,7 @@ def cmd_verify(cfg, args) -> int:
         return "counts match enumeration for n <= 4"
 
     def eigen_suite():
-        total = 0
-        for dd in range(degree + 1):
-            for node in graph.build_degree(dd):
-                for i in range(1, shape.N + 1):
-                    _require(
-                        cherednik(i, node.poly) == node.poly.scale(node.spectral[i - 1]),
-                        f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}",
-                    )
-                total += 1
+        total = graph.check_eigen(degree)
         graph.check_genericity(degree)
         return f"{total} nodes eigen-checked to degree {degree}"
 

@@ -31,12 +31,8 @@ def sort_desc(alpha: Vec) -> Vec:
     return tuple(sorted(alpha, reverse=True))
 
 
-def phi(alpha: Vec) -> Vec:
-    """Affine rotation (a_1, ..., a_N) -> (a_2, ..., a_N, a_1 + 1)."""
-    return alpha[1:] + (alpha[0] + 1,)
-
-
 def phi_inverse(alpha: Vec) -> Vec:
+    """Inverse of the affine rotation (a_1, ..., a_N) -> (a_2, ..., a_N, a_1 + 1)."""
     return (alpha[-1] - 1,) + alpha[:-1]
 
 

@@ -43,10 +43,6 @@ class BadSupport(JackTorusError, ValueError):
     """Support pattern of a vector violates the operation's precondition."""
 
 
-class LaurentInput(JackTorusError, ValueError):
-    """A polynomial-only operator received a term with a negative exponent."""
-
-
 class SingularPoint(JackTorusError, ValueError):
     """Connection evaluated at a point with x_i = x_j or x_i = 0."""
 

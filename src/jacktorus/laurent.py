@@ -1,32 +1,26 @@
-"""Sparse vector-valued Laurent polynomials and the divided-difference operators.
+"""Sparse vector-valued Laurent polynomials, their integer columns and the Cherednik-Dunkl matrices.
 
 A polynomial is a map exponent-vector -> coefficient vector, the coefficient
 living in the tableau basis of the module and held as a reduced
 ``tableaux.Scaled``: Python ints over one positive denominator.  The
 constructor reduces every coefficient it is given; ``copy``,
 ``monomial_mul`` and ``e_shift`` only move terms that are already reduced,
-so they keep the carriers as they are.  Those carriers are the integer
-columns ``torusform.gram`` multiplies exactly on float64 limbs, every partial
-sum an integer below 2^53 that float64 holds exactly, so the result is the
-same in any summation order and for any BLAS thread count;
-``torusform.pair`` stays on object products as the oracle.
-Divided differences are expanded termwise by the geometric-sum identity
-
-    (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j)
-        = sgn(a - b) * sum of x_i^p x_j^q over p + q = a + b - 1,
-          min(a,b) <= p, q <= max(a,b) - 1,
-
-never by polynomial division, so exactness and sparsity are preserved.
+so they keep the carriers as they are.  ``columns`` lays the terms of one
+degree out as one integer matrix C (a row block per exponent, a column per
+polynomial) and ``cherednik_matrix`` gives U_i on those rows as one integer
+matrix: ``torusform.gram`` pairs C as C^T (P C) and
+``ybgraph.NsjpGraph.check_eigen`` checks U_i C = C diag(xi_i), both exactly
+on float64 limbs by ``tableaux.int_matmul``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import perms, tableaux
-from .errors import LaurentInput
 from .perms import Perm
 from .scalars import KappaParam
 from .tableaux import Partition, Scaled, total
@@ -64,12 +58,6 @@ class VVLaurent:
     @property
     def N(self) -> int:
         return self.shape.N
-
-    def is_polynomial(self) -> bool:
-        return all(min(a) >= 0 for a in self.terms)
-
-    def degrees(self) -> set[int]:
-        return {sum(a) for a in self.terms}
 
     def copy(self) -> "VVLaurent":
         return VVLaurent._of_reduced(self.shape, self.kappa, dict(self.terms))
@@ -145,38 +133,49 @@ def e_shift(m: int, f: VVLaurent) -> VVLaurent:
     return f.monomial_mul((m,) * f.N)
 
 
-def dunkl(i: int, f: VVLaurent) -> VVLaurent:
-    """Degree-lowering Dunkl operator in coordinate i on polynomial input."""
-    if not f.is_polynomial():
-        raise LaurentInput("Dunkl operator is defined on polynomials only")
-    n = f.N
-    kap = f.kappa.value
-    out = VVLaurent(f.shape, f.kappa)
-    for alpha, v in f.terms.items():
-        a_i = alpha[i - 1]
-        if a_i > 0:
-            out._add_term(alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * a_i)
-        for j in range(1, n + 1):
-            if j == i or alpha[j - 1] == alpha[i - 1]:
-                continue
-            a, b = alpha[i - 1], alpha[j - 1]
-            sv = (tableaux.transposition_matrix(f.shape, i, j) @ v) * (kap if a > b else -kap)
-            base = list(alpha)
+def columns(parts: list[dict[Vec, Scaled]], dim: int) -> tuple[list[Vec], np.ndarray, list[int]]:
+    """Term maps of one degree as integer columns, one per map.
+
+    Returns the sorted union of their exponents, the Python-int matrix with
+    one block of dim rows per exponent, and each column's scale: the lcm of
+    its denominators, which its entries are multiplied by.
+    """
+    exps = sorted({alpha for terms in parts for alpha in terms})
+    row = {alpha: r * dim for r, alpha in enumerate(exps)}
+    cmat = np.zeros((len(exps) * dim, len(parts)), dtype=object)
+    scales = [math.lcm(*(v.den for v in terms.values())) for terms in parts]
+    for c, terms in enumerate(parts):
+        for alpha, v in terms.items():
+            cmat[row[alpha] : row[alpha] + dim, c] = v.num * (scales[c] // v.den)
+    return exps, cmat, scales
+
+
+def cherednik_matrix(shape: Partition, kappa: KappaParam, exps: list[Vec], i: int) -> Scaled:
+    """U_i = D_i x_i - kappa sum_{j<i} (i j) as one matrix on the rows of ``columns`` over exps.
+
+    U_i must map exps into itself, as it does all compositions of one degree (a
+    target outside raises KeyError).  With a = alpha_i + 1 and b = alpha_j, the
+    column block of alpha is a I on its own row (from D_i x_i^a), kappa sigma(i j)
+    times (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j) = sgn(a - b) sum of
+    x_i^p x_j^(a+b-1-p) over min(a, b) <= p < max(a, b) for each j != i, and
+    -kappa sigma(i j) at (i j) alpha for j < i, over den = kappa.den lcm_j sigma(i j).den.
+    """
+    dim, kap = shape.dim, kappa.value
+    sigma = {j: tableaux.transposition_matrix(shape, i, j) for j in range(1, shape.N + 1) if j != i}
+    den = kap.denominator * math.lcm(*(m.den for m in sigma.values()))
+    blocks = {j: m.num * (kap.numerator * (den // (kap.denominator * m.den))) for j, m in sigma.items()}
+    row = {alpha: r * dim for r, alpha in enumerate(exps)}
+    out = np.diag(np.array([(alpha[i - 1] + 1) * den for alpha in exps for _ in range(dim)], dtype=object))
+    for alpha, c in row.items():
+        a = alpha[i - 1] + 1
+        for j, block in blocks.items():
+            b = alpha[j - 1]
+            target = list(alpha)
             for p in range(min(a, b), max(a, b)):
-                base[i - 1] = p
-                base[j - 1] = a + b - 1 - p
-                out._add_term(tuple(base), sv)
-    return out
-
-
-def cherednik(i: int, f: VVLaurent) -> VVLaurent:
-    """Degree-preserving Cherednik-Dunkl operator U_i."""
-    if not f.is_polynomial():
-        raise LaurentInput("Cherednik-Dunkl operator is defined on polynomials only")
-    e_i = tuple(1 if k == i - 1 else 0 for k in range(f.N))
-    out = dunkl(i, f.monomial_mul(e_i))
-    kap = f.kappa.value
-    for j in range(1, i):
-        out = out + group_action(perms.transposition(f.N, i, j), f).scale(-kap)
-    return out
-
+                target[i - 1], target[j - 1] = p, a + b - 1 - p
+                r = row[tuple(target)]
+                out[r : r + dim, c : c + dim] += block if a > b else -block
+            if j < i:
+                r = row[perms.act(perms.transposition(shape.N, i, j), alpha)]
+                out[r : r + dim, c : c + dim] -= block
+    return Scaled(out, den)

@@ -26,6 +26,7 @@ from . import compositions
 from .coeffs import CoeffStore
 from .compositions import Vec
 from .errors import SpectralCollision, VerificationFailed
+from .laurent import columns
 from .scalars import KappaParam
 from .tableaux import RSYT, Scaled, int_matmul, norm0
 from .ybgraph import NsjpGraph
@@ -117,12 +118,10 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
     """Gram matrix of Jack polynomials at the given (alpha, tableau) labels.
 
     Terms of different degree pair to zero, so the matrix is a sum over
-    degrees d of C_d^T P_d C_d: C_d holds the degree-d coefficients (one row
-    per exponent and tableau index, one column per polynomial) and P_d the
-    pairing blocks G_{alpha-beta} between those exponents.  Both are scaled
-    to Python ints (C_d per column by the lcm of its denominators, P_d by one
-    common lcm), and ``int_matmul`` takes both products exactly on float64
-    limbs, so the single division comes last.
+    degrees d of C_d^T P_d C_d: C_d is ``laurent.columns`` of the degree-d
+    terms, and P_d the pairing blocks G_{alpha-beta} between their exponents,
+    scaled to Python ints by one common lcm.  ``int_matmul`` takes both
+    products exactly on float64 limbs, so the single division comes last.
     The pairing depends only on alpha - beta, so Laurent labels need no shift.
 
     The pairwise ``pair``, on object products, is the oracle: the diagonal
@@ -130,26 +129,17 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
     recomputed with it, and a disagreement raises VerificationFailed.
     """
     polys = [graph.nsjp_laurent(alpha, t) for alpha, t in nodes]
-    dim = ctx.store.dim
-    # degree -> {polynomial index: its exponents of that degree}
-    blocks: dict[int, dict[int, list[Vec]]] = {}
+    # degree -> {polynomial index: its terms of that degree}
+    blocks: dict[int, dict[int, dict[Vec, Scaled]]] = {}
     for a, f in enumerate(polys):
-        for alpha in f.terms:
-            blocks.setdefault(sum(alpha), {}).setdefault(a, []).append(alpha)
+        for alpha, v in f.terms.items():
+            blocks.setdefault(sum(alpha), {}).setdefault(a, {})[alpha] = v
     out = np.full((len(polys), len(polys)), Fraction(0), dtype=object)
     spot = set()
     for cols in blocks.values():
-        exps = sorted({alpha for support in cols.values() for alpha in support})
-        row = {alpha: r * dim for r, alpha in enumerate(exps)}
         idx = list(cols)
-        cmat = np.zeros((len(exps) * dim, len(idx)), dtype=object)
-        scales = []
-        for c, a in enumerate(idx):
-            vecs = [polys[a].terms[alpha] for alpha in cols[a]]
-            scales.append(math.lcm(*(v.den for v in vecs)))
-            for alpha, v in zip(cols[a], vecs):
-                cmat[row[alpha] : row[alpha] + dim, c] = v.num * (scales[c] // v.den)
-        pmat, lp = _pairing_block(row, ctx)
+        exps, cmat, scales = columns(list(cols.values()), ctx.store.dim)
+        pmat, lp = _pairing_block(exps, ctx)
         prod = int_matmul(cmat.T, int_matmul(pmat, cmat))
         for i, a in enumerate(idx):
             for j, b in enumerate(idx):
@@ -165,9 +155,10 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
     return out
 
 
-def _pairing_block(row: dict[Vec, int], ctx: FormContext) -> tuple[np.ndarray, int]:
-    """Integer block matrix [L G_{alpha-beta}], block rows at row[alpha], and its scale L."""
+def _pairing_block(exps: list[Vec], ctx: FormContext) -> tuple[np.ndarray, int]:
+    """Integer block matrix [L G_{alpha-beta}] over exps, laid out as ``laurent.columns``, and its scale L."""
     dim = ctx.store.dim
+    row = {alpha: r * dim for r, alpha in enumerate(exps)}
     gammas = {(a, b): tuple(x - y for x, y in zip(a, b)) for a in row for b in row}
     mats = {g: ctx.pairing(g) for g in set(gammas.values())}
     lp = math.lcm(*(m.den for m in mats.values()))

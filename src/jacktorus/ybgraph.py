@@ -7,8 +7,8 @@ adjacent-transposition steps, and every constructed node is memoized.  Each
 edge is built in one pass: a step s_i f - (kappa/gap) f sums both
 contributions to an exponent and reduces each coefficient once, and a jump
 moves sigma(w0^-1) v to its shifted exponent, reduced once.  The reduced
-integer carriers are what ``torusform.gram`` multiplies exactly (see
-``tableaux.int_matmul``).  The divisions performed by exponent steps are
+integer carriers are what ``torusform.gram`` and ``check_eigen`` multiply
+exactly (see ``laurent.columns``).  The divisions performed by exponent steps are
 guarded at runtime: if two adjacent spectral entries collide the build
 aborts rather than silently producing a wrong polynomial.
 """
@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import compositions, perms, tableaux
 from .compositions import Vec
-from .errors import BadSupport, NegativeEntry, SpectralCollision
-from .laurent import VVLaurent, e_shift, group_action
+from .errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFailed
+from .laurent import VVLaurent, cherednik_matrix, columns, e_shift, group_action
 from .perms import Perm
 from .scalars import KappaParam
-from .tableaux import RSYT, Partition, Scaled, total
+from .tableaux import RSYT, Partition, Scaled, int_matmul, total
 
 
 def spectral_vector(alpha: Vec, t: RSYT, kappa: KappaParam) -> tuple[Fraction, ...]:
@@ -53,18 +55,16 @@ class NsjpGraph:
     node is built by ``node``: it walks back, one edge at a time, to the
     nearest node already built, then takes the edges forward: a jump where
     the last entry of the exponent is positive, otherwise a step at a
-    descent.  descent_rule selects that descent, "first" or "last"; both
-    must produce identical polynomials (path independence), which the test
-    suite exercises by sampling both.
+    descent, the first one.  Any other choice of descent must produce the
+    same polynomials (path independence).
     """
 
-    def __init__(self, shape: Partition, kappa: KappaParam, descent_rule: str = "first"):
+    def __init__(self, shape: Partition, kappa: KappaParam):
         if kappa.shape != shape.parts:
             raise ValueError("kappa was validated against a different shape")
         self.shape = shape
         self.kappa = kappa
         self.basis = tableaux.enumerate_rsyt(shape)
-        self.descent_rule = descent_rule
         self._nodes: dict[tuple[Vec, int], GraphNode] = {}
         # Degree 0 is the basis tensors.  Where c'(i) - c'(i+1) >= 2 the
         # seminormal column of s_i gives sigma(s_i) T' = b T' + T, T being T'
@@ -93,8 +93,7 @@ class NsjpGraph:
         """The label one edge nearer the root, and the step's index i (None for a jump)."""
         if alpha[-1] >= 1:
             return compositions.phi_inverse(alpha), None
-        descents = [i for i in range(1, len(alpha)) if alpha[i - 1] > alpha[i]]
-        i = descents[0] if self.descent_rule == "first" else descents[-1]
+        i = next(i for i in range(1, len(alpha)) if alpha[i - 1] > alpha[i])
         delta = list(alpha)
         delta[i - 1], delta[i] = delta[i], delta[i - 1]
         return tuple(delta), i
@@ -163,6 +162,34 @@ class NsjpGraph:
             for ti in range(len(self.basis)):
                 out.append(self.node(alpha, ti))
         return out
+
+    def check_eigen(self, max_degree: int) -> int:
+        """The nodes of degree <= max_degree are eigenvectors of every U_i, eigenvalue xi_i; returns their number.
+
+        One exact integer identity per degree d and i: U_i C = C diag(xi_i), C
+        the ``laurent.columns`` of the degree-d nodes over all compositions of
+        d (a scaled column is still an eigenvector) and U_i their
+        ``laurent.cherednik_matrix``, taken as int_matmul(U.num, C) L ==
+        C (U.den L xi_i), L the xi_i's common denominator.  A failure names
+        the first failing node in ``build_degree`` order, with its smallest i.
+        """
+        n, count = self.shape.N, 0
+        for d in range(max_degree + 1):
+            nodes = self.build_degree(d)
+            exps, cmat, _ = columns([node.poly.terms for node in nodes], self.shape.dim)
+            if exps != list(compositions.compositions_of(d, n)):
+                raise VerificationFailed(f"the degree-{d} polynomials' exponents are not the compositions of {d}")
+            fails = []
+            for i in range(1, n + 1):
+                u = cherednik_matrix(self.shape, self.kappa, exps, i)
+                xi = Scaled.of([node.spectral[i - 1] for node in nodes])
+                fails.append(np.any(int_matmul(u.num, cmat) * xi.den != cmat * (xi.num * u.den), axis=0))
+            bad = np.argwhere(np.array(fails).T)  # (node, i - 1) pairs, by node, then by i
+            if len(bad):
+                node, i = nodes[bad[0][0]], bad[0][1] + 1
+                raise VerificationFailed(f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}")
+            count += len(nodes)
+        return count
 
     def check_genericity(self, max_degree: int) -> None:
         """Distinct spectral vectors across all built nodes of degree <= max_degree."""

@@ -1,4 +1,5 @@
-"""Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, E-factors.
+"""Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, E-factors,
+the affine rotation and the termwise Dunkl and Cherednik-Dunkl operators.
 
 The package computes none of these; the tests use them to enumerate cases
 and as independent formulas to check the package against.
@@ -7,8 +8,10 @@ and as independent formulas to check the package against.
 from fractions import Fraction
 from itertools import accumulate
 
+from jacktorus import perms, tableaux
 from jacktorus.compositions import Vec, _partitions, rank_perm, sort_desc
 from jacktorus.errors import SpectralCollision
+from jacktorus.laurent import VVLaurent, group_action
 from jacktorus.scalars import KappaParam
 from jacktorus.tableaux import RSYT, Partition
 
@@ -60,4 +63,49 @@ def e_factor(alpha, t: RSYT, eps: int, kappa: KappaParam) -> Fraction:
                 if den == 0:
                     raise SpectralCollision(f"degenerate inverted pair ({i + 1},{j + 1})")
                 out *= 1 + eps * kap / den
+    return out
+
+
+def phi(alpha: Vec) -> Vec:
+    """Affine rotation (a_1, ..., a_N) -> (a_2, ..., a_N, a_1 + 1)."""
+    return alpha[1:] + (alpha[0] + 1,)
+
+
+def dunkl(i: int, f: VVLaurent) -> VVLaurent:
+    """Degree-lowering Dunkl operator in coordinate i, term by term, on polynomial input.
+
+    Divided differences are expanded by the geometric-sum identity
+
+        (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j)
+            = sgn(a - b) * sum of x_i^p x_j^q over p + q = a + b - 1,
+              min(a,b) <= p, q <= max(a,b) - 1,
+
+    never by polynomial division, so exactness and sparsity are preserved.
+    """
+    kap = f.kappa.value
+    out = VVLaurent(f.shape, f.kappa)
+    for alpha, v in f.terms.items():
+        a_i = alpha[i - 1]
+        if a_i > 0:
+            out._add_term(alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * a_i)
+        for j in range(1, f.N + 1):
+            if j == i or alpha[j - 1] == a_i:
+                continue
+            b = alpha[j - 1]
+            sv = (tableaux.transposition_matrix(f.shape, i, j) @ v) * (kap if a_i > b else -kap)
+            base = list(alpha)
+            for p in range(min(a_i, b), max(a_i, b)):
+                base[i - 1] = p
+                base[j - 1] = a_i + b - 1 - p
+                out._add_term(tuple(base), sv)
+    return out
+
+
+def cherednik(i: int, f: VVLaurent) -> VVLaurent:
+    """Degree-preserving Cherednik-Dunkl operator U_i = D_i x_i - kappa sum_{j<i} (i j), term by term."""
+    e_i = tuple(1 if k == i - 1 else 0 for k in range(f.N))
+    out = dunkl(i, f.monomial_mul(e_i))
+    kap = f.kappa.value
+    for j in range(1, i):
+        out = out + group_action(perms.transposition(f.N, i, j), f).scale(-kap)
     return out

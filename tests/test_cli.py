@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -381,6 +382,9 @@ CLI_DIGESTS = {
     # 175-row degree-3 blocks: the exact products take more than one int64 limb
     ("--shape", "3,2", "--kappa", "1/5", "gram", "--max-degree", "3"):
         "f42c9d5bee3345afd49cbd585b402d848086276ecc9b5e973336d6f31da75a03",
+    # the first verify with d = 5 blocks, on 175-row eigen checks at degree 3
+    ("--shape", "3,2", "--kappa", "1/5", "verify", "--max-degree", "3"):
+        "24bca3254b6de0428e810490a5aed42a61200d38fc015d792b113a4762700ecc",
     # a degree-0 node six tableau steps from the root
     ("--shape", "3,2,1", "--kappa", "1/7", "nsjp", "--alpha", "0,0,0,0,0,0", "--tableau", "15"):
         "560d9aada040e419571b07cad9e579775ae625beb20acd4b822768ea9c9c1c14",
@@ -567,6 +571,26 @@ def test_connection_check_reports_euler_first_then_the_first_pair(monkeypatch):
     assert check().startswith("integrability residual of (1, 3) at")
     monkeypatch.setattr(cli, "euler_residual", lambda x, m: bump(exact_euler(x, m), (0, 1)))
     assert check().startswith("Euler residual at")
+
+
+def test_verify_names_the_first_node_that_is_not_an_eigenvector(monkeypatch, capsys):
+    from jacktorus import cli
+
+    real = cli.NsjpGraph.build_degree
+
+    def swapped(self, d):
+        # degree 2: node 3 is ((1, 0, 1), 1) and gets the polynomial of node 4, ((1, 1, 0), 0)
+        nodes = real(self, d)
+        if d == 2:
+            nodes[3] = dataclasses.replace(nodes[3], poly=nodes[4].poly)
+        return nodes
+
+    monkeypatch.setattr(cli.NsjpGraph, "build_degree", swapped)
+    code = main(["--shape", "2,1", "--kappa", "1/4", "verify", "--max-degree", "2"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["results"]["checks"]}
+    assert code == 1
+    assert [name for name, c in checks.items() if not c["passed"]] == ["nsjp_eigen"]
+    assert checks["nsjp_eigen"]["detail"] == "VerificationFailed: (1, 0, 1), tableau 1 is not an eigenvector of xi_1"
 
 
 def test_verify_builds_one_store_and_one_graph(monkeypatch, capsys):

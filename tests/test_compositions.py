@@ -11,7 +11,6 @@ from jacktorus.compositions import (
     count_Z,
     enumerate_Z,
     grade,
-    phi,
     phi_inverse,
     prefix_key,
     rank_perm,
@@ -20,7 +19,7 @@ from jacktorus.compositions import (
     steps_count,
 )
 from jacktorus.errors import BadSupport, NegativeEntry, NotGraded
-from support import dominance_lt, triangular_lt
+from support import dominance_lt, phi, triangular_lt
 
 
 def minimal_gamma(nu: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -1,27 +1,36 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacktorus import perms
-from jacktorus.errors import LaurentInput
-from jacktorus.laurent import (
-    VVLaurent,
-    cherednik,
-    dunkl,
-    e_shift,
-    group_action,
+from jacktorus.compositions import compositions_of
+from jacktorus.laurent import VVLaurent, cherednik_matrix, columns, e_shift, group_action
+from jacktorus.scalars import default_kappa
+from jacktorus.tableaux import (
+    Scaled,
+    int_matmul,
+    jucys_murphy,
+    rep_matrix,
+    simple_reflection,
+    total,
+    transposition_matrix,
 )
-from jacktorus.tableaux import Scaled, jucys_murphy, rep_matrix, simple_reflection, total, transposition_matrix
-from support import triangular_lt
+from support import cherednik, dunkl, triangular_lt, unchecked_kappa, valid_shapes
 
 
 def leading_exponents(f: VVLaurent) -> list[tuple[int, ...]]:
     """Exponents not triangular-below any other exponent of the same degree."""
     exps = list(f.terms)
     return [a for a in exps if not any(triangular_lt(a, b) for b in exps if b != a)]
+
+
+def degrees(f: VVLaurent) -> set[int]:
+    return {sum(a) for a in f.terms}
 
 
 def random_poly(shape, kappa, rng, nterms=4, max_exp=2):
@@ -106,18 +115,10 @@ def test_dunkl_commute(shape21, kappa21, rng):
 def test_dunkl_lowers_degree(shape21, kappa21, rng):
     f = random_poly(shape21, kappa21, rng, nterms=2, max_exp=3)
     # restrict to one homogeneous slice
-    d = max(f.degrees())
+    d = max(degrees(f))
     f = VVLaurent(shape21, kappa21, {a: v for a, v in f.terms.items() if sum(a) == d})
     out = dunkl(2, f)
-    assert out.degrees() <= {d - 1}
-
-
-def test_dunkl_rejects_laurent(shape21, kappa21):
-    f = VVLaurent.monomial(shape21, kappa21, (-1, 0, 0), 0)
-    with pytest.raises(LaurentInput):
-        dunkl(1, f)
-    with pytest.raises(LaurentInput):
-        cherednik(1, f)
+    assert degrees(out) <= {d - 1}
 
 
 def test_cherednik_constant_spectrum(shape21, kappa21):
@@ -134,7 +135,7 @@ def test_cherednik_commute_and_preserve_degree(shape21, kappa21, rng):
         f = random_poly(shape21, kappa21, rng)
         assert cherednik(1, cherednik(2, f)) == cherednik(2, cherednik(1, f))
         g = cherednik(3, f)
-        assert g.degrees() <= f.degrees()
+        assert degrees(g) <= degrees(f)
 
 
 def test_cherednik_e_shift_commutation(shape21, kappa21, rng):
@@ -241,3 +242,56 @@ def test_terms_are_reduced_carriers(shape31, kappa31, rng):
             assert v.num.shape == (shape31.dim,) and v.num.any()
             assert type(v.den) is int and v.den > 0
             assert math.gcd(v.den, *v.num.flat) == 1
+
+
+def test_columns_lay_out_the_union_of_exponents_with_one_scale_per_column(shape31, kappa31, rng):
+    maps = [random_rational_poly(shape31, kappa31, rng).terms for _ in range(4)] + [{}]
+    dim = shape31.dim
+    exps, cmat, scales = columns(maps, dim)
+    assert exps == sorted(set().union(*maps))
+    assert cmat.shape == (len(exps) * dim, len(maps))
+    assert all(type(x) is int for x in cmat.flat)
+    for c, terms in enumerate(maps):
+        assert scales[c] == math.lcm(*(v.den for v in terms.values()))
+        for r, alpha in enumerate(exps):
+            block = Scaled(cmat[r * dim : (r + 1) * dim, c], scales[c])
+            if alpha in terms:
+                assert block == terms[alpha]
+            else:
+                assert not block.num.any()
+
+
+@pytest.mark.parametrize("shape", [s for n in range(3, 6) for s in valid_shapes(n)], ids=lambda s: str(s.parts))
+def test_cherednik_matrix_columns_are_the_termwise_operator(shape):
+    """Every shape with N <= 5, degrees <= 2, every i: column x^alpha (x) T is cherednik(i, x^alpha (x) T)."""
+    kappa, dim = default_kappa(shape.parts), shape.dim
+    for d in range(3):
+        exps = list(compositions_of(d, shape.N))
+        for i in range(1, shape.N + 1):
+            u = cherednik_matrix(shape, kappa, exps, i)
+            assert u.num.shape == (len(exps) * dim,) * 2
+            for c, (alpha, t) in enumerate(itertools.product(exps, range(dim))):
+                expect = cherednik(i, VVLaurent.monomial(shape, kappa, alpha, t))
+                assert set(expect.terms) <= set(exps)
+                for r, beta in enumerate(exps):
+                    block = u.num[r * dim : (r + 1) * dim, c]
+                    v = expect.terms.get(beta)
+                    assert np.array_equal(block * v.den, v.num * u.den) if v else not block.any()
+
+
+def test_cherednik_matrix_needs_rows_closed_under_the_operator(shape21, kappa21):
+    # U_2 x^(0,1,0) has a term at x^(1,0,0), which is not a row
+    with pytest.raises(KeyError):
+        cherednik_matrix(shape21, kappa21, [(0, 1, 0)], 2)
+
+
+@pytest.mark.parametrize("shape", [s for n in range(3, 7) for s in valid_shapes(n)], ids=lambda s: str(s.parts))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_cherednik_matrices_commute(shape, data):
+    """U_i U_j = U_j U_i exactly on every degree <= 2, at any rational parameter."""
+    kappa = unchecked_kappa(data.draw(st.integers(-7, 7), label="p"), data.draw(st.integers(1, 9), label="q"), shape.parts)
+    exps = list(compositions_of(data.draw(st.integers(0, 2), label="degree"), shape.N))
+    i, j = data.draw(st.lists(st.integers(1, shape.N), min_size=2, max_size=2, unique=True), label="i, j")
+    ui, uj = (cherednik_matrix(shape, kappa, exps, k).num for k in (i, j))
+    assert np.array_equal(int_matmul(ui, uj), int_matmul(uj, ui))

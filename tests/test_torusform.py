@@ -8,17 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from jacktorus.compositions import compositions_of, sort_desc
 from jacktorus.errors import SpectralCollision
-from jacktorus.laurent import VVLaurent, dunkl, group_action
+from jacktorus.laurent import VVLaurent, cherednik_matrix, group_action
 from jacktorus.scalars import default_kappa, make_kappa
-from jacktorus.tableaux import RSYT, Scaled, enumerate_rsyt, norm0, t_zero
+from jacktorus.tableaux import RSYT, Scaled, enumerate_rsyt, int_matmul, norm0, t_zero
 from jacktorus.torusform import (
     FormContext,
+    _pairing_block,
     gram,
     norm_partition,
     nsjp_norm,
     pair,
 )
-from support import e_factor, valid_shapes
+from support import dunkl, e_factor, phi, valid_shapes
 
 
 def test_norm_partition_trivial(shape21, kappa21):
@@ -218,8 +219,6 @@ def test_gram_full_orthogonality_small(graph21, ctx21, kappa21):
 
 
 def test_jump_isometry(graph21, ctx21, kappa21):
-    from jacktorus.compositions import phi
-
     for lam in [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 0)]:
         for ti in range(2):
             f = graph21.nsjp_laurent(lam, ti)
@@ -348,6 +347,18 @@ def test_gram_is_diagonal_with_closed_form_norms(parts, data):
     for i, (alpha, ti) in enumerate(nodes):
         assert mat[i, i] == nsjp_norm(alpha, graph.basis[ti], graph.kappa)
         assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)
+
+
+@pytest.mark.parametrize("parts", SHAPES_TO_6, ids=[",".join(map(str, p)) for p in SHAPES_TO_6])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_cherednik_matrices_are_self_adjoint_for_the_torus_form(parts, data):
+    """P_d U_i = U_i^T P_d, P_d the pairing over all degree-d exponents, to degree 2."""
+    graph, ctx, _ = _setup(parts)
+    exps = list(compositions_of(data.draw(st.integers(0, 2), label="degree"), graph.shape.N))
+    u = cherednik_matrix(graph.shape, graph.kappa, exps, data.draw(st.integers(1, graph.shape.N), label="i"))
+    pmat, _ = _pairing_block(exps, ctx)
+    assert np.array_equal(int_matmul(pmat, u.num), int_matmul(u.num.T, pmat))
 
 
 def _random_poly(shape, kappa, rng, nterms=3, max_exp=1):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import sys
@@ -7,15 +8,30 @@ import numpy as np
 import pytest
 
 from jacktorus import perms, ybgraph
-from jacktorus.compositions import phi, rank_perm, steps_count
-from jacktorus.errors import BadSupport, NegativeEntry, SpectralCollision
-from jacktorus.laurent import VVLaurent, cherednik, e_shift, group_action
+from jacktorus.compositions import rank_perm, steps_count
+from jacktorus.errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFailed
+from jacktorus.laurent import VVLaurent, e_shift, group_action
 from jacktorus.scalars import default_kappa, make_kappa
 from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero
 from jacktorus.ybgraph import NsjpGraph, spectral_vector
-from support import triangular_lt, unchecked_kappa, valid_shapes
+from support import cherednik, phi, triangular_lt, unchecked_kappa, valid_shapes
 
 SHAPES_TO_6 = [shape for n in range(3, 7) for shape in valid_shapes(n)]
+
+
+class LastDescentGraph(NsjpGraph):
+    """Takes each step at the last descent rather than the first; path independence says nothing changes."""
+
+    def _parent(self, alpha):
+        if alpha[-1] >= 1:
+            return super()._parent(alpha)
+        i = max(i for i in range(1, len(alpha)) if alpha[i - 1] > alpha[i])
+        delta = list(alpha)
+        delta[i - 1], delta[i] = delta[i], delta[i - 1]
+        return tuple(delta), i
+
+
+DESCENT_RULES = {"first": NsjpGraph, "last": LastDescentGraph}
 
 
 def path_length(alpha, t, shape) -> tuple[int, int]:
@@ -125,7 +141,7 @@ def test_node_builds_a_long_path_without_recursion(shape21, kappa21):
 def test_each_edge_is_the_operator_formula_on_its_parent(shape, rule):
     """Steps are s_i f - (kappa/gap) f and jumps sigma(w0^-1) f times x_N, with every carrier reduced."""
     kap = default_kappa(shape.parts)
-    graph = NsjpGraph(shape, kap, descent_rule=rule)
+    graph = DESCENT_RULES[rule](shape, kap)
     n = shape.N
     w0inv = perms.inverse(perms.cycle(n))
     e_n = (0,) * (n - 1) + (1,)
@@ -184,8 +200,8 @@ def test_path_length_example(shape21):
 
 
 def test_path_independence(shape21, kappa21):
-    first = NsjpGraph(shape21, kappa21, descent_rule="first")
-    last = NsjpGraph(shape21, kappa21, descent_rule="last")
+    first = NsjpGraph(shape21, kappa21)
+    last = LastDescentGraph(shape21, kappa21)
     for degree in range(4):
         for a, b in zip(first.build_degree(degree), last.build_degree(degree)):
             assert a.alpha == b.alpha and a.t_index == b.t_index
@@ -228,6 +244,65 @@ def test_eigen_properties_31(graph31):
         for node in graph31.build_degree(degree):
             for i in (1, 2, 3, 4):
                 assert cherednik(i, node.poly) == node.poly.scale(node.spectral[i - 1])
+
+
+def test_check_eigen_counts_every_node_to_the_degree(graph21, graph31):
+    assert graph21.check_eigen(4) == sum(len(graph21.build_degree(d)) for d in range(5)) == 70
+    assert graph31.check_eigen(2) == 3 * (1 + 4 + 10)
+
+
+@pytest.mark.parametrize("parts, degree, k, row", [((2, 1), 1, 2, 0), ((2, 1), 2, 5, 7), ((3, 1), 2, 20, 11), ((2, 1), 3, 0, 3)])
+def test_check_eigen_fails_on_one_perturbed_entry_of_the_columns(monkeypatch, parts, degree, k, row):
+    shape = Partition(parts)
+    graph = NsjpGraph(shape, default_kappa(parts))
+    real = ybgraph.columns
+
+    def perturbed(maps, dim):
+        exps, cmat, scales = real(maps, dim)
+        if sum(exps[0]) == degree:
+            cmat[row, k] += 1
+        return exps, cmat, scales
+
+    monkeypatch.setattr(ybgraph, "columns", perturbed)
+    node = graph.build_degree(degree)[k]
+    with pytest.raises(VerificationFailed) as info:
+        graph.check_eigen(3)
+    assert str(info.value) == f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_1"
+
+
+@pytest.mark.parametrize("parts, degree, k, i", [((2, 1), 0, 1, 3), ((2, 1), 2, 4, 2), ((2, 1), 3, 19, 1), ((3, 1), 2, 7, 4)])
+def test_check_eigen_fails_on_one_eigenvalue_moved_by_a_seventh(monkeypatch, parts, degree, k, i):
+    shape = Partition(parts)
+    graph = NsjpGraph(shape, default_kappa(parts))
+    real = NsjpGraph.build_degree
+
+    def moved(self, d):
+        nodes = real(self, d)
+        if d == degree:
+            xi = list(nodes[k].spectral)
+            xi[i - 1] += Fraction(1, 7)
+            nodes[k] = dataclasses.replace(nodes[k], spectral=tuple(xi))
+        return nodes
+
+    monkeypatch.setattr(NsjpGraph, "build_degree", moved)
+    node = graph.build_degree(degree)[k]
+    with pytest.raises(VerificationFailed) as info:
+        graph.check_eigen(3)
+    assert str(info.value) == f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}"
+
+
+def test_check_eigen_fails_when_the_exponents_miss_a_composition(monkeypatch, shape21, kappa21):
+    # a zero polynomial is an eigenvector of everything; a degree-0 layer of zeros has no rows at all
+    graph = NsjpGraph(shape21, kappa21)
+    real = NsjpGraph.build_degree
+
+    def zeroed(self, d):
+        nodes = real(self, d)
+        return [dataclasses.replace(n, poly=VVLaurent(shape21, kappa21)) for n in nodes] if d == 0 else nodes
+
+    monkeypatch.setattr(NsjpGraph, "build_degree", zeroed)
+    with pytest.raises(VerificationFailed, match="degree-0 polynomials' exponents are not the compositions of 0"):
+        graph.check_eigen(1)
 
 
 def test_node_rejects_a_negative_entry(shape21, kappa21):
