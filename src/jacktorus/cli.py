@@ -41,7 +41,7 @@ from .errors import JackTorusError, VerificationFailed, WriteFailed
 from .kernels import _sample_angles, psd_report, sigma_identity_residual
 from .scalars import default_kappa, make_kappa
 from .tableaux import Partition, Scaled
-from .torusform import FormContext, gram, nsjp_norm
+from .torusform import FormContext, gram, gram_rows, nsjp_norm
 from .ybgraph import NsjpGraph
 
 
@@ -115,7 +115,7 @@ def _rational_value(val) -> Fraction:
 
 
 def _str_value(val) -> str:
-    if not isinstance(val, str):
+    if not isinstance(val, str) or "\0" in val:  # no file name holds a NUL
         raise ValueError(f"expected a path, got {val!r}")
     return val
 
@@ -173,25 +173,39 @@ def _validated(cfg: SessionConfig):
 
 
 def _emit(command: str, cfg: SessionConfig, results, code: int = 0) -> int:
-    doc = {
-        "command": command,
-        "config": cfg.to_dict(),
-        "version": __version__,
-        "results": results,
-    }
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    """Write the report to the --out file in full, then to stdout; code, or 1 if the reader closed stdout.
+
+    A results value may be a function returning a square matrix's rows as {column: entry} of the nonzero
+    entries; each writer puts them row by row, as str(entry) and "0", where json.dumps put "\\u0000rows"."""
+    doc = {"command": command, "config": cfg.to_dict(), "version": __version__, "results": results}
+    streams: list = []
+    dumped = json.dumps(doc, indent=1, sort_keys=True, default=lambda f: streams.append(f()) or "\0rows")
+    parts = dumped.split('"\\u0000rows"')
+
+    def chunks():
+        for head, rows in zip(parts, streams):
+            yield head + "["
+            for k, row in enumerate(rows):
+                texts = map({b: str(v) for b, v in row.items()}.get, range(len(rows)), itertools.repeat("0"))
+                yield ("," if k else "") + '\n   [\n    "' + '",\n    "'.join(texts) + '"\n   ]'
+            yield "\n  ]"
+        yield parts[-1]
+        yield "\n"  # its own write: on an unbuffered stdout a short write to a closed pipe raises nothing
+
     if cfg.out:
         try:
-            Path(cfg.out).write_text(text + "\n")
+            with open(cfg.out, "w") as fh:
+                fh.writelines(chunks())
         except OSError as exc:
             raise WriteFailed(f"cannot write report file {cfg.out}: {exc.strerror or exc}") from None
-    return code if _print(text) else 1
+    return code if _print(chunks()) else 1
 
 
-def _print(text: str) -> bool:
-    """Print text to stdout; False when the reader has closed it."""
+def _print(chunks) -> bool:
+    """Write text chunks to stdout; False when the reader has closed it."""
     try:
-        print(text, flush=True)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
     except BrokenPipeError:
         # point stdout at /dev/null so that the interpreter's last flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -283,31 +297,21 @@ def cmd_coeffs(cfg, args) -> int:
 
 
 def _gram_check(graph: NsjpGraph, store: CoeffStore, degree: int):
-    """Degree-ordered (alpha, tableau index) labels to a degree, their Gram matrix, its
-    number of nonzero off-diagonal entries and whether its diagonal is the closed-form norms."""
+    """Degree-ordered (alpha, tableau index) labels to a degree, the nonzero entries of each row of their
+    Gram matrix, its number of nonzero off-diagonal entries and whether its diagonal is the closed-form norms."""
     nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
-    mat = gram(graph, nodes, FormContext(store.ensure_grade(degree)))
-    off = int(np.count_nonzero(mat) - np.count_nonzero(mat.diagonal()))
-    norm_ok = all(
-        mat[i, i] == nsjp_norm(a, graph.basis[ti], graph.kappa) for i, (a, ti) in enumerate(nodes)
-    )
-    return nodes, mat, off, norm_ok
+    rows = gram_rows(gram(graph, nodes, FormContext(store.ensure_grade(degree))), len(nodes))
+    off = sum(len(row) - (i in row) for i, row in enumerate(rows))
+    norm_ok = all(rows[i].get(i, 0) == nsjp_norm(a, graph.basis[ti], graph.kappa) for i, (a, ti) in enumerate(nodes))
+    return nodes, rows, off, norm_ok
 
 
 def cmd_gram(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    nodes, mat, off, norm_ok = _gram_check(NsjpGraph(shape, kap), CoeffStore(shape, kap), args.max_degree)
-    return _emit(
-        "gram",
-        cfg,
-        {
-            "basis": [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes],
-            "matrix": [[str(x) for x in row] for row in mat],
-            "offdiagonal_nonzero": off,
-            "norms_match": norm_ok,
-        },
-        code=0 if off == 0 and norm_ok else 1,
-    )
+    nodes, rows, off, norm_ok = _gram_check(NsjpGraph(shape, kap), CoeffStore(shape, kap), args.max_degree)
+    basis = [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes]
+    results = {"basis": basis, "matrix": lambda: rows, "offdiagonal_nonzero": off, "norms_match": norm_ok}
+    return _emit("gram", cfg, results, code=0 if off == 0 and norm_ok else 1)
 
 
 def _kernel_failures(rep) -> list[str]:
@@ -562,13 +566,9 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except JackTorusError as exc:
-        doc = {
-            "command": args.command,
-            "config": cfg.to_dict(),
-            "version": __version__,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _print(json.dumps(doc, indent=1, sort_keys=True))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        doc = {"command": args.command, "config": cfg.to_dict(), "version": __version__, "error": error}
+        _print([json.dumps(doc, indent=1, sort_keys=True), "\n"])
         return 1
 
 

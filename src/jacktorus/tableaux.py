@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,9 +71,9 @@ class Partition:
     def hook_product(self) -> int:
         return math.prod(self.hook(r, c) for r, c in self.boxes())
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        """Number of RSYTs, by the hook length formula."""
+        """Number of RSYTs, by the hook length formula; computed once per partition."""
         return math.factorial(self.N) // self.hook_product()
 
 
@@ -271,7 +271,9 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     partial sum of a limb pair's product is an integer of magnitude at most
     K (2^s - 1)^2 < 2^53, which float64 holds exactly, so every sum is exact
     in any summation order, with or without FMA, at any BLAS thread count.
-    The blocks are cast to int64 and shift-added back as Python ints.
+    The blocks are cast to int64 and shift-added back as Python ints.  A
+    factor whose entries all fit in int64 is cut into limbs by int64 shifts,
+    any other by Python-int shifts; the limbs are the same.
     """
     (m, k), n = a.shape, b.shape[1]
     s = _limb_bits(k)
@@ -292,6 +294,10 @@ def _limb_bits(k: int) -> int:
 def _limbs(m: np.ndarray, s: int) -> np.ndarray:
     """Signed s-bit float64 limbs of an int object matrix, lowest first, stacked; none for a zero matrix."""
     mag, neg, mask = np.abs(m), m < 0, (1 << s) - 1
+    try:
+        mag = mag.astype(np.int64)  # when every entry fits, the limbs are cut by int64 shifts
+    except OverflowError:
+        pass
     out = []
     while mag.any():
         limb = (mag & mask).astype(np.float64)

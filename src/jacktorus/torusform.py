@@ -4,14 +4,16 @@ Closed forms give the squared norms of the Jack basis directly; arbitrary
 vector-valued Laurent polynomials are paired through the coefficient store,
 using the exact pairing matrices G_{alpha-beta} as ``tableaux.Scaled``
 carriers.  ``pair`` sums term pair by term pair, each one integer product
-fv^T G gv over the product of the three denominators.  ``gram`` builds a
-whole Gram matrix as one integer matrix product C^T (P C) per degree, both
-products taken exactly by ``tableaux.int_matmul`` from one float64 product of
-their limbs (every partial sum an integer below 2^53, which float64 holds
-exactly, so the result is the same in any summation order and at any BLAS
-thread count), and checks one diagonal entry per degree against ``pair``,
-which stays on Python-int object products as the independent oracle.  Norms, pairings and Gram entries are ``Fraction``
-scalars.
+fv^T G gv over the product of the three denominators.  ``gram`` returns a
+Gram matrix as its blocks, one integer matrix product C^T (P C) per degree,
+both products taken exactly by ``tableaux.int_matmul`` from one float64
+product of their limbs (every partial sum an integer below 2^53, which
+float64 holds exactly, so the result is the same in any summation order and
+at any BLAS thread count); no dense matrix over all the polynomials is
+built, and ``gram_rows`` adds the blocks up into the nonzero entries of each
+row.  One diagonal entry per degree is checked against ``pair``, which stays
+on Python-int object products as the independent oracle.  Norms, pairings
+and Gram entries are ``Fraction`` scalars.
 """
 
 from __future__ import annotations
@@ -114,15 +116,35 @@ def pair(f, g, ctx: FormContext) -> Fraction:
     return total
 
 
-def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
-    """Gram matrix of Jack polynomials at the given (alpha, tableau) labels.
+@dataclass(frozen=True)
+class GramBlock:
+    """One degree's part of a Gram matrix: entry (i, j) is prod[i, j] / (lp scales[i] scales[j]).
 
-    Terms of different degree pair to zero, so the matrix is a sum over
+    ``labels`` are the positions in the node list of its polynomials, ``prod``
+    the Python-int matrix C^T (P C), ``lp`` the scale of P and ``scales`` the
+    scales of the columns of C.
+    """
+
+    labels: list[int]
+    prod: np.ndarray
+    lp: int
+    scales: list[int]
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self.prod[i, j], self.lp * self.scales[i] * self.scales[j])
+
+
+def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> list[GramBlock]:
+    """Gram matrix of Jack polynomials at the given (alpha, tableau) labels, as one block per degree.
+
+    Terms of different degree pair to zero, so the matrix is the sum over
     degrees d of C_d^T P_d C_d: C_d is ``laurent.columns`` of the degree-d
     terms, and P_d the pairing blocks G_{alpha-beta} between their exponents,
     scaled to Python ints by one common lcm.  ``int_matmul`` takes both
-    products exactly on float64 limbs, so the single division comes last.
-    The pairing depends only on alpha - beta, so Laurent labels need no shift.
+    products exactly on float64 limbs, and the divisions are left to
+    ``GramBlock.entry``.  A polynomial with terms of several degrees sits in
+    several blocks, whose entries add (``gram_rows``).  The pairing depends
+    only on alpha - beta, so Laurent labels need no shift.
 
     The pairwise ``pair``, on object products, is the oracle: the diagonal
     entry of the polynomial with the most terms in each degree block is
@@ -130,29 +152,33 @@ def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> np.ndarray:
     """
     polys = [graph.nsjp_laurent(alpha, t) for alpha, t in nodes]
     # degree -> {polynomial index: its terms of that degree}
-    blocks: dict[int, dict[int, dict[Vec, Scaled]]] = {}
+    parts: dict[int, dict[int, dict[Vec, Scaled]]] = {}
     for a, f in enumerate(polys):
         for alpha, v in f.terms.items():
-            blocks.setdefault(sum(alpha), {}).setdefault(a, {})[alpha] = v
-    out = np.full((len(polys), len(polys)), Fraction(0), dtype=object)
-    spot = set()
-    for cols in blocks.values():
-        idx = list(cols)
+            parts.setdefault(sum(alpha), {}).setdefault(a, {})[alpha] = v
+    blocks = []
+    for cols in parts.values():
         exps, cmat, scales = columns(list(cols.values()), ctx.store.dim)
         pmat, lp = _pairing_block(exps, ctx)
-        prod = int_matmul(cmat.T, int_matmul(pmat, cmat))
-        for i, a in enumerate(idx):
-            for j, b in enumerate(idx):
-                if prod[i, j]:
-                    out[a, b] += Fraction(prod[i, j], lp * scales[i] * scales[j])
-        spot.add(max(idx, key=lambda a: (len(cols[a]), -a)))
-    for a in sorted(spot):
-        if pair(polys[a], polys[a], ctx) != out[a, a]:
+        blocks.append(GramBlock(list(cols), int_matmul(cmat.T, int_matmul(pmat, cmat)), lp, scales))
+    for a in sorted({max(cols, key=lambda a: (len(cols[a]), -a)) for cols in parts.values()}):
+        diagonal = sum(blk.entry(i, i) for blk in blocks for i, b in enumerate(blk.labels) if b == a)
+        if pair(polys[a], polys[a], ctx) != diagonal:
             alpha, t = nodes[a]
             raise VerificationFailed(
                 f"gram entry of {tuple(alpha)}, tableau {t} differs from the pairwise form"
             )
-    return out
+    return blocks
+
+
+def gram_rows(blocks: list[GramBlock], size: int) -> list[dict[int, Fraction]]:
+    """The nonzero entries of each row of the size x size matrix that the blocks add up to, as {column: value}."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(size)]
+    for blk in blocks:
+        for i, j in zip(*np.nonzero(blk.prod)):
+            a, b = blk.labels[i], blk.labels[j]
+            rows[a][b] = rows[a].get(b, 0) + blk.entry(i, j)
+    return [{b: v for b, v in row.items() if v} for row in rows]
 
 
 def _pairing_block(exps: list[Vec], ctx: FormContext) -> tuple[np.ndarray, int]:

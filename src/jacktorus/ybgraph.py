@@ -15,6 +15,7 @@ aborts rather than silently producing a wrong polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,9 +170,12 @@ class NsjpGraph:
         One exact integer identity per degree d and i: U_i C = C diag(xi_i), C
         the ``laurent.columns`` of the degree-d nodes over all compositions of
         d (a scaled column is still an eigenvector) and U_i their
-        ``laurent.cherednik_matrix``, taken as int_matmul(U.num, C) L ==
-        C (U.den L xi_i), L the xi_i's common denominator.  A failure names
-        the first failing node in ``build_degree`` order, with its smallest i.
+        ``laurent.cherednik_matrix``.  The N matrices U_i are stacked over
+        their common denominator D into one left operand, so each degree
+        takes one ``int_matmul``, and the identity is checked as
+        int_matmul(D U, C)_i L == C (D L xi_i), L the xi's common denominator.
+        A failure names the first failing node in ``build_degree`` order,
+        with its smallest i.
         """
         n, count = self.shape.N, 0
         for d in range(max_degree + 1):
@@ -179,12 +183,12 @@ class NsjpGraph:
             exps, cmat, _ = columns([node.poly.terms for node in nodes], self.shape.dim)
             if exps != list(compositions.compositions_of(d, n)):
                 raise VerificationFailed(f"the degree-{d} polynomials' exponents are not the compositions of {d}")
-            fails = []
-            for i in range(1, n + 1):
-                u = cherednik_matrix(self.shape, self.kappa, exps, i)
-                xi = Scaled.of([node.spectral[i - 1] for node in nodes])
-                fails.append(np.any(int_matmul(u.num, cmat) * xi.den != cmat * (xi.num * u.den), axis=0))
-            bad = np.argwhere(np.array(fails).T)  # (node, i - 1) pairs, by node, then by i
+            us = [cherednik_matrix(self.shape, self.kappa, exps, i) for i in range(1, n + 1)]
+            den = math.lcm(*(u.den for u in us))
+            prod = int_matmul(np.vstack([u.num * (den // u.den) for u in us]), cmat).reshape(n, *cmat.shape)
+            xi = Scaled.of([[node.spectral[i] for node in nodes] for i in range(n)])
+            fails = np.any(prod * xi.den != cmat * (xi.num[:, None, :] * den), axis=1)  # by i - 1, then node
+            bad = np.argwhere(fails.T)  # (node, i - 1) pairs, by node, then by i
             if len(bad):
                 node, i = nodes[bad[0][0]], bad[0][1] + 1
                 raise VerificationFailed(f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}")

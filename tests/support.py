@@ -1,5 +1,5 @@
 """Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, E-factors,
-the affine rotation and the termwise Dunkl and Cherednik-Dunkl operators.
+the affine rotation, the termwise Dunkl and Cherednik-Dunkl operators and the dense Gram matrix.
 
 The package computes none of these; the tests use them to enumerate cases
 and as independent formulas to check the package against.
@@ -7,6 +7,8 @@ and as independent formulas to check the package against.
 
 from fractions import Fraction
 from itertools import accumulate
+
+import numpy as np
 
 from jacktorus import perms, tableaux
 from jacktorus.compositions import Vec, _partitions, rank_perm, sort_desc
@@ -108,4 +110,14 @@ def cherednik(i: int, f: VVLaurent) -> VVLaurent:
     kap = f.kappa.value
     for j in range(1, i):
         out = out + group_action(perms.transposition(f.N, i, j), f).scale(-kap)
+    return out
+
+
+def dense_gram(blocks, size: int) -> np.ndarray:
+    """The size x size Fraction matrix that ``torusform.gram``'s blocks add up to, entry by entry."""
+    out = np.full((size, size), Fraction(0), dtype=object)
+    for blk in blocks:
+        for i, a in enumerate(blk.labels):
+            for j, b in enumerate(blk.labels):
+                out[a, b] += blk.entry(i, j)
     return out

@@ -9,12 +9,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jacktorus
 from jacktorus.cli import build_parser, main
 from jacktorus.coeffs import CoeffStore
-from jacktorus.tableaux import Scaled
+from jacktorus.scalars import default_kappa, make_kappa
+from jacktorus.tableaux import Partition, Scaled
+from jacktorus.torusform import FormContext, gram, nsjp_norm
+from jacktorus.ybgraph import NsjpGraph
+from support import dense_gram, valid_shapes
 
 RUN = [sys.executable, "-m", "jacktorus.cli"]
 
@@ -80,9 +85,44 @@ def test_gram_reports_a_block_product_wrong_off_the_diagonal(perturb_gram_produc
 
     perturb_gram_product(bump_corner)
     code = main(["--shape", "2,1", "--kappa", "1/4", "gram", "--max-degree", "2"])
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert code == 1
     assert doc["results"]["offdiagonal_nonzero"] > 0 and doc["results"]["norms_match"] is True
+    assert text == _dense_gram_report((2, 1), Fraction(1, 4), 2)
+
+
+def _dense_gram_report(parts, kappa, degree, out=None) -> str:
+    """The gram report as the stdlib encoder writes the whole document, its matrix built dense."""
+    shape = Partition(parts)
+    kap = make_kappa(kappa.numerator, kappa.denominator, parts) if kappa is not None else default_kappa(parts)
+    graph = NsjpGraph(shape, kap)
+    nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
+    mat = dense_gram(gram(graph, nodes, FormContext(CoeffStore(shape, kap).ensure_grade(degree))), len(nodes))
+    results = {
+        "basis": [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes],
+        "matrix": [[str(x) for x in row] for row in mat],
+        "offdiagonal_nonzero": int(np.count_nonzero(mat) - np.count_nonzero(mat.diagonal())),
+        "norms_match": all(mat[i, i] == nsjp_norm(a, graph.basis[ti], kap) for i, (a, ti) in enumerate(nodes)),
+    }
+    kappa_text = None if kappa is None else str(kappa)
+    config = {"shape": list(parts), "kappa": kappa_text, "max_grade": 4, "seed": 7, "out": out}
+    doc = {"command": "gram", "config": config, "version": jacktorus.__version__, "results": results}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+GRAM_SHAPES = [s.parts for n in (3, 4) for s in valid_shapes(n)]
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("parts", GRAM_SHAPES, ids=[",".join(map(str, p)) for p in GRAM_SHAPES])
+def test_gram_report_is_the_stdlib_dump_of_the_dense_document(tmp_path, capsys, parts, degree):
+    out = tmp_path / "report.json"
+    code = main(["--shape", ",".join(map(str, parts)), "--out", str(out), "gram", "--max-degree", str(degree)])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert text == _dense_gram_report(parts, None, degree, str(out))
+    assert out.read_text() == text
 
 
 def test_nsjp_below_the_edge_limit_runs(capsys):
@@ -166,6 +206,7 @@ def test_usage_error_exit_code():
             None,
             "kernel --max-order 20 on N = 6 would list 7638259 indices, more than 1000000",
         ),
+        (["count", "--N", "2", "--n", "1"], '{"out": "report\\u0000.json"}', "out: expected a path"),
     ],
     ids=[
         "shape-flag",
@@ -204,6 +245,7 @@ def test_usage_error_exit_code():
         "identity-too-many-vectors",
         "nsjp-too-many-edges",
         "kernel-too-many-indices",
+        "config-out-with-a-nul",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
@@ -738,10 +780,11 @@ def test_coeffs_rejects_bad_store(tmp_path, capsys, overrides, corrupt):
     assert doc["error"]["type"] == "StoreCorrupt"
 
 
-def test_a_closed_stdout_ends_quietly(tmp_path):
-    # the report (about 150 kB) is larger than a pipe buffer, so its write meets the closed pipe
+def _assert_a_closed_stdout_ends_quietly(tmp_path, args):
+    """The report is larger than a pipe buffer, so a write after the reader closes meets the closed
+    pipe; the run exits 1 with nothing on stderr, and the --out file, written first, is complete."""
     out = tmp_path / "report.json"
-    args = ["--shape", "2,1", "--out", str(out), "nsjp", "--alpha", "0,0,40"]
+    args = ["--out", str(out), *args]
     proc = subprocess.Popen([*RUN, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head = proc.stdout.read(100)
     proc.stdout.close()
@@ -750,7 +793,19 @@ def test_a_closed_stdout_ends_quietly(tmp_path):
     assert proc.wait() == 1
     assert head.startswith(b"{")
     assert err == b""
-    assert out.read_text() == run_cli(*args).stdout
+    full = run_cli(*args).stdout
+    assert len(full) > 1 << 16
+    assert out.read_text() == full
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    # about 150 kB, written as one text
+    _assert_a_closed_stdout_ends_quietly(tmp_path, ["--shape", "2,1", "nsjp", "--alpha", "0,0,40"])
+
+
+def test_a_closed_stdout_ends_a_streamed_gram_report_quietly(tmp_path):
+    # about 98 kB, nearly all of it the matrix rows, written one at a time
+    _assert_a_closed_stdout_ends_quietly(tmp_path, ["--shape", "3,1", "--kappa", "1/4", "gram", "--max-degree", "3"])
 
 
 @pytest.mark.parametrize(

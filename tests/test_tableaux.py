@@ -59,6 +59,16 @@ def test_dim_past_the_int64_range():
     assert shape.dim == 21 == len(enumerate_rsyt(shape))
 
 
+def test_dim_takes_the_hook_product_once(monkeypatch):
+    calls = []
+    real = Partition.hook_product
+    monkeypatch.setattr(Partition, "hook_product", lambda self: calls.append(self) or real(self))
+    shape = Partition((4, 2, 1))
+    assert [shape.dim for _ in range(3)] == [35, 35, 35]
+    assert len(calls) == 1
+    assert shape == Partition((4, 2, 1)) and hash(shape) == hash(Partition((4, 2, 1)))
+
+
 def test_canonical_order_is_decreasing_lex():
     for shape in (Partition((3, 1)), Partition((3, 1, 1)), Partition((2, 2))):
         contents = [t.content for t in enumerate_rsyt(shape)]
@@ -251,6 +261,16 @@ def test_int_matmul_at_the_int64_bound(k, width, top):
     b = np.full((k, 2), -x, dtype=object)
     b[:, 1] = x
     assert np.array_equal(int_matmul(a, b), a @ b)
+
+
+@pytest.mark.parametrize("x", [1 << 62, (1 << 63) - 1, 1 << 63, (1 << 64) + 3])
+def test_int_matmul_on_either_side_of_the_int64_entries(x):
+    # a factor whose entries all lie below 2^63 in magnitude is cut into limbs by int64 shifts,
+    # any other by Python-int shifts
+    a = np.array([[x, -x, 1], [-1, x - 1, -x]], dtype=object)
+    b = np.array([[x, 0], [-x, 1], [3, -x]], dtype=object)
+    out = int_matmul(a, b)
+    assert np.array_equal(out, a @ b) and all(type(v) is int for v in out.flat)
 
 
 def test_a_limb_one_bit_too_wide_breaks_the_product(monkeypatch):

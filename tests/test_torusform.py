@@ -15,11 +15,12 @@ from jacktorus.torusform import (
     FormContext,
     _pairing_block,
     gram,
+    gram_rows,
     norm_partition,
     nsjp_norm,
     pair,
 )
-from support import dunkl, e_factor, phi, valid_shapes
+from support import dense_gram, dunkl, e_factor, phi, valid_shapes
 
 
 def test_norm_partition_trivial(shape21, kappa21):
@@ -191,10 +192,14 @@ def _nodes_to_degree(graph, degree):
 
 
 def _assert_matches_pairwise(graph, nodes, ctx):
-    """gram equals the all-pairs oracle entry for entry; returns the matrix."""
-    mat = gram(graph, nodes, ctx)
+    """gram's blocks add up to the all-pairs oracle entry for entry, and gram_rows holds exactly
+    their nonzero sums; returns the dense matrix."""
+    blocks = gram(graph, nodes, ctx)
+    mat = dense_gram(blocks, len(nodes))
     polys = [graph.nsjp_laurent(*key) for key in nodes]
-    assert mat.shape == (len(nodes), len(nodes))
+    assert all(0 <= a < len(nodes) for blk in blocks for a in blk.labels)
+    n = len(nodes)
+    assert gram_rows(blocks, n) == [{j: mat[i, j] for j in range(n) if mat[i, j]} for i in range(n)]
     for i in range(len(nodes)):
         for j in range(i, len(nodes)):
             val = pair(polys[i], polys[j], ctx)
@@ -204,7 +209,7 @@ def _assert_matches_pairwise(graph, nodes, ctx):
 
 def test_gram_degree_zero(graph21, ctx21, shape21):
     nodes = [((0, 0, 0), ti) for ti in range(2)]
-    mat = gram(graph21, nodes, ctx21)
+    mat = dense_gram(gram(graph21, nodes, ctx21), 2)
     basis = enumerate_rsyt(shape21)
     assert mat[0, 1] == 0 and mat[1, 0] == 0
     assert [mat[k, k] for k in range(2)] == [norm0(t) for t in basis]
@@ -213,6 +218,10 @@ def test_gram_degree_zero(graph21, ctx21, shape21):
 def test_gram_full_orthogonality_small(graph21, ctx21, kappa21):
     nodes = _nodes_to_degree(graph21, 3)
     mat = _assert_matches_pairwise(graph21, nodes, ctx21)
+    # one block per degree, over the labels of that degree only
+    blocks = gram(graph21, nodes, ctx21)
+    assert [blk.labels for blk in blocks] == [[i for i, (a, _) in enumerate(nodes) if sum(a) == d] for d in range(4)]
+    assert all(blk.prod.shape == (len(blk.labels), len(blk.labels)) for blk in blocks)
     for i, (alpha, ti) in enumerate(nodes):
         assert mat[i, i] == nsjp_norm(alpha, graph21.basis[ti], kappa21)
         assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)
@@ -343,7 +352,7 @@ def test_gram_is_diagonal_with_closed_form_norms(parts, data):
     """Every shape with N <= 6 at the default parameter, to degree 2, in any node order."""
     graph, ctx, nodes = _setup(parts)
     nodes = data.draw(st.permutations(nodes), label="nodes")
-    mat = gram(graph, nodes, ctx)
+    mat = dense_gram(gram(graph, nodes, ctx), len(nodes))
     for i, (alpha, ti) in enumerate(nodes):
         assert mat[i, i] == nsjp_norm(alpha, graph.basis[ti], graph.kappa)
         assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)

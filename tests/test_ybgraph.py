@@ -251,6 +251,12 @@ def test_check_eigen_counts_every_node_to_the_degree(graph21, graph31):
     assert graph31.check_eigen(2) == 3 * (1 + 4 + 10)
 
 
+def test_check_eigen_puts_the_operators_over_one_denominator():
+    # on (3,2) the U_i do not share a denominator: 360 for i = 1, 4, 5 and 180 for i = 2, 3
+    graph = NsjpGraph(Partition((3, 2)), default_kappa((3, 2)))
+    assert graph.check_eigen(2) == 5 * (1 + 5 + 15)
+
+
 @pytest.mark.parametrize("parts, degree, k, row", [((2, 1), 1, 2, 0), ((2, 1), 2, 5, 7), ((3, 1), 2, 20, 11), ((2, 1), 3, 0, 3)])
 def test_check_eigen_fails_on_one_perturbed_entry_of_the_columns(monkeypatch, parts, degree, k, row):
     shape = Partition(parts)
@@ -270,7 +276,9 @@ def test_check_eigen_fails_on_one_perturbed_entry_of_the_columns(monkeypatch, pa
     assert str(info.value) == f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_1"
 
 
-@pytest.mark.parametrize("parts, degree, k, i", [((2, 1), 0, 1, 3), ((2, 1), 2, 4, 2), ((2, 1), 3, 19, 1), ((3, 1), 2, 7, 4)])
+@pytest.mark.parametrize(
+    "parts, degree, k, i", [((2, 1), 0, 1, 3), ((2, 1), 2, 4, 2), ((2, 1), 3, 19, 1), ((3, 1), 2, 7, 4), ((3, 2), 1, 3, 3)]
+)
 def test_check_eigen_fails_on_one_eigenvalue_moved_by_a_seventh(monkeypatch, parts, degree, k, i):
     shape = Partition(parts)
     graph = NsjpGraph(shape, default_kappa(parts))
