@@ -459,12 +459,12 @@ def cmd_verify(cfg, args) -> int:
         return f"gram of {len(nodes)} polynomials exactly diagonal"
 
     def selfadjoint_suite():
-        rng = np.random.default_rng(cfg.seed)
+        rng = random.Random(cfg.seed)
         for _ in range(10):
-            d = int(rng.integers(1, 3))
+            d = rng.randint(1, 2)
             alpha = _random_composition(rng, shape.N, d)
             beta = _random_composition(rng, shape.N, d)
-            i = int(rng.integers(1, shape.N + 1))
+            i = rng.randint(1, shape.N)
             res = store.verify_selfadjoint(alpha, beta, i)
             _require(not res.num.any(), f"residual at {alpha}, {beta}, i={i}")
         return "10 random identities with zero residual"
@@ -491,10 +491,9 @@ def cmd_verify(cfg, args) -> int:
     return _emit("verify", cfg, {"checks": checks, "passed": passed}, code=0 if passed else 1)
 
 
-def _random_composition(rng, n: int, total: int) -> tuple[int, ...]:
-    cuts = sorted(rng.integers(0, total + 1, n - 1))
-    parts = [cuts[0]] + [cuts[k] - cuts[k - 1] for k in range(1, n - 1)] + [total - cuts[-1]]
-    return tuple(int(p) for p in parts)
+def _random_composition(rng: random.Random, n: int, total: int) -> tuple[int, ...]:
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple([cuts[0]] + [cuts[k] - cuts[k - 1] for k in range(1, n - 1)] + [total - cuts[-1]])
 
 
 # -- dispatcher --------------------------------------------------------------

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _accel, compositions, tableaux
+from ._rng import DefaultRng
 from .coeffs import CoeffStore
 from .errors import VerificationFailed
 
@@ -32,8 +33,12 @@ _BLOCK = 32
 
 
 def _sample_angles(n_vars: int, count: int, seed: int) -> np.ndarray:
-    """count seeded torus points as a (count, n_vars) array of angles."""
-    return np.random.default_rng(seed).uniform(-np.pi, np.pi, (count, n_vars))
+    """count seeded torus points as a (count, n_vars) float64 array of angles in [-pi, pi).
+
+    The points of numpy's ``default_rng(seed).uniform(-pi, pi, (count, n_vars))``,
+    drawn by the stdlib ``_rng.DefaultRng``; a negative seed raises ValueError.
+    """
+    return DefaultRng(seed).uniform(-np.pi, np.pi, (count, n_vars))
 
 
 def cesaro_weight(n: int, m: int, delta: int) -> Fraction:
@@ -218,7 +223,9 @@ def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelRepo
     at every point in one phase sum per grade, each K_n summed from them, the
     eigenvalues of all its Hermitian parts in one call, H_n at the permuted
     points in one phase sum and the covariance as one stacked tau(w)^T H_n tau(w).
-    The covariance permutations are drawn orders outer, points inner.  Every
+    The points are _sample_angles(N, samples, seed); the covariance permutations
+    are those of numpy's ``default_rng(seed + 1).permutation(N)``, drawn by
+    the stdlib ``_rng.DefaultRng`` orders outer, points inner.  Every
     reported float is bit for bit that of a scan one point at a time, at any
     block size and any BLAS thread count.
     """
@@ -232,9 +239,9 @@ def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelRepo
     store.ensure_grade(max(orders))  # every grade under one memo, not one grade per call
     fc = FloatCoeffs(store)
     thetas = _sample_angles(store.N, samples, seed)
-    rng = np.random.default_rng(seed + 1)
+    rng = DefaultRng(seed + 1)
     # draws[o, p] = w - 1 for the permutation w of order orders[o] at point p
-    draws = np.array([[rng.permutation(store.N) for _ in range(samples)] for _ in orders])
+    draws = np.array([rng.permutations(store.N, samples) for _ in orders])
     worst = {n: np.inf for n in orders}
     herm_res = 0.0
     cov_res = 0.0

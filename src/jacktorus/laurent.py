@@ -16,14 +16,13 @@ on float64 limbs by ``tableaux.int_matmul``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from . import perms, tableaux
 from .perms import Perm
 from .scalars import KappaParam
-from .tableaux import Partition, Scaled, total
+from .tableaux import Partition, Scaled
 
 Vec = tuple[int, ...]
 
@@ -62,29 +61,6 @@ class VVLaurent:
     def copy(self) -> "VVLaurent":
         return VVLaurent._of_reduced(self.shape, self.kappa, dict(self.terms))
 
-    def _add_term(self, alpha: Vec, v: Scaled) -> None:
-        cur = self.terms.get(alpha)
-        v = (v if cur is None else total([cur, v])).reduced()
-        if v.num.any():
-            self.terms[alpha] = v
-        else:
-            self.terms.pop(alpha, None)
-
-    def __add__(self, other: "VVLaurent") -> "VVLaurent":
-        out = self.copy()
-        for alpha, v in other.terms.items():
-            out._add_term(alpha, v)
-        return out
-
-    def __sub__(self, other: "VVLaurent") -> "VVLaurent":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "VVLaurent":
-        c = Fraction(c)
-        if c == 0:
-            return VVLaurent(self.shape, self.kappa)
-        return VVLaurent(self.shape, self.kappa, {a: v * c for a, v in self.terms.items()})
-
     def monomial_mul(self, beta) -> "VVLaurent":
         beta = tuple(beta)
         return VVLaurent._of_reduced(
@@ -92,13 +68,6 @@ class VVLaurent:
             self.kappa,
             {tuple(a + b for a, b in zip(alpha, beta)): v for alpha, v in self.terms.items()},
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VVLaurent):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[a] == other.terms[a] for a in self.terms)
 
     def __repr__(self) -> str:
         parts = [f"x^{list(a)} (x){v.texts()}" for a, v in sorted(self.terms.items())]

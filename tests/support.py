@@ -1,5 +1,6 @@
 """Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, E-factors,
-the affine rotation, the termwise Dunkl and Cherednik-Dunkl operators and the dense Gram matrix.
+the affine rotation, termwise Laurent arithmetic, the termwise Dunkl and Cherednik-Dunkl operators
+and the dense Gram matrix.
 
 The package computes none of these; the tests use them to enumerate cases
 and as independent formulas to check the package against.
@@ -15,7 +16,7 @@ from jacktorus.compositions import Vec, _partitions, rank_perm, sort_desc
 from jacktorus.errors import SpectralCollision
 from jacktorus.laurent import VVLaurent, group_action
 from jacktorus.scalars import KappaParam
-from jacktorus.tableaux import RSYT, Partition
+from jacktorus.tableaux import RSYT, Partition, Scaled, total
 
 
 def valid_shapes(n: int) -> list[Partition]:
@@ -73,6 +74,37 @@ def phi(alpha: Vec) -> Vec:
     return alpha[1:] + (alpha[0] + 1,)
 
 
+def add_term(terms: dict[Vec, Scaled], alpha: Vec, v: Scaled) -> None:
+    """Add v to the coefficient of x^alpha in a term map, reduced; a zero sum drops the term."""
+    cur = terms.get(alpha)
+    v = (v if cur is None else total([cur, v])).reduced()
+    if v.num.any():
+        terms[alpha] = v
+    else:
+        terms.pop(alpha, None)
+
+
+def poly_add(f: VVLaurent, g: VVLaurent) -> VVLaurent:
+    out = f.copy()
+    for alpha, v in g.terms.items():
+        add_term(out.terms, alpha, v)
+    return out
+
+
+def poly_scale(f: VVLaurent, c) -> VVLaurent:
+    c = Fraction(c)
+    return VVLaurent(f.shape, f.kappa, {a: v * c for a, v in f.terms.items()})
+
+
+def poly_sub(f: VVLaurent, g: VVLaurent) -> VVLaurent:
+    return poly_add(f, poly_scale(g, -1))
+
+
+def poly_eq(f: VVLaurent, g: VVLaurent) -> bool:
+    """The same exponents with equal coefficients."""
+    return f.terms.keys() == g.terms.keys() and all(f.terms[a] == g.terms[a] for a in f.terms)
+
+
 def dunkl(i: int, f: VVLaurent) -> VVLaurent:
     """Degree-lowering Dunkl operator in coordinate i, term by term, on polynomial input.
 
@@ -89,7 +121,7 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
     for alpha, v in f.terms.items():
         a_i = alpha[i - 1]
         if a_i > 0:
-            out._add_term(alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * a_i)
+            add_term(out.terms, alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * a_i)
         for j in range(1, f.N + 1):
             if j == i or alpha[j - 1] == a_i:
                 continue
@@ -99,7 +131,7 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
             for p in range(min(a_i, b), max(a_i, b)):
                 base[i - 1] = p
                 base[j - 1] = a_i + b - 1 - p
-                out._add_term(tuple(base), sv)
+                add_term(out.terms, tuple(base), sv)
     return out
 
 
@@ -109,7 +141,7 @@ def cherednik(i: int, f: VVLaurent) -> VVLaurent:
     out = dunkl(i, f.monomial_mul(e_i))
     kap = f.kappa.value
     for j in range(1, i):
-        out = out + group_action(perms.transposition(f.N, i, j), f).scale(-kap)
+        out = poly_add(out, poly_scale(group_action(perms.transposition(f.N, i, j), f), -kap))
     return out
 
 

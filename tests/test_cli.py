@@ -364,13 +364,23 @@ def test_verify_reports_too_few_sample_values_as_the_diffsys_failure(monkeypatch
     assert checks["diffsys"]["detail"] == f"ArgumentTypeError: {message}"
 
 
-def test_diffsys_does_not_import_numpy_random():
-    # the exact check's points come from the stdlib generator; numpy.random costs import time and memory
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shape", "2,1", "--kappa", "1/5", "kernel", "--max-order", "2", "--samples", "5"],
+        ["identity", "--N", "3", "--max-order", "2", "--samples", "5"],
+        ["--shape", "2,1", "--kappa", "1/4", "verify", "--max-degree", "1"],
+        ["--shape", "3,1", "--kappa", "1/4", "diffsys", "--points", "5", "--loop-steps", "300"],
+    ],
+    ids=["kernel", "identity", "verify", "diffsys"],
+)
+def test_sampling_command_does_not_import_numpy_random(argv):
+    # every draw comes from the stdlib; numpy.random costs import time and memory
     probe = (
         "import contextlib, io, sys\n"
         "from jacktorus.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['--shape', '3,1', '--kappa', '1/4', 'diffsys', '--points', '5', '--loop-steps', '300'])\n"
+        f"    code = main({argv!r})\n"
         "print(code, 'numpy.random' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
@@ -549,6 +559,18 @@ def test_the_package_has_no_assert_statement():
         for path in paths
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert len(paths) > 10 and found == []
+
+
+def test_the_package_does_not_use_numpy_random():
+    # the samplers reproduce numpy's default_rng stream in _rng, so no module needs numpy.random
+    paths = sorted(Path(jacktorus.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{lineno}"
+        for path in paths
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.random" in line or "numpy.random" in line
     ]
     assert len(paths) > 10 and found == []
 

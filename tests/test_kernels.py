@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from jacktorus import kernels
+from jacktorus._rng import DefaultRng
 from jacktorus.coeffs import CoeffStore
 from jacktorus.errors import PoleExcluded
 from jacktorus.kernels import (
@@ -196,6 +197,43 @@ def test_psd_report_matches_a_scan_per_order(fc21):
         assert abs(rep.min_eigenvalues[n] - worst[n]) < 1e-12
     assert abs(rep.hermiticity_residual - herm) < 1e-15
     assert rep.covariance_residual == cov
+
+
+# numpy's default_rng is the oracle: the stdlib stream must reproduce it at small, word-sized,
+# multi-word and pool-overflowing (more than four 32-bit words) seeds
+STREAM_SEEDS = [*range(40), 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 11, 3**150]
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 5, 6, 92])
+def test_sample_angles_are_numpys_uniform_draws(n_vars):
+    for seed in STREAM_SEEDS:
+        got = kernels._sample_angles(n_vars, 9, seed)
+        assert got.dtype == np.float64 and got.shape == (9, n_vars)
+        assert np.array_equal(got, np.random.default_rng(seed).uniform(-np.pi, np.pi, (9, n_vars))), seed
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 92])
+def test_permutations_are_numpys_permutation_draws(n):
+    # two calls on one generator: the high half of a split word carries over between them
+    for seed in STREAM_SEEDS:
+        ours = DefaultRng(seed + 1)
+        got = ours.permutations(n, 3) + ours.permutations(n, 4)
+        theirs = np.random.default_rng(seed + 1)
+        assert got == [theirs.permutation(n).tolist() for _ in range(7)], seed
+
+
+def test_permutations_match_numpy_at_every_size_to_300():
+    ours, theirs = DefaultRng(5), np.random.default_rng(5)
+    for n in range(1, 301):
+        assert ours.permutations(n, 2) == [theirs.permutation(n).tolist() for _ in range(2)], n
+
+
+def test_sampling_rejects_a_negative_seed(fc21):
+    # as numpy's SeedSequence does
+    with pytest.raises(ValueError, match="non-negative"):
+        kernels._sample_angles(3, 4, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        psd_report(fc21.store, [1], 4, seed=-1)
 
 
 @pytest.mark.parametrize("orders, samples", [([], 5), ([1, 2], 0)], ids=["no-orders", "no-samples"])

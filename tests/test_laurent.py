@@ -20,7 +20,17 @@ from jacktorus.tableaux import (
     total,
     transposition_matrix,
 )
-from support import cherednik, dunkl, triangular_lt, unchecked_kappa, valid_shapes
+from support import (
+    cherednik,
+    dunkl,
+    poly_add,
+    poly_eq,
+    poly_scale,
+    poly_sub,
+    triangular_lt,
+    unchecked_kappa,
+    valid_shapes,
+)
 
 
 def leading_exponents(f: VVLaurent) -> list[tuple[int, ...]]:
@@ -38,7 +48,7 @@ def random_poly(shape, kappa, rng, nterms=4, max_exp=2):
     for _ in range(nterms):
         alpha = tuple(rng.randrange(max_exp + 1) for _ in range(shape.N))
         v = np.array([rng.randrange(-4, 5) for _ in range(shape.dim)], dtype=object)
-        f = f + VVLaurent(shape, kappa, {alpha: Scaled(v, 1)})
+        f = poly_add(f, VVLaurent(shape, kappa, {alpha: Scaled(v, 1)}))
     return f
 
 
@@ -48,7 +58,7 @@ def random_rational_poly(shape, kappa, rng, nterms=5, max_exp=2):
     for _ in range(nterms):
         alpha = tuple(rng.randrange(max_exp + 1) for _ in range(shape.N))
         v = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 9)) for _ in range(shape.dim)]
-        f = f + VVLaurent(shape, kappa, {alpha: Scaled.of(v)})
+        f = poly_add(f, VVLaurent(shape, kappa, {alpha: Scaled.of(v)}))
     return f
 
 
@@ -72,7 +82,7 @@ def rng():
 
 def test_group_action_identity(shape21, kappa21, rng):
     f = random_poly(shape21, kappa21, rng)
-    assert group_action(perms.identity(3), f) == f
+    assert poly_eq(group_action(perms.identity(3), f), f)
 
 
 def test_group_action_single_term(shape21, kappa21):
@@ -88,7 +98,7 @@ def test_group_action_composition(shape21, kappa21, rng):
         f = random_poly(shape21, kappa21, rng)
         w1 = tuple(rng.sample([1, 2, 3], 3))
         w2 = tuple(rng.sample([1, 2, 3], 3))
-        assert group_action(perms.compose(w1, w2), f) == group_action(w1, group_action(w2, f))
+        assert poly_eq(group_action(perms.compose(w1, w2), f), group_action(w1, group_action(w2, f)))
 
 
 def test_dunkl_annihilates_constants(shape21, kappa21):
@@ -102,14 +112,14 @@ def test_dunkl_degree_one_identity(shape21, kappa21):
     for ti in range(2):
         f = VVLaurent.monomial(shape21, kappa21, (1, 0, 0), ti)
         lhs = dunkl(1, f).monomial_mul((1, 0, 0))
-        assert lhs == VVLaurent(shape21, kappa21, {(1, 0, 0): Scaled(m.num[:, ti], m.den)})
+        assert poly_eq(lhs, VVLaurent(shape21, kappa21, {(1, 0, 0): Scaled(m.num[:, ti], m.den)}))
 
 
 def test_dunkl_commute(shape21, kappa21, rng):
     for _ in range(3):
         f = random_poly(shape21, kappa21, rng)
-        assert dunkl(1, dunkl(2, f)) == dunkl(2, dunkl(1, f))
-        assert dunkl(1, dunkl(3, f)) == dunkl(3, dunkl(1, f))
+        assert poly_eq(dunkl(1, dunkl(2, f)), dunkl(2, dunkl(1, f)))
+        assert poly_eq(dunkl(1, dunkl(3, f)), dunkl(3, dunkl(1, f)))
 
 
 def test_dunkl_lowers_degree(shape21, kappa21, rng):
@@ -126,14 +136,14 @@ def test_cherednik_constant_spectrum(shape21, kappa21):
     for ti, c in enumerate(basis_contents):
         f = VVLaurent.monomial(shape21, kappa21, (0, 0, 0), ti)
         for i in range(1, 4):
-            expect = f.scale(1 + kappa21.value * c[i - 1])
-            assert cherednik(i, f) == expect
+            expect = poly_scale(f, 1 + kappa21.value * c[i - 1])
+            assert poly_eq(cherednik(i, f), expect)
 
 
 def test_cherednik_commute_and_preserve_degree(shape21, kappa21, rng):
     for _ in range(3):
         f = random_poly(shape21, kappa21, rng)
-        assert cherednik(1, cherednik(2, f)) == cherednik(2, cherednik(1, f))
+        assert poly_eq(cherednik(1, cherednik(2, f)), cherednik(2, cherednik(1, f)))
         g = cherednik(3, f)
         assert degrees(g) <= degrees(f)
 
@@ -144,8 +154,8 @@ def test_cherednik_e_shift_commutation(shape21, kappa21, rng):
     for m in (1, 2):
         for i in (1, 2, 3):
             lhs = cherednik(i, e_shift(m, f))
-            rhs = e_shift(m, f).scale(m) + e_shift(m, cherednik(i, f))
-            assert lhs == rhs
+            rhs = poly_add(poly_scale(e_shift(m, f), m), e_shift(m, cherednik(i, f)))
+            assert poly_eq(lhs, rhs)
 
 
 def test_hecke_relations(shape21, kappa21, rng):
@@ -157,11 +167,11 @@ def test_hecke_relations(shape21, kappa21, rng):
             si = perms.simple(3, i)
             sf = group_action(si, f)
             lhs = group_action(si, cherednik(i, sf))
-            rhs = cherednik(i + 1, f) + sf.scale(kap)
-            assert lhs == rhs
+            rhs = poly_add(cherednik(i + 1, f), poly_scale(sf, kap))
+            assert poly_eq(lhs, rhs)
             lhs2 = cherednik(i, sf)
-            rhs2 = group_action(si, cherednik(i + 1, f)) + f.scale(kap)
-            assert lhs2 == rhs2
+            rhs2 = poly_add(group_action(si, cherednik(i + 1, f)), poly_scale(f, kap))
+            assert poly_eq(lhs2, rhs2)
 
 
 def test_intertwining_with_group(shape21, kappa21, rng):
@@ -170,13 +180,13 @@ def test_intertwining_with_group(shape21, kappa21, rng):
         f = random_poly(shape21, kappa21, rng)
         w = tuple(rng.sample([1, 2, 3], 3))
         for i in (1, 2, 3):
-            assert group_action(w, dunkl(i, f)) == dunkl(w[i - 1], group_action(w, f))
+            assert poly_eq(group_action(w, dunkl(i, f)), dunkl(w[i - 1], group_action(w, f)))
 
 
 def test_e_shift_examples(shape21, kappa21, rng):
     f = random_poly(shape21, kappa21, rng)
     assert e_shift(0, f) is f
-    assert e_shift(-2, e_shift(2, f)) == f
+    assert poly_eq(e_shift(-2, e_shift(2, f)), f)
     one = VVLaurent.monomial(shape21, kappa21, (0, 0, 0), 0)
     assert set(e_shift(1, one).terms) == {(1, 1, 1)}
 
@@ -236,7 +246,7 @@ def test_dunkl_matches_fraction_products(shape_name, request, rng):
 
 def test_terms_are_reduced_carriers(shape31, kappa31, rng):
     f = random_rational_poly(shape31, kappa31, rng)
-    polys = [f, dunkl(2, f), group_action((2, 4, 1, 3), f), f.scale(Fraction(3, 7)), f - f.scale(Fraction(1, 3))]
+    polys = [f, dunkl(2, f), group_action((2, 4, 1, 3), f), poly_scale(f, Fraction(3, 7)), poly_sub(f, poly_scale(f, Fraction(1, 3)))]
     for g in polys:
         for v in g.terms.values():
             assert v.num.shape == (shape31.dim,) and v.num.any()

@@ -20,7 +20,7 @@ from jacktorus.torusform import (
     nsjp_norm,
     pair,
 )
-from support import dense_gram, dunkl, e_factor, phi, valid_shapes
+from support import dense_gram, dunkl, e_factor, phi, poly_add, poly_scale, valid_shapes
 
 
 def test_norm_partition_trivial(shape21, kappa21):
@@ -289,7 +289,7 @@ def test_gram_matches_pairwise_on_non_orthogonal_inputs(shape21, kappa21, ctx21)
     rng = random.Random(11)
     polys = {}
     for k in range(8):
-        f = _random_poly(shape21, kappa21, rng, nterms=4, max_exp=2).scale(Fraction(k + 1, k + 2))
+        f = poly_scale(_random_poly(shape21, kappa21, rng, nterms=4, max_exp=2), Fraction(k + 1, k + 2))
         polys[((k,), 0)] = f.monomial_mul((-1, 0, 0)) if k % 3 == 0 else f
     mat = _assert_matches_pairwise(_PolyTable(polys), list(polys), ctx21)
     assert any(mat[i, j] != 0 for i in range(8) for j in range(i))
@@ -375,7 +375,7 @@ def _random_poly(shape, kappa, rng, nterms=3, max_exp=1):
     for _ in range(nterms):
         alpha = tuple(rng.randrange(max_exp + 1) for _ in range(shape.N))
         v = np.array([rng.randrange(-3, 4) for _ in range(shape.dim)], dtype=object)
-        f = f + VVLaurent(shape, kappa, {alpha: Scaled(v, 1)})
+        f = poly_add(f, VVLaurent(shape, kappa, {alpha: Scaled(v, 1)}))
     return f
 
 
@@ -419,7 +419,7 @@ def _random_rational_laurent(shape, kappa, rng, nterms=6):
     for _ in range(nterms):
         alpha = tuple(rng.randrange(-1, 1) for _ in range(shape.N))
         v = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 8)) for _ in range(shape.dim)]
-        f = f + VVLaurent(shape, kappa, {alpha: Scaled.of(v)})
+        f = poly_add(f, VVLaurent(shape, kappa, {alpha: Scaled.of(v)}))
     return f
 
 
