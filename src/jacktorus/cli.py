@@ -256,12 +256,11 @@ def cmd_nsjp(cfg, args) -> int:
         )
     graph = NsjpGraph(shape, kap)
     node = graph.node(alpha, args.tableau) if min(alpha) >= 0 else None
-    poly = node.poly if node else graph.nsjp_laurent(alpha, args.tableau)
     results = {
         "alpha": list(alpha),
         "tableau": graph.basis[args.tableau].to_lists(),
         "spectral": [str(s) for s in (node.spectral if node else ())],
-        "poly": poly.to_records(),
+        "poly": graph.nsjp_laurent(alpha, args.tableau).to_records(),
     }
     if node:
         results["jumps"] = node.jumps
@@ -300,7 +299,7 @@ def _gram_check(graph: NsjpGraph, store: CoeffStore, degree: int):
     """Degree-ordered (alpha, tableau index) labels to a degree, the nonzero entries of each row of their
     Gram matrix, its number of nonzero off-diagonal entries and whether its diagonal is the closed-form norms."""
     nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
-    rows = gram_rows(gram(graph, nodes, FormContext(store.ensure_grade(degree))), len(nodes))
+    rows = gram_rows(gram(graph, degree, FormContext(store.ensure_grade(degree))))
     off = sum(len(row) - (i in row) for i, row in enumerate(rows))
     norm_ok = all(rows[i].get(i, 0) == nsjp_norm(a, graph.basis[ti], graph.kappa) for i, (a, ti) in enumerate(nodes))
     return nodes, rows, off, norm_ok

@@ -29,7 +29,6 @@ available as an optional check of flatness and degree-zero homogeneity.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,8 +78,8 @@ def sigma_stack(shape: Partition) -> Scaled:
     mats = [tableaux.rep_matrix(shape, perms.identity(n))] + [
         tableaux.transposition_matrix(shape, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
     ]
-    den = math.lcm(*(m.den for m in mats))
-    return Scaled(np.stack([m.num.reshape(-1) * (den // m.den) for m in mats]), den)
+    stack = Scaled.stack(mats)
+    return Scaled(stack.num.reshape(len(mats), -1), stack.den)
 
 
 def connections(x, shape: Partition) -> Scaled:

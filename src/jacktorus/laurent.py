@@ -1,21 +1,17 @@
-"""Sparse vector-valued Laurent polynomials, their integer columns and the Cherednik-Dunkl matrices.
+"""Sparse vector-valued Laurent polynomials and the Cherednik-Dunkl matrices.
 
 A polynomial is a map exponent-vector -> coefficient vector, the coefficient
 living in the tableau basis of the module and held as a reduced
-``tableaux.Scaled``: Python ints over one positive denominator.  The
-constructor reduces every coefficient it is given; ``copy``,
-``monomial_mul`` and ``e_shift`` only move terms that are already reduced,
-so they keep the carriers as they are.  ``columns`` lays the terms of one
-degree out as one integer matrix C (a row block per exponent, a column per
-polynomial) and ``cherednik_matrix`` gives U_i on those rows as one integer
-matrix: ``torusform.gram`` pairs C as C^T (P C) and
-``ybgraph.NsjpGraph.check_eigen`` checks U_i C = C diag(xi_i), both exactly
-on float64 limbs by ``tableaux.int_matmul``.
+``tableaux.Scaled``: Python ints over one positive denominator.  It is the
+form in which ``nsjp`` reports a Jack polynomial and ``torusform.pair``
+takes its inputs; the graph itself builds each polynomial as one integer
+column (``ybgraph``).  ``cherednik_matrix`` gives U_i as one integer matrix
+on the rows of such columns, a block of dim rows per exponent, so that
+``ybgraph.NsjpGraph.check_eigen`` checks U_i C = C diag(xi_i) exactly on
+float64 limbs by ``tableaux.int_matmul``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -42,32 +38,9 @@ class VVLaurent:
                     self.terms[tuple(alpha)] = v.reduced()
 
     @classmethod
-    def _of_reduced(cls, shape: Partition, kappa: KappaParam, terms: dict) -> "VVLaurent":
-        """A polynomial on terms that are already nonzero and reduced, taken as they are."""
-        out = cls(shape, kappa)
-        out.terms = terms
-        return out
-
-    @classmethod
-    def monomial(cls, shape: Partition, kappa: KappaParam, alpha, t_index: int) -> "VVLaurent":
-        v = np.zeros(shape.dim, dtype=object)
-        v[t_index] = 1
-        return cls(shape, kappa, {tuple(alpha): Scaled(v, 1)})
-
-    @property
-    def N(self) -> int:
-        return self.shape.N
-
-    def copy(self) -> "VVLaurent":
-        return VVLaurent._of_reduced(self.shape, self.kappa, dict(self.terms))
-
-    def monomial_mul(self, beta) -> "VVLaurent":
-        beta = tuple(beta)
-        return VVLaurent._of_reduced(
-            self.shape,
-            self.kappa,
-            {tuple(a + b for a, b in zip(alpha, beta)): v for alpha, v in self.terms.items()},
-        )
+    def of_rows(cls, shape: Partition, kappa: KappaParam, exps, num: np.ndarray, den: int) -> "VVLaurent":
+        """The polynomial sum_r x^exps[r] (x) num[r] / den, num a Python-int array with one row per exponent."""
+        return cls(shape, kappa, {alpha: Scaled(row, den) for alpha, row in zip(exps, num)})
 
     def __repr__(self) -> str:
         parts = [f"x^{list(a)} (x){v.texts()}" for a, v in sorted(self.terms.items())]
@@ -82,8 +55,6 @@ class VVLaurent:
 
 def group_action(w: Perm, f: VVLaurent) -> VVLaurent:
     """x^a (x) v  ->  x^{w.a} (x) sigma(w) v."""
-    if perms.is_identity(w):
-        return f.copy()
     mat = tableaux.rep_matrix(f.shape, w)
     return VVLaurent(
         f.shape,
@@ -92,35 +63,8 @@ def group_action(w: Perm, f: VVLaurent) -> VVLaurent:
     )
 
 
-def e_shift(m: int, f: VVLaurent) -> VVLaurent:
-    """Multiply by the m-th power of x_1 x_2 ... x_N (m may be negative).
-
-    m = 0 returns f itself: polynomials are never mutated after construction.
-    """
-    if m == 0:
-        return f
-    return f.monomial_mul((m,) * f.N)
-
-
-def columns(parts: list[dict[Vec, Scaled]], dim: int) -> tuple[list[Vec], np.ndarray, list[int]]:
-    """Term maps of one degree as integer columns, one per map.
-
-    Returns the sorted union of their exponents, the Python-int matrix with
-    one block of dim rows per exponent, and each column's scale: the lcm of
-    its denominators, which its entries are multiplied by.
-    """
-    exps = sorted({alpha for terms in parts for alpha in terms})
-    row = {alpha: r * dim for r, alpha in enumerate(exps)}
-    cmat = np.zeros((len(exps) * dim, len(parts)), dtype=object)
-    scales = [math.lcm(*(v.den for v in terms.values())) for terms in parts]
-    for c, terms in enumerate(parts):
-        for alpha, v in terms.items():
-            cmat[row[alpha] : row[alpha] + dim, c] = v.num * (scales[c] // v.den)
-    return exps, cmat, scales
-
-
 def cherednik_matrix(shape: Partition, kappa: KappaParam, exps: list[Vec], i: int) -> Scaled:
-    """U_i = D_i x_i - kappa sum_{j<i} (i j) as one matrix on the rows of ``columns`` over exps.
+    """U_i = D_i x_i - kappa sum_{j<i} (i j) as one matrix on columns over exps, a block of dim rows per exponent.
 
     U_i must map exps into itself, as it does all compositions of one degree (a
     target outside raises KeyError).  With a = alpha_i + 1 and b = alpha_j, the
@@ -130,9 +74,10 @@ def cherednik_matrix(shape: Partition, kappa: KappaParam, exps: list[Vec], i: in
     -kappa sigma(i j) at (i j) alpha for j < i, over den = kappa.den lcm_j sigma(i j).den.
     """
     dim, kap = shape.dim, kappa.value
-    sigma = {j: tableaux.transposition_matrix(shape, i, j) for j in range(1, shape.N + 1) if j != i}
-    den = kap.denominator * math.lcm(*(m.den for m in sigma.values()))
-    blocks = {j: m.num * (kap.numerator * (den // (kap.denominator * m.den))) for j, m in sigma.items()}
+    js = [j for j in range(1, shape.N + 1) if j != i]
+    sigma = Scaled.stack([tableaux.transposition_matrix(shape, i, j) for j in js])
+    den = kap.denominator * sigma.den
+    blocks = dict(zip(js, sigma.num * kap.numerator))
     row = {alpha: r * dim for r, alpha in enumerate(exps)}
     out = np.diag(np.array([(alpha[i - 1] + 1) * den for alpha in exps for _ in range(dim)], dtype=object))
     for alpha, c in row.items():

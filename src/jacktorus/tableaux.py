@@ -197,6 +197,12 @@ class Scaled:
         den = math.lcm(*(x.denominator for x in mat.flat))
         return cls(np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(mat), den)
 
+    @classmethod
+    def stack(cls, mats) -> "Scaled":
+        """The carriers over the lcm of their denominators, stacked along a new first axis."""
+        den = math.lcm(*(m.den for m in mats))
+        return cls(np.stack([m.num * (den // m.den) for m in mats]), den)
+
     def __matmul__(self, other: "Scaled") -> "Scaled":
         return Scaled(self.num @ other.num, self.den * other.den)
 

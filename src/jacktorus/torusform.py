@@ -4,21 +4,21 @@ Closed forms give the squared norms of the Jack basis directly; arbitrary
 vector-valued Laurent polynomials are paired through the coefficient store,
 using the exact pairing matrices G_{alpha-beta} as ``tableaux.Scaled``
 carriers.  ``pair`` sums term pair by term pair, each one integer product
-fv^T G gv over the product of the three denominators.  ``gram`` returns a
-Gram matrix as its blocks, one integer matrix product C^T (P C) per degree,
-both products taken exactly by ``tableaux.int_matmul`` from one float64
-product of their limbs (every partial sum an integer below 2^53, which
-float64 holds exactly, so the result is the same in any summation order and
-at any BLAS thread count); no dense matrix over all the polynomials is
-built, and ``gram_rows`` adds the blocks up into the nonzero entries of each
-row.  One diagonal entry per degree is checked against ``pair``, which stays
-on Python-int object products as the independent oracle.  Norms, pairings
-and Gram entries are ``Fraction`` scalars.
+fv^T G gv over the product of the three denominators.  ``gram`` returns the
+Gram matrix of the graph's nodes as its blocks, one integer matrix product
+C_d^T (P_d C_d) per degree d, both products taken exactly by
+``tableaux.int_matmul`` from one float64 product of their limbs (every
+partial sum an integer below 2^53, which float64 holds exactly, so the
+result is the same in any summation order and at any BLAS thread count); no
+dense matrix over all the polynomials is built, and ``gram_rows`` lists the
+nonzero entries of each row.  One diagonal entry per degree is checked
+against ``pair``, which stays on Python-int object products as the
+independent oracle.  Norms, pairings and Gram entries are ``Fraction``
+scalars.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,10 +28,10 @@ from . import compositions
 from .coeffs import CoeffStore
 from .compositions import Vec
 from .errors import SpectralCollision, VerificationFailed
-from .laurent import columns
+from .laurent import VVLaurent
 from .scalars import KappaParam
 from .tableaux import RSYT, Scaled, int_matmul, norm0
-from .ybgraph import NsjpGraph
+from .ybgraph import NsjpGraph, exponents
 
 
 def norm_partition(lam, t: RSYT, kappa: KappaParam) -> Fraction:
@@ -118,78 +118,73 @@ def pair(f, g, ctx: FormContext) -> Fraction:
 
 @dataclass(frozen=True)
 class GramBlock:
-    """One degree's part of a Gram matrix: entry (i, j) is prod[i, j] / (lp scales[i] scales[j]).
+    """One degree's part of a Gram matrix: entry (i, j) is prod[i, j] / (lp dens[i] dens[j]).
 
-    ``labels`` are the positions in the node list of its polynomials, ``prod``
-    the Python-int matrix C^T (P C), ``lp`` the scale of P and ``scales`` the
-    scales of the columns of C.
+    ``prod`` is the Python-int matrix C^T (P C), ``lp`` the scale of P and
+    ``dens`` the denominators of the columns of C.
     """
 
-    labels: list[int]
     prod: np.ndarray
     lp: int
-    scales: list[int]
+    dens: list[int]
 
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.prod[i, j], self.lp * self.scales[i] * self.scales[j])
+        return Fraction(self.prod[i, j], self.lp * self.dens[i] * self.dens[j])
 
 
-def gram(graph: NsjpGraph, nodes, ctx: FormContext) -> list[GramBlock]:
-    """Gram matrix of Jack polynomials at the given (alpha, tableau) labels, as one block per degree.
+def gram(graph: NsjpGraph, max_degree: int, ctx: FormContext) -> list[GramBlock]:
+    """Gram matrix of the Jack polynomials of degree <= max_degree, as one block per degree.
 
-    Terms of different degree pair to zero, so the matrix is the sum over
-    degrees d of C_d^T P_d C_d: C_d is ``laurent.columns`` of the degree-d
-    terms, and P_d the pairing blocks G_{alpha-beta} between their exponents,
+    The polynomials are the graph's nodes, degree by degree in ``build_degree``
+    order.  Terms of different degree pair to zero, so the matrix is block
+    diagonal, block d being C_d^T P_d C_d: C_d is ``graph.columns(d)`` and
+    P_d the pairing blocks G_{alpha-beta} between the exponents of its rows,
     scaled to Python ints by one common lcm.  ``int_matmul`` takes both
     products exactly on float64 limbs, and the divisions are left to
-    ``GramBlock.entry``.  A polynomial with terms of several degrees sits in
-    several blocks, whose entries add (``gram_rows``).  The pairing depends
-    only on alpha - beta, so Laurent labels need no shift.
+    ``GramBlock.entry``.
 
     The pairwise ``pair``, on object products, is the oracle: the diagonal
-    entry of the polynomial with the most terms in each degree block is
-    recomputed with it, and a disagreement raises VerificationFailed.
+    entry of the polynomial with the most terms in each block is recomputed
+    with it, and a disagreement raises VerificationFailed.
     """
-    polys = [graph.nsjp_laurent(alpha, t) for alpha, t in nodes]
-    # degree -> {polynomial index: its terms of that degree}
-    parts: dict[int, dict[int, dict[Vec, Scaled]]] = {}
-    for a, f in enumerate(polys):
-        for alpha, v in f.terms.items():
-            parts.setdefault(sum(alpha), {}).setdefault(a, {})[alpha] = v
+    n, dim = graph.shape.N, graph.shape.dim
     blocks = []
-    for cols in parts.values():
-        exps, cmat, scales = columns(list(cols.values()), ctx.store.dim)
+    for d in range(max_degree + 1):
+        nodes, cmat, dens = graph.columns(d)
+        exps = exponents(n, d)
         pmat, lp = _pairing_block(exps, ctx)
-        blocks.append(GramBlock(list(cols), int_matmul(cmat.T, int_matmul(pmat, cmat)), lp, scales))
-    for a in sorted({max(cols, key=lambda a: (len(cols[a]), -a)) for cols in parts.values()}):
-        diagonal = sum(blk.entry(i, i) for blk in blocks for i, b in enumerate(blk.labels) if b == a)
-        if pair(polys[a], polys[a], ctx) != diagonal:
-            alpha, t = nodes[a]
+        blk = GramBlock(int_matmul(cmat.T, int_matmul(pmat, cmat)), lp, dens)
+        rows = cmat.reshape(len(exps), dim, len(nodes))
+        k = int(np.argmax((rows != 0).any(axis=1).sum(axis=0)))  # the column with the most terms, the first one
+        f = VVLaurent.of_rows(graph.shape, graph.kappa, exps, rows[:, :, k], dens[k])
+        if pair(f, f, ctx) != blk.entry(k, k):
             raise VerificationFailed(
-                f"gram entry of {tuple(alpha)}, tableau {t} differs from the pairwise form"
+                f"gram entry of {nodes[k].alpha}, tableau {nodes[k].t_index} differs from the pairwise form"
             )
+        blocks.append(blk)
     return blocks
 
 
-def gram_rows(blocks: list[GramBlock], size: int) -> list[dict[int, Fraction]]:
-    """The nonzero entries of each row of the size x size matrix that the blocks add up to, as {column: value}."""
-    rows: list[dict[int, Fraction]] = [{} for _ in range(size)]
+def gram_rows(blocks: list[GramBlock]) -> list[dict[int, Fraction]]:
+    """The nonzero entries of each row of the block-diagonal matrix, as {column: value}, the blocks in order."""
+    rows: list[dict[int, Fraction]] = []
     for blk in blocks:
-        for i, j in zip(*np.nonzero(blk.prod)):
-            a, b = blk.labels[i], blk.labels[j]
-            rows[a][b] = rows[a].get(b, 0) + blk.entry(i, j)
-    return [{b: v for b, v in row.items() if v} for row in rows]
+        start = len(rows)
+        rows += [{} for _ in blk.dens]
+        for i, j in np.argwhere(blk.prod).tolist():
+            rows[start + i][start + j] = blk.entry(i, j)
+    return rows
 
 
 def _pairing_block(exps: list[Vec], ctx: FormContext) -> tuple[np.ndarray, int]:
-    """Integer block matrix [L G_{alpha-beta}] over exps, laid out as ``laurent.columns``, and its scale L."""
+    """Integer block matrix [L G_{alpha-beta}] over exps, a block of dim rows per exponent, and its scale L."""
     dim = ctx.store.dim
     row = {alpha: r * dim for r, alpha in enumerate(exps)}
     gammas = {(a, b): tuple(x - y for x, y in zip(a, b)) for a in row for b in row}
-    mats = {g: ctx.pairing(g) for g in set(gammas.values())}
-    lp = math.lcm(*(m.den for m in mats.values()))
-    ints = {g: m.num * (lp // m.den) for g, m in mats.items()}
+    keys = list(set(gammas.values()))
+    mats = Scaled.stack([ctx.pairing(g) for g in keys])
+    ints = dict(zip(keys, mats.num))
     pmat = np.zeros((len(row) * dim, len(row) * dim), dtype=object)
     for (a, b), g in gammas.items():
         pmat[row[a] : row[a] + dim, row[b] : row[b] + dim] = ints[g]
-    return pmat, lp
+    return pmat, mats.den

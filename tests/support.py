@@ -1,6 +1,6 @@
 """Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, E-factors,
-the affine rotation, termwise Laurent arithmetic, the termwise Dunkl and Cherednik-Dunkl operators
-and the dense Gram matrix.
+the affine rotation, termwise Laurent arithmetic, the termwise Dunkl and Cherednik-Dunkl operators,
+the termwise build of the Jack polynomials and the dense Gram matrix.
 
 The package computes none of these; the tests use them to enumerate cases
 and as independent formulas to check the package against.
@@ -17,6 +17,7 @@ from jacktorus.errors import SpectralCollision
 from jacktorus.laurent import VVLaurent, group_action
 from jacktorus.scalars import KappaParam
 from jacktorus.tableaux import RSYT, Partition, Scaled, total
+from jacktorus.ybgraph import spectral_vector
 
 
 def valid_shapes(n: int) -> list[Partition]:
@@ -74,6 +75,23 @@ def phi(alpha: Vec) -> Vec:
     return alpha[1:] + (alpha[0] + 1,)
 
 
+def monomial(shape: Partition, kappa: KappaParam, alpha, t_index: int) -> VVLaurent:
+    """x^alpha (x) T, T the t_index-th basis tableau."""
+    v = np.zeros(shape.dim, dtype=object)
+    v[t_index] = 1
+    return VVLaurent(shape, kappa, {tuple(alpha): Scaled(v, 1)})
+
+
+def monomial_mul(f: VVLaurent, beta) -> VVLaurent:
+    """x^beta f."""
+    return VVLaurent(f.shape, f.kappa, {tuple(a + b for a, b in zip(alpha, beta)): v for alpha, v in f.terms.items()})
+
+
+def e_shift(m: int, f: VVLaurent) -> VVLaurent:
+    """Multiply by the m-th power of x_1 x_2 ... x_N (m may be negative); m = 0 returns f itself."""
+    return f if m == 0 else monomial_mul(f, (m,) * f.shape.N)
+
+
 def add_term(terms: dict[Vec, Scaled], alpha: Vec, v: Scaled) -> None:
     """Add v to the coefficient of x^alpha in a term map, reduced; a zero sum drops the term."""
     cur = terms.get(alpha)
@@ -85,7 +103,7 @@ def add_term(terms: dict[Vec, Scaled], alpha: Vec, v: Scaled) -> None:
 
 
 def poly_add(f: VVLaurent, g: VVLaurent) -> VVLaurent:
-    out = f.copy()
+    out = VVLaurent(f.shape, f.kappa, f.terms)
     for alpha, v in g.terms.items():
         add_term(out.terms, alpha, v)
     return out
@@ -122,7 +140,7 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
         a_i = alpha[i - 1]
         if a_i > 0:
             add_term(out.terms, alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * a_i)
-        for j in range(1, f.N + 1):
+        for j in range(1, f.shape.N + 1):
             if j == i or alpha[j - 1] == a_i:
                 continue
             b = alpha[j - 1]
@@ -137,19 +155,45 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
 
 def cherednik(i: int, f: VVLaurent) -> VVLaurent:
     """Degree-preserving Cherednik-Dunkl operator U_i = D_i x_i - kappa sum_{j<i} (i j), term by term."""
-    e_i = tuple(1 if k == i - 1 else 0 for k in range(f.N))
-    out = dunkl(i, f.monomial_mul(e_i))
+    n = f.shape.N
+    out = dunkl(i, monomial_mul(f, tuple(1 if k == i - 1 else 0 for k in range(n))))
     kap = f.kappa.value
     for j in range(1, i):
-        out = poly_add(out, poly_scale(group_action(perms.transposition(f.N, i, j), f), -kap))
+        out = poly_add(out, poly_scale(group_action(perms.transposition(n, i, j), f), -kap))
     return out
 
 
-def dense_gram(blocks, size: int) -> np.ndarray:
-    """The size x size Fraction matrix that ``torusform.gram``'s blocks add up to, entry by entry."""
+def termwise_nsjp(graph, alpha: Vec, t_index: int, memo: dict) -> VVLaurent:
+    """The Jack polynomial at (alpha, T) built on term maps, edge by edge along ``graph._parent`` from x^0 (x) T.
+
+    A jump is x_N sigma(w0^-1) f and a step s_i f - (kappa/gap) f, the gap taken from ``spectral_vector``
+    at the parent; memo holds the polynomials already built, by label.
+    """
+    key = (alpha, t_index)
+    if key not in memo:
+        n = graph.shape.N
+        if not any(alpha):
+            memo[key] = monomial(graph.shape, graph.kappa, alpha, t_index)
+        else:
+            beta, i = graph._parent(alpha)
+            f = termwise_nsjp(graph, beta, t_index, memo)
+            if i is None:
+                memo[key] = monomial_mul(group_action(perms.inverse(perms.cycle(n)), f), (0,) * (n - 1) + (1,))
+            else:
+                xi = spectral_vector(beta, graph.basis[t_index], graph.kappa)
+                step = group_action(perms.simple(n, i), f)
+                memo[key] = poly_sub(step, poly_scale(f, graph.kappa.value / (xi[i - 1] - xi[i])))
+    return memo[key]
+
+
+def dense_gram(blocks) -> np.ndarray:
+    """The block-diagonal Fraction matrix that ``torusform.gram``'s blocks make up, entry by entry."""
+    size = sum(len(blk.dens) for blk in blocks)
     out = np.full((size, size), Fraction(0), dtype=object)
+    start = 0
     for blk in blocks:
-        for i, a in enumerate(blk.labels):
-            for j, b in enumerate(blk.labels):
-                out[a, b] += blk.entry(i, j)
+        for i in range(len(blk.dens)):
+            for j in range(len(blk.dens)):
+                out[start + i, start + j] = blk.entry(i, j)
+        start += len(blk.dens)
     return out

@@ -198,7 +198,8 @@ def test_pairing_against_independent_jack_expansion(shape21, kappa21, store21, g
     closed-form norms, and compare against the recurrence-built pairing."""
     for d in (1, 2):
         nodes = graph21.build_degree(d)
-        exps = sorted({a for node in nodes for a in node.poly.terms})
+        polys = [graph21.nsjp_laurent(node.alpha, node.t_index) for node in nodes]
+        exps = sorted({a for poly in polys for a in poly.terms})
 
         def stack(poly):
             col = [Fraction(0)] * (len(exps) * 2)
@@ -207,7 +208,7 @@ def test_pairing_against_independent_jack_expansion(shape21, kappa21, store21, g
                     col[exps.index(a) * 2 + k] = Fraction(v.num[k], v.den)
             return col
 
-        columns = [stack(node.poly) for node in nodes]
+        columns = [stack(poly) for poly in polys]
         norms = [nsjp_norm(node.alpha, node.tableau, kappa21) for node in nodes]
 
         def monomial_coords(alpha, t_index):
@@ -421,7 +422,7 @@ def test_carriers_are_canonical(stores_to_grade_4, graph21, graph31):
         stored = [g for grade in store.grades.values() for g in grade]
         carriers += [store.coeff(g) for g in stored] + [store.pairing_matrix(g) for g in stored]
     for graph in (graph21, graph31):
-        carriers += [v for d in range(4) for node in graph.build_degree(d) for v in node.poly.terms.values()]
+        carriers += [Scaled(node.num, node.den) for d in range(4) for node in graph.build_degree(d)]
     for mat in carriers:
         assert type(mat.den) is int and mat.den > 0
         assert all(type(x) is int for x in mat.num.flat)

@@ -7,14 +7,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jacktorus import perms, ybgraph
-from jacktorus.compositions import rank_perm, steps_count
+from jacktorus import laurent, perms
+from jacktorus.compositions import compositions_of, rank_perm, steps_count
 from jacktorus.errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFailed
-from jacktorus.laurent import VVLaurent, e_shift, group_action
+from jacktorus.laurent import VVLaurent, group_action
 from jacktorus.scalars import default_kappa, make_kappa
 from jacktorus.tableaux import Partition, Scaled, rep_matrix, t_zero
-from jacktorus.ybgraph import NsjpGraph, spectral_vector
-from support import cherednik, phi, poly_eq, poly_scale, poly_sub, triangular_lt, unchecked_kappa, valid_shapes
+from jacktorus.ybgraph import NsjpGraph, exponents, spectral_vector
+from support import (
+    cherednik,
+    e_shift,
+    monomial,
+    monomial_mul,
+    phi,
+    poly_eq,
+    poly_scale,
+    poly_sub,
+    termwise_nsjp,
+    triangular_lt,
+    unchecked_kappa,
+    valid_shapes,
+)
 
 SHAPES_TO_6 = [shape for n in range(3, 7) for shape in valid_shapes(n)]
 
@@ -32,6 +45,11 @@ class LastDescentGraph(NsjpGraph):
 
 
 DESCENT_RULES = {"first": NsjpGraph, "last": LastDescentGraph}
+
+
+def poly(graph, node) -> VVLaurent:
+    """The node's polynomial as a term map."""
+    return graph.nsjp_laurent(node.alpha, node.t_index)
 
 
 def path_length(alpha, t, shape) -> tuple[int, int]:
@@ -92,8 +110,9 @@ def test_degree_zero_is_one_seminormal_step_from_its_neighbours(degree0):
             if diff < 2:
                 continue
             dst = degree0.node(zero, degree0.basis.index(t.swap_entries(i)))
-            step = poly_sub(group_action(perms.simple(degree0.shape.N, i), src.poly), poly_scale(src.poly, Fraction(1, diff)))
-            assert poly_eq(step, dst.poly)
+            f = poly(degree0, src)
+            step = poly_sub(group_action(perms.simple(degree0.shape.N, i), f), poly_scale(f, Fraction(1, diff)))
+            assert poly_eq(step, poly(degree0, dst))
             assert dst.tableau.inv == t.inv + 1 and dst.steps == src.steps + 1
             seen.add(dst.t_index)
     # every tableau but the root is one such step from another
@@ -105,25 +124,37 @@ def test_degree_zero_is_pure_tensor(degree0):
     t0 = t_zero(degree0.shape)
     for k, t in enumerate(degree0.basis):
         node = degree0.node(zero, k)
-        assert poly_eq(node.poly, VVLaurent.monomial(degree0.shape, degree0.kappa, zero, k))
+        f = poly(degree0, node)
+        assert poly_eq(f, monomial(degree0.shape, degree0.kappa, zero, k))
         assert node.jumps == 0 and node.steps == t.inv - t0.inv
         for i in range(1, degree0.shape.N + 1):
-            assert poly_eq(cherednik(i, node.poly), poly_scale(node.poly, node.spectral[i - 1]))
+            assert poly_eq(cherednik(i, f), poly_scale(f, node.spectral[i - 1]))
 
 
 def test_degree_zero_is_built_without_the_group_action(monkeypatch):
     def refuse(w, f):
         raise AssertionError("the degree-0 layer needs no group action")
 
-    monkeypatch.setattr(ybgraph, "group_action", refuse)
+    monkeypatch.setattr(laurent, "group_action", refuse)
     shape = Partition((3, 2, 1))
-    kap = default_kappa(shape.parts)
-    graph = NsjpGraph(shape, kap)
+    graph = NsjpGraph(shape, default_kappa(shape.parts))
     zero = (0,) * 6
     nodes = [graph.node(zero, k) for k in range(16)]
     assert shape.dim == 16
     assert len(nodes) == 16
-    assert all(poly_eq(node.poly, VVLaurent.monomial(shape, kap, zero, k)) for k, node in enumerate(nodes))
+    assert all(node.num.tolist() == [[int(j == k) for j in range(16)]] and node.den == 1 for k, node in enumerate(nodes))
+
+
+def test_the_graph_builds_without_the_termwise_layer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph builds no term maps")
+
+    monkeypatch.setattr(laurent, "group_action", refuse)
+    monkeypatch.setattr(VVLaurent, "__init__", refuse)
+    graph = NsjpGraph(Partition((3, 2)), default_kappa((3, 2)))
+    nodes = [node for d in range(4) for node in graph.build_degree(d)]
+    assert len(nodes) == 5 * (1 + 5 + 15 + 35)
+    assert all(node.num.shape == (len(exponents(5, sum(node.alpha))), 5) for node in nodes)
 
 
 def test_node_builds_a_long_path_without_recursion(shape21, kappa21):
@@ -140,7 +171,7 @@ def test_node_builds_a_long_path_without_recursion(shape21, kappa21):
 @pytest.mark.parametrize("rule", ["first", "last"])
 @pytest.mark.parametrize("shape", [s for n in (3, 4) for s in valid_shapes(n)], ids=lambda s: str(s.parts))
 def test_each_edge_is_the_operator_formula_on_its_parent(shape, rule):
-    """Steps are s_i f - (kappa/gap) f and jumps sigma(w0^-1) f times x_N, with every carrier reduced."""
+    """Steps are s_i f - (kappa/gap) f and jumps sigma(w0^-1) f times x_N, every node's num / den read-only and reduced."""
     kap = default_kappa(shape.parts)
     graph = DESCENT_RULES[rule](shape, kap)
     n = shape.N
@@ -150,39 +181,69 @@ def test_each_edge_is_the_operator_formula_on_its_parent(shape, rule):
         for node in graph.build_degree(degree):
             beta, i = graph._parent(node.alpha)
             parent = graph.node(beta, node.t_index)
+            f = poly(graph, parent)
             if i is None:
-                expect = group_action(w0inv, parent.poly).monomial_mul(e_n)
+                expect = monomial_mul(group_action(w0inv, f), e_n)
             else:
                 gap = parent.spectral[i - 1] - parent.spectral[i]
-                expect = poly_sub(group_action(perms.simple(n, i), parent.poly), poly_scale(parent.poly, kap.value / gap))
-            assert poly_eq(node.poly, expect)
-            for v in node.poly.terms.values():
-                assert v.num.any() and math.gcd(v.den, *v.num.flat) == 1
+                expect = poly_sub(group_action(perms.simple(n, i), f), poly_scale(f, kap.value / gap))
+            assert poly_eq(poly(graph, node), expect)
+            assert node.num.shape == (len(exponents(n, degree)), shape.dim) and not node.num.flags.writeable
+            assert type(node.den) is int and node.den > 0 and math.gcd(node.den, *node.num.flat) == 1
+
+
+@pytest.mark.parametrize("shape", [s for n in range(3, 6) for s in valid_shapes(n)], ids=lambda s: str(s.parts))
+def test_nsjp_laurent_is_the_termwise_build(shape):
+    """Every node of every shape with N <= 5, to degree 2, is the polynomial built edge by edge on term maps."""
+    graph = NsjpGraph(shape, default_kappa(shape.parts))
+    memo: dict = {}
+    for degree in range(3):
+        for node in graph.build_degree(degree):
+            assert poly_eq(graph.nsjp_laurent(node.alpha, node.t_index), termwise_nsjp(graph, node.alpha, node.t_index, memo))
+
+
+def test_columns_lay_out_the_nodes_over_the_compositions_with_one_denominator_per_column(graph31, shape31):
+    dim = shape31.dim
+    for degree in range(3):
+        nodes, cmat, dens = graph31.columns(degree)
+        assert [(a.alpha, a.t_index) for a in nodes] == [(b.alpha, b.t_index) for b in graph31.build_degree(degree)]
+        exps = list(compositions_of(degree, 4))
+        assert list(exponents(4, degree)) == exps
+        assert cmat.shape == (len(exps) * dim, len(nodes))
+        assert all(type(x) is int for x in cmat.flat)
+        for k, node in enumerate(nodes):
+            f = poly(graph31, node)
+            assert dens[k] == node.den
+            for r, alpha in enumerate(exps):
+                block = Scaled(cmat[r * dim : (r + 1) * dim, k], dens[k])
+                assert block == f.terms[alpha] if alpha in f.terms else not block.num.any()
 
 
 def test_lowest_degree_one_is_pure_monomial(graph21, shape21, kappa21):
     # (0,0,1) is minimal in its degree: no lower-order terms at all
     for ti in range(2):
-        node = graph21.node((0, 0, 1), ti)
-        assert set(node.poly.terms) == {(0, 0, 1)}
+        f = graph21.nsjp_laurent((0, 0, 1), ti)
+        assert set(f.terms) == {(0, 0, 1)}
         w0inv = perms.inverse(perms.cycle(3))
         mat = rep_matrix(shape21, w0inv)
-        assert node.poly.terms[(0, 0, 1)] == Scaled(mat.num[:, ti], mat.den)
+        assert f.terms[(0, 0, 1)] == Scaled(mat.num[:, ti], mat.den)
 
 
 @pytest.mark.parametrize("degree", range(4))
 def test_eigen_property_exact(graph21, degree):
     for node in graph21.build_degree(degree):
+        f = poly(graph21, node)
         for i in (1, 2, 3):
-            assert poly_eq(cherednik(i, node.poly), poly_scale(node.poly, node.spectral[i - 1]))
+            assert poly_eq(cherednik(i, f), poly_scale(f, node.spectral[i - 1]))
 
 
 def test_leading_term(graph21, shape21):
     for degree in range(4):
         for node in graph21.build_degree(degree):
-            assert leading_exponents(node.poly) == [node.alpha]
-            mat = rep_matrix(shape21, perms.inverse(node.rank))
-            assert node.poly.terms[node.alpha] == Scaled(mat.num[:, node.t_index], mat.den)
+            f = poly(graph21, node)
+            assert leading_exponents(f) == [node.alpha]
+            mat = rep_matrix(shape21, perms.inverse(rank_perm(node.alpha)))
+            assert f.terms[node.alpha] == Scaled(mat.num[:, node.t_index], mat.den)
 
 
 def test_path_lengths_match_traversal(graph21, shape21):
@@ -206,17 +267,17 @@ def test_path_independence(shape21, kappa21):
     for degree in range(4):
         for a, b in zip(first.build_degree(degree), last.build_degree(degree)):
             assert a.alpha == b.alpha and a.t_index == b.t_index
-            assert poly_eq(a.poly, b.poly)
+            assert np.array_equal(a.num, b.num) and a.den == b.den
 
 
 def test_laurent_extension(graph21):
     for ti in range(2):
         direct = graph21.nsjp_laurent((1, 0, 2), ti)
-        assert poly_eq(direct, graph21.node((1, 0, 2), ti).poly)
+        assert poly_eq(direct, termwise_nsjp(graph21, (1, 0, 2), ti, {}))
         shifted = graph21.nsjp_laurent((0, -1, 1), ti)
-        assert poly_eq(shifted, e_shift(-1, graph21.node((1, 0, 2), ti).poly))
+        assert poly_eq(shifted, e_shift(-1, direct))
         again = graph21.nsjp_laurent((-1, -2, 0), ti)
-        assert poly_eq(e_shift(2, again), graph21.node((1, 0, 2), ti).poly)
+        assert poly_eq(e_shift(2, again), direct)
 
 
 def test_laurent_shift_consistency(graph21):
@@ -243,8 +304,9 @@ def test_spectral_collision_detected():
 def test_eigen_properties_31(graph31):
     for degree in range(3):
         for node in graph31.build_degree(degree):
+            f = poly(graph31, node)
             for i in (1, 2, 3, 4):
-                assert poly_eq(cherednik(i, node.poly), poly_scale(node.poly, node.spectral[i - 1]))
+                assert poly_eq(cherednik(i, f), poly_scale(f, node.spectral[i - 1]))
 
 
 def test_check_eigen_counts_every_node_to_the_degree(graph21, graph31):
@@ -262,15 +324,15 @@ def test_check_eigen_puts_the_operators_over_one_denominator():
 def test_check_eigen_fails_on_one_perturbed_entry_of_the_columns(monkeypatch, parts, degree, k, row):
     shape = Partition(parts)
     graph = NsjpGraph(shape, default_kappa(parts))
-    real = ybgraph.columns
+    real = NsjpGraph.columns
 
-    def perturbed(maps, dim):
-        exps, cmat, scales = real(maps, dim)
-        if sum(exps[0]) == degree:
+    def perturbed(self, d):
+        nodes, cmat, dens = real(self, d)
+        if d == degree:
             cmat[row, k] += 1
-        return exps, cmat, scales
+        return nodes, cmat, dens
 
-    monkeypatch.setattr(ybgraph, "columns", perturbed)
+    monkeypatch.setattr(NsjpGraph, "columns", perturbed)
     node = graph.build_degree(degree)[k]
     with pytest.raises(VerificationFailed) as info:
         graph.check_eigen(3)
@@ -298,20 +360,6 @@ def test_check_eigen_fails_on_one_eigenvalue_moved_by_a_seventh(monkeypatch, par
     with pytest.raises(VerificationFailed) as info:
         graph.check_eigen(3)
     assert str(info.value) == f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}"
-
-
-def test_check_eigen_fails_when_the_exponents_miss_a_composition(monkeypatch, shape21, kappa21):
-    # a zero polynomial is an eigenvector of everything; a degree-0 layer of zeros has no rows at all
-    graph = NsjpGraph(shape21, kappa21)
-    real = NsjpGraph.build_degree
-
-    def zeroed(self, d):
-        nodes = real(self, d)
-        return [dataclasses.replace(n, poly=VVLaurent(shape21, kappa21)) for n in nodes] if d == 0 else nodes
-
-    monkeypatch.setattr(NsjpGraph, "build_degree", zeroed)
-    with pytest.raises(VerificationFailed, match="degree-0 polynomials' exponents are not the compositions of 0"):
-        graph.check_eigen(1)
 
 
 def test_node_rejects_a_negative_entry(shape21, kappa21):
