@@ -41,7 +41,7 @@ from .errors import JackTorusError, VerificationFailed, WriteFailed
 from .kernels import _sample_angles, psd_report, sigma_identity_residual
 from .scalars import default_kappa, make_kappa
 from .tableaux import Partition, Scaled
-from .torusform import FormContext, gram, gram_rows, nsjp_norm
+from .torusform import FormContext, gram, gram_rows
 from .ybgraph import NsjpGraph
 
 
@@ -295,19 +295,21 @@ def cmd_coeffs(cfg, args) -> int:
     )
 
 
-def _gram_check(graph: NsjpGraph, store: CoeffStore, degree: int):
+def _gram_check(graph: NsjpGraph, store: CoeffStore, degree: int, seed: int):
     """Degree-ordered (alpha, tableau index) labels to a degree, the nonzero entries of each row of their
     Gram matrix, its number of nonzero off-diagonal entries and whether its diagonal is the closed-form norms."""
     nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
-    rows = gram_rows(gram(graph, degree, FormContext(store.ensure_grade(degree))))
+    blocks = gram(graph, degree, FormContext(store.ensure_grade(degree)), seed)
+    rows = gram_rows(blocks)
     off = sum(len(row) - (i in row) for i, row in enumerate(rows))
-    norm_ok = all(rows[i].get(i, 0) == nsjp_norm(a, graph.basis[ti], graph.kappa) for i, (a, ti) in enumerate(nodes))
+    norm_ok = all(blk.entry(j, j) == norm for blk in blocks for j, norm in enumerate(blk.norms))
     return nodes, rows, off, norm_ok
 
 
 def cmd_gram(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    nodes, rows, off, norm_ok = _gram_check(NsjpGraph(shape, kap), CoeffStore(shape, kap), args.max_degree)
+    graph, store = NsjpGraph(shape, kap), CoeffStore(shape, kap)
+    nodes, rows, off, norm_ok = _gram_check(graph, store, args.max_degree, cfg.seed)
     basis = [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes]
     results = {"basis": basis, "matrix": lambda: rows, "offdiagonal_nonzero": off, "norms_match": norm_ok}
     return _emit("gram", cfg, results, code=0 if off == 0 and norm_ok else 1)
@@ -448,12 +450,12 @@ def cmd_verify(cfg, args) -> int:
         return "counts match enumeration for n <= 4"
 
     def eigen_suite():
-        total = graph.check_eigen(degree)
+        total = graph.check_eigen(degree, cfg.seed)
         graph.check_genericity(degree)
         return f"{total} nodes eigen-checked to degree {degree}"
 
     def gram_suite():
-        nodes, _, off, norm_ok = _gram_check(graph, store, degree)
+        nodes, _, off, norm_ok = _gram_check(graph, store, degree, cfg.seed)
         _require(off == 0 and norm_ok, f"{off} nonzero off-diagonal entries, norms match: {norm_ok}")
         return f"gram of {len(nodes)} polynomials exactly diagonal"
 
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shape", help="partition, e.g. 2,1")
     parser.add_argument("--kappa", help='parameter as "p/q"')
     parser.add_argument("--max-grade", dest="max_grade", type=_int_at_least(0), help="default coefficient grade cap")
-    parser.add_argument("--seed", type=_int_at_least(0), help="RNG seed for sampling subcommands")
+    parser.add_argument("--seed", type=_int_at_least(0), help="seed of sample points and check vectors")
     parser.add_argument("--out", help="write the JSON report here as well as stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,8 +7,8 @@ form in which ``nsjp`` reports a Jack polynomial and ``torusform.pair``
 takes its inputs; the graph itself builds each polynomial as one integer
 column (``ybgraph``).  ``cherednik_matrix`` gives U_i as one integer matrix
 on the rows of such columns, a block of dim rows per exponent, so that
-``ybgraph.NsjpGraph.check_eigen`` checks U_i C = C diag(xi_i) exactly on
-float64 limbs by ``tableaux.int_matmul``.
+``ybgraph.NsjpGraph.check_eigen`` can certify U_i C = C diag(xi_i) exactly
+by mat-vec products on random vectors.
 """
 
 from __future__ import annotations

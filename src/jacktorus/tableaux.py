@@ -162,8 +162,9 @@ def t_zero(shape: Partition) -> RSYT:
     return RSYT(tuple(tuple(r) for r in rows))
 
 
+@lru_cache(maxsize=None)
 def norm0(t: RSYT) -> Fraction:
-    """The invariant-form squared norm of the basis tableau (empty product = 1)."""
+    """The invariant-form squared norm of the basis tableau (empty product = 1), computed once per tableau."""
     c = t.content
     out = Fraction(1)
     for i in range(len(c)):
@@ -267,49 +268,27 @@ def _ratio(text) -> tuple[int, int]:
     return p // g, q // g
 
 
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product a @ b of two Python-int object matrices, taken from one float64 limb product.
+def failing_columns(lhs, rhs, n: int, rng) -> list[int]:
+    """The columns j < n at which two linear maps on Python-int columns differ, lhs(e_j) != rhs(e_j), ascending.
 
-    Each entry x is split into signed limbs of s = (53 - K.bit_length()) // 2
-    bits, K the inner dimension: x = sum_k sign(x) d_k 2^(s k) with
-    0 <= d_k < 2^s.  The limbs of a are stacked by rows and those of b by
-    columns, so one float64 matmul takes every limb pair at once.  Each
-    partial sum of a limb pair's product is an integer of magnitude at most
-    K (2^s - 1)^2 < 2^53, which float64 holds exactly, so every sum is exact
-    in any summation order, with or without FMA, at any BLAS thread count.
-    The blocks are cast to int64 and shift-added back as Python ints.  A
-    factor whose entries all fit in int64 is cut into limbs by int64 shifts,
-    any other by Python-int shifts; the limbs are the same.
+    lhs and rhs take an (n, m) object matrix to an array whose last axis has m entries.  A set S
+    of columns is certified by comparing lhs(r_S) with rhs(r_S) exactly (Freivalds), r_S being one
+    vector r drawn from rng, entries uniform in [0, 2^64), on S and 0 off it: where the maps differ
+    on S, a nonzero row of the difference vanishes at r_S with probability at most 2^-64.  All n
+    columns are certified, then the halves of each failing set, a level at a time, down to single
+    columns; a failing set always has a failing half, since the halves' values add up to its own.
     """
-    (m, k), n = a.shape, b.shape[1]
-    s = _limb_bits(k)
-    la, lb = _limbs(a, s), _limbs(b, s)
-    prod = (la.reshape(-1, k) @ lb.transpose(1, 0, 2).reshape(k, -1)).astype(np.int64)
-    prod = prod.reshape(len(la), m, len(lb), n)  # prod[i, :, j] = limb i of a @ limb j of b
-    out = np.zeros((m, n), dtype=object)
-    for i, j in np.ndindex(len(la), len(lb)):
-        out += prod[i, :, j].astype(object) << (s * (i + j))
-    return out
-
-
-def _limb_bits(k: int) -> int:
-    """Limb width for inner dimension k: 2s <= 53 - k.bit_length(), so k (2^s - 1)^2 < 2^53."""
-    return (53 - k.bit_length()) // 2
-
-
-def _limbs(m: np.ndarray, s: int) -> np.ndarray:
-    """Signed s-bit float64 limbs of an int object matrix, lowest first, stacked; none for a zero matrix."""
-    mag, neg, mask = np.abs(m), m < 0, (1 << s) - 1
-    try:
-        mag = mag.astype(np.int64)  # when every entry fits, the limbs are cut by int64 shifts
-    except OverflowError:
-        pass
-    out = []
-    while mag.any():
-        limb = (mag & mask).astype(np.float64)
-        out.append(np.where(neg, -limb, limb))
-        mag = mag >> s
-    return np.array(out, dtype=np.float64).reshape(len(out), *m.shape)
+    r = [rng.getrandbits(64) for _ in range(n)]
+    sets, bad = [(0, n)] if n else [], []
+    while sets:
+        x = np.zeros((n, len(sets)), dtype=object)
+        for k, (a, b) in enumerate(sets):
+            x[a:b, k] = r[a:b]
+        fails = np.any((lhs(x) != rhs(x)).reshape(-1, len(sets)), axis=0)
+        failing = [ab for ab, f in zip(sets, fails) if f]
+        bad += [a for a, b in failing if b - a == 1]
+        sets = [half for a, b in failing if b - a > 1 for half in ((a, (a + b) // 2), ((a + b) // 2, b))]
+    return sorted(bad)
 
 
 def total(terms: list[Scaled]) -> Scaled:

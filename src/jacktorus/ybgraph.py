@@ -17,6 +17,7 @@ rather than silently producing a wrong polynomial.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ from .errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFa
 from .laurent import VVLaurent, cherednik_matrix
 from .perms import Perm
 from .scalars import KappaParam
-from .tableaux import RSYT, Partition, Scaled, int_matmul
+from .tableaux import RSYT, Partition, Scaled, failing_columns
 
 
 @lru_cache(maxsize=None)
@@ -47,10 +48,10 @@ def _row_map(w: Perm, d: int, shift: Vec) -> np.ndarray:
 
 
 def spectral_vector(alpha: Vec, t: RSYT, kappa: KappaParam) -> tuple[Fraction, ...]:
-    """Eigenvalue list (alpha_i + 1 + kappa * c(r_alpha(i), T))."""
+    """Eigenvalue list (alpha_i + 1 + kappa * c(r_alpha(i), T)), each entry one quotient of integers."""
     r = compositions.rank_perm(alpha)
-    kap = kappa.value
-    return tuple(alpha[i] + 1 + kap * t.content[r[i] - 1] for i in range(len(alpha)))
+    p, q = kappa.value.numerator, kappa.value.denominator
+    return tuple(Fraction(q * (alpha[i] + 1) + p * t.content[r[i] - 1], q) for i in range(len(alpha)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,29 +191,23 @@ class NsjpGraph:
         nodes = self.build_degree(d)
         return nodes, np.stack([node.num.reshape(-1) for node in nodes], axis=1), [node.den for node in nodes]
 
-    def check_eigen(self, max_degree: int) -> int:
+    def check_eigen(self, max_degree: int, seed: int = 0) -> int:
         """The nodes of degree <= max_degree are eigenvectors of every U_i, eigenvalue xi_i; returns their number.
 
-        One exact integer identity per degree d and i: U_i C = C diag(xi_i), C
-        the ``columns`` of degree d (a scaled column is still an eigenvector)
-        and U_i their ``laurent.cherednik_matrix``.  The N matrices U_i are
-        stacked over their common denominator D into one left operand, so each
-        degree takes one ``int_matmul``, and the identity is checked as
-        int_matmul(D U, C)_i L == C (D L xi_i), L the xi's common denominator.
-        A failure names the first failing node in ``build_degree`` order,
-        with its smallest i.
+        Per degree d, U_i C = C diag(xi_i) for every i, C the ``columns`` of degree d (a scaled
+        column is still an eigenvector) and U_i their ``laurent.cherednik_matrix``, certified by
+        ``_eigen_failure`` on vectors drawn from random.Random(seed).  A failure names the first
+        failing node in ``build_degree`` order, with its smallest i.
         """
-        n, count = self.shape.N, 0
+        n, count, rng = self.shape.N, 0, random.Random(seed)
         for d in range(max_degree + 1):
             nodes, cmat, _ = self.columns(d)
-            u = Scaled.stack([cherednik_matrix(self.shape, self.kappa, exponents(n, d), i) for i in range(1, n + 1)])
-            prod = int_matmul(u.num.reshape(-1, len(cmat)), cmat).reshape(n, *cmat.shape)
+            us = [cherednik_matrix(self.shape, self.kappa, exponents(n, d), i) for i in range(1, n + 1)]
             xi = Scaled.of([[node.spectral[i] for node in nodes] for i in range(n)])
-            fails = np.any(prod * xi.den != cmat * (xi.num[:, None, :] * u.den), axis=1)  # by i - 1, then node
-            bad = np.argwhere(fails.T)  # (node, i - 1) pairs, by node, then by i
-            if len(bad):
-                node, i = nodes[bad[0][0]], bad[0][1] + 1
-                raise VerificationFailed(f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}")
+            fail = _eigen_failure(us, cmat, xi, rng)
+            if fail:
+                node = nodes[fail[0]]
+                raise VerificationFailed(f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{fail[1]}")
             count += len(nodes)
         return count
 
@@ -228,3 +223,22 @@ class NsjpGraph:
                     )
                 seen[key] = (node.alpha, node.t_index)
 
+
+def _eigen_failure(us: list[Scaled], cmat: np.ndarray, xi: Scaled, rng) -> tuple[int, int] | None:
+    """The first column k of C, and its smallest i, at which U_i C e_k != xi_i[k] C e_k; None when there is none.
+
+    ``failing_columns`` certifies (D_i U_i)(C r) L == C (L xi_i r) D_i for every i, D_i and L the denominators.
+    """
+
+    def lhs(x):
+        y = cmat @ x
+        return np.stack([(u.num @ y) * xi.den for u in us])  # by i - 1, then row, then column of x
+
+    def rhs(x):
+        return np.stack([(cmat @ (v[:, None] * x)) * u.den for u, v in zip(us, xi.num)])
+
+    bad = failing_columns(lhs, rhs, cmat.shape[1], rng)
+    if bad:
+        unit = np.eye(cmat.shape[1], dtype=object)[:, bad[:1]]
+        return bad[0], int(np.argmax(np.any(lhs(unit) != rhs(unit), axis=(1, 2)))) + 1
+    return None

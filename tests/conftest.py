@@ -1,10 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from jacktorus.coeffs import CoeffStore
 from jacktorus.scalars import make_kappa
 from jacktorus.tableaux import Partition
 from jacktorus.torusform import FormContext
 from jacktorus.ybgraph import NsjpGraph
+
+# tests/mutants.py runs its tests under this profile: the examples are the same on every run, a mutant is
+# killed by the first failing one, so nothing is shrunk, and no example database is read or written
+settings.register_profile("mutants", derandomize=True, phases=[Phase.explicit, Phase.generate], database=None)
 
 
 @pytest.fixture(scope="session")
@@ -59,20 +65,18 @@ def ctx31(store31):
 
 @pytest.fixture
 def perturb_gram_product(monkeypatch):
-    """Install a fault in torusform's exact products: perturb(out) edits each block's C^T (P C) in place."""
+    """Install a fault in torusform's Gram products: perturb(out) edits a zero matrix of each block's size,
+    which is then added to the block's C^T (P C) wherever gram multiplies a vector by it."""
     from jacktorus import torusform
 
-    real = torusform.int_matmul
-    last = [None]
+    real = torusform._gram_times
 
     def install(perturb):
-        def faulty(a, b):
-            out = real(a, b)
-            if b is last[0]:  # the outer product takes the inner P C as its right operand
-                perturb(out)
-            last[0] = out
-            return out
+        def faulty(cmat, pmat, x):
+            fault = np.zeros((cmat.shape[1],) * 2, dtype=object)
+            perturb(fault)
+            return real(cmat, pmat, x) + fault @ x
 
-        monkeypatch.setattr(torusform, "int_matmul", faulty)
+        monkeypatch.setattr(torusform, "_gram_times", faulty)
 
     return install

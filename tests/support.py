@@ -1,6 +1,6 @@
-"""Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, E-factors,
+"""Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, the partition norm, E-factors,
 the affine rotation, termwise Laurent arithmetic, the termwise Dunkl and Cherednik-Dunkl operators,
-the termwise build of the Jack polynomials and the dense Gram matrix.
+the termwise build of the Jack polynomials, the dense Gram matrix and the exact limb product of integer matrices.
 
 The package computes none of these; the tests use them to enumerate cases
 and as independent formulas to check the package against.
@@ -17,6 +17,7 @@ from jacktorus.errors import SpectralCollision
 from jacktorus.laurent import VVLaurent, group_action
 from jacktorus.scalars import KappaParam
 from jacktorus.tableaux import RSYT, Partition, Scaled, total
+from jacktorus.torusform import nsjp_norm
 from jacktorus.ybgraph import spectral_vector
 
 
@@ -47,6 +48,19 @@ def triangular_lt(alpha: Vec, beta: Vec) -> bool:
     if ap == bp:
         return dominance_lt(alpha, beta)
     return dominance_lt(ap, bp)
+
+
+def norm_partition(lam, t: RSYT, kappa: KappaParam) -> Fraction:
+    """Squared torus norm of the Jack polynomial at a partition label.
+
+    <T,T>_0 * prod_{i<j} prod_{l=1}^{lam_i - lam_j}
+        (1 - (k / (l + k(c(i,T) - c(j,T))))^2),
+    the product of ``nsjp_norm``, which strikes no factor at a partition label.
+    """
+    lam = tuple(lam)
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"{lam} is not a partition")
+    return nsjp_norm(lam, t, kappa)
 
 
 def e_factor(alpha, t: RSYT, eps: int, kappa: KappaParam) -> Fraction:
@@ -188,12 +202,60 @@ def termwise_nsjp(graph, alpha: Vec, t_index: int, memo: dict) -> VVLaurent:
 
 def dense_gram(blocks) -> np.ndarray:
     """The block-diagonal Fraction matrix that ``torusform.gram``'s blocks make up, entry by entry."""
-    size = sum(len(blk.dens) for blk in blocks)
+    size = sum(len(blk.norms) for blk in blocks)
     out = np.full((size, size), Fraction(0), dtype=object)
     start = 0
     for blk in blocks:
-        for i in range(len(blk.dens)):
-            for j in range(len(blk.dens)):
+        for i in range(len(blk.norms)):
+            for j in range(len(blk.norms)):
                 out[start + i, start + j] = blk.entry(i, j)
-        start += len(blk.dens)
+        start += len(blk.norms)
     return out
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product a @ b of two Python-int object matrices, taken from one float64 limb product.
+
+    The package certifies its products on random vectors instead; this full
+    product is the tests' oracle for those certificates.
+
+    Each entry x is split into signed limbs of s = (53 - K.bit_length()) // 2
+    bits, K the inner dimension: x = sum_k sign(x) d_k 2^(s k) with
+    0 <= d_k < 2^s.  The limbs of a are stacked by rows and those of b by
+    columns, so one float64 matmul takes every limb pair at once.  Each
+    partial sum of a limb pair's product is an integer of magnitude at most
+    K (2^s - 1)^2 < 2^53, which float64 holds exactly, so every sum is exact
+    in any summation order, with or without FMA, at any BLAS thread count.
+    The blocks are cast to int64 and shift-added back as Python ints.  A
+    factor whose entries all fit in int64 is cut into limbs by int64 shifts,
+    any other by Python-int shifts; the limbs are the same.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    s = _limb_bits(k)
+    la, lb = _limbs(a, s), _limbs(b, s)
+    prod = (la.reshape(-1, k) @ lb.transpose(1, 0, 2).reshape(k, -1)).astype(np.int64)
+    prod = prod.reshape(len(la), m, len(lb), n)  # prod[i, :, j] = limb i of a @ limb j of b
+    out = np.zeros((m, n), dtype=object)
+    for i, j in np.ndindex(len(la), len(lb)):
+        out += prod[i, :, j].astype(object) << (s * (i + j))
+    return out
+
+
+def _limb_bits(k: int) -> int:
+    """Limb width for inner dimension k: 2s <= 53 - k.bit_length(), so k (2^s - 1)^2 < 2^53."""
+    return (53 - k.bit_length()) // 2
+
+
+def _limbs(m: np.ndarray, s: int) -> np.ndarray:
+    """Signed s-bit float64 limbs of an int object matrix, lowest first, stacked; none for a zero matrix."""
+    mag, neg, mask = np.abs(m), m < 0, (1 << s) - 1
+    try:
+        mag = mag.astype(np.int64)  # when every entry fits, the limbs are cut by int64 shifts
+    except OverflowError:
+        pass
+    out = []
+    while mag.any():
+        limb = (mag & mask).astype(np.float64)
+        out.append(np.where(neg, -limb, limb))
+        mag = mag >> s
+    return np.array(out, dtype=np.float64).reshape(len(out), *m.shape)

@@ -144,7 +144,7 @@ def test_criterion_4_nsjp_eigen(session21, session31):
 
 @criterion(5, "flagship Gram: exact diagonality with closed-form norms")
 def test_criterion_5_flagship_gram(session21, session31):
-    from jacktorus.torusform import norm_partition
+    from support import norm_partition
 
     for (shape, kap, graph, store), degree in ((session21, 3), (session31, 2)):
         ctx = FormContext(store)

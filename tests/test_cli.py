@@ -92,6 +92,58 @@ def test_gram_reports_a_block_product_wrong_off_the_diagonal(perturb_gram_produc
     assert text == _dense_gram_report((2, 1), Fraction(1, 4), 2)
 
 
+SEED_CASES = [
+    ("--shape", "3,1", "--kappa", "1/4", "gram", "--max-degree", "3"),
+    ("--shape", "2,2,1", "gram", "--max-degree", "2"),
+    ("--shape", "3,1", "--kappa", "1/4", "verify", "--max-degree", "3"),
+    ("--shape", "3,2", "--kappa", "1/5", "verify", "--max-degree", "2"),
+]
+
+
+def _reports_at_seeds(capsys, args):
+    """stdout at --seed 0, 7 and 12345 with the seed echo taken out, and the exit codes."""
+    texts, codes = [], []
+    for seed in (0, 7, 12345):
+        codes.append(main(["--seed", str(seed), *args]))
+        text = capsys.readouterr().out
+        assert text.count(f'"seed": {seed},') == 1
+        texts.append(text.replace(f'"seed": {seed},', '"seed": null,'))
+    return texts, codes
+
+
+@pytest.mark.parametrize("args", SEED_CASES, ids=" ".join)
+def test_gram_and_verify_do_not_depend_on_the_seed(capsys, args):
+    """The certificates draw their random vectors from --seed; the reports must not show which were drawn.
+
+    verify's kernel_psd check samples its points by the seed as well, so its detail is left out there."""
+    texts, codes = _reports_at_seeds(capsys, args)
+    assert codes == [0, 0, 0]
+    if "verify" in args:
+        docs = [json.loads(text) for text in texts]
+        for doc in docs:
+            kernel = [c for c in doc["results"]["checks"] if c["name"] == "kernel_psd"]
+            assert len(kernel) == 1 and kernel[0]["passed"] is True
+            kernel[0]["detail"] = None
+        assert docs[0] == docs[1] == docs[2]
+    else:
+        assert texts[0] == texts[1] == texts[2]
+
+
+def test_a_failing_gram_report_does_not_depend_on_the_seed(perturb_gram_product, capsys):
+    # columns 1 and 2 of the degree-1 block fail their certificates; each seed must find and compute the same ones
+    def bump(out):
+        if len(out) == 6:
+            out[0, 1] += 1
+            out[5, 2] -= 3
+
+    perturb_gram_product(bump)
+    texts, codes = _reports_at_seeds(capsys, ("--shape", "2,1", "--kappa", "1/4", "gram", "--max-degree", "2"))
+    assert codes == [1, 1, 1]
+    assert texts[0] == texts[1] == texts[2]
+    doc = json.loads(texts[0])
+    assert doc["results"]["offdiagonal_nonzero"] == 2 and doc["results"]["norms_match"] is True
+
+
 def _dense_gram_report(parts, kappa, degree, out=None) -> str:
     """The gram report as the stdlib encoder writes the whole document, its matrix built dense."""
     shape = Partition(parts)
@@ -579,8 +631,8 @@ def test_verify_fails_under_optimize():
     # the checks must not be asserts, which python -O strips
     script = (
         "import sys\n"
-        "from jacktorus import cli\n"
-        "cli.nsjp_norm = lambda *args: 12345\n"
+        "from jacktorus import cli, torusform\n"
+        "torusform.nsjp_norm = lambda *args: 12345\n"
         "sys.exit(cli.main(['--shape', '2,1', '--kappa', '1/4', 'verify', '--max-degree', '1']))\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)

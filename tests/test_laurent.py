@@ -13,7 +13,6 @@ from jacktorus.laurent import VVLaurent, cherednik_matrix, group_action
 from jacktorus.scalars import default_kappa
 from jacktorus.tableaux import (
     Scaled,
-    int_matmul,
     jucys_murphy,
     rep_matrix,
     simple_reflection,
@@ -24,6 +23,7 @@ from support import (
     cherednik,
     dunkl,
     e_shift,
+    int_matmul,
     monomial,
     monomial_mul,
     poly_add,

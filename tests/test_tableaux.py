@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacktorus import perms, tableaux
+from jacktorus import perms
 from jacktorus.errors import InvalidShape
 from jacktorus.tableaux import (
     Partition,
     RSYT,
     Scaled,
     enumerate_rsyt,
-    int_matmul,
     jucys_murphy,
     norm0,
     norm0_diag,
@@ -22,7 +21,8 @@ from jacktorus.tableaux import (
     simple_reflection,
     t_zero,
 )
-from support import valid_shapes
+import support
+from support import _limb_bits, int_matmul, valid_shapes
 
 CONTENTS_31 = {(2, 1, -1, 0), (2, -1, 1, 0), (-1, 2, 1, 0)}
 CONTENTS_311 = {
@@ -212,10 +212,6 @@ def test_texts_are_lowest_terms():
     assert Scaled(np.array([4, 2], dtype=object), 4).texts() == ["1", "1/2"]
 
 
-def _limb_bits(k: int) -> int:
-    return (53 - k.bit_length()) // 2
-
-
 @st.composite
 def _int_matrix_pair(draw):
     """Two Python-int matrices (m x K, K x n) whose entries straddle s, 2s and ~200 bits."""
@@ -276,8 +272,8 @@ def test_int_matmul_on_either_side_of_the_int64_entries(x):
 def test_a_limb_one_bit_too_wide_breaks_the_product(monkeypatch):
     # the bound is tight enough to matter: with every limb one bit wider, some K's all-ones
     # product has partial sums past 2^53 that float64 rounds
-    real = tableaux._limb_bits
-    monkeypatch.setattr(tableaux, "_limb_bits", lambda k: real(k) + 1)
+    real = support._limb_bits
+    monkeypatch.setattr(support, "_limb_bits", lambda k: real(k) + 1)
     wrong = []
     for k in (1, 2, 63, 64, 4095, 4096):
         x = (1 << real(k) + 1) - 1

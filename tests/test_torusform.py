@@ -10,18 +10,28 @@ from jacktorus.compositions import compositions_of, sort_desc
 from jacktorus.errors import SpectralCollision
 from jacktorus.laurent import VVLaurent, cherednik_matrix, group_action
 from jacktorus.scalars import default_kappa, make_kappa
-from jacktorus.tableaux import RSYT, Scaled, enumerate_rsyt, int_matmul, norm0, t_zero
+from jacktorus.tableaux import RSYT, Scaled, enumerate_rsyt, norm0, t_zero
 from jacktorus.torusform import (
     FormContext,
     _pairing_block,
     gram,
     gram_rows,
-    norm_partition,
     nsjp_norm,
     pair,
 )
 from jacktorus.ybgraph import exponents
-from support import dense_gram, dunkl, e_factor, monomial, monomial_mul, phi, poly_add, valid_shapes
+from support import (
+    dense_gram,
+    dunkl,
+    e_factor,
+    int_matmul,
+    monomial,
+    monomial_mul,
+    norm_partition,
+    phi,
+    poly_add,
+    valid_shapes,
+)
 
 
 def test_norm_partition_trivial(shape21, kappa21):
@@ -203,7 +213,7 @@ def _assert_matches_pairwise(graph, degree, ctx):
         rows = cmat.reshape(-1, graph.shape.dim, len(nodes))
         polys += [VVLaurent.of_rows(graph.shape, graph.kappa, exponents(graph.shape.N, d), rows[:, :, k], dens[k]) for k in range(len(nodes))]
     n = len(polys)
-    assert [len(blk.dens) for blk in blocks] == [len(graph.build_degree(d)) for d in range(degree + 1)]
+    assert [len(blk.norms) for blk in blocks] == [len(graph.build_degree(d)) for d in range(degree + 1)]
     assert gram_rows(blocks) == [{j: mat[i, j] for j in range(n) if mat[i, j]} for i in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -224,7 +234,7 @@ def test_gram_full_orthogonality_small(graph21, ctx21, kappa21):
     mat = _assert_matches_pairwise(graph21, 3, ctx21)
     # one block per degree, over the nodes of that degree only
     blocks = gram(graph21, 3, ctx21)
-    assert [blk.prod.shape for blk in blocks] == [(2, 2), (6, 6), (12, 12), (20, 20)]
+    assert [len(blk.norms) for blk in blocks] == [2, 6, 12, 20]
     for i, (alpha, ti) in enumerate(nodes):
         assert mat[i, i] == nsjp_norm(alpha, graph21.basis[ti], kappa21)
         assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)
@@ -319,15 +329,16 @@ def test_gram_raises_when_a_block_product_is_wrong_on_the_diagonal(graph21, ctx2
         gram(graph21, 2, ctx21)
 
 
-def test_pair_takes_no_limb_products(graph21, ctx21, monkeypatch):
-    # the oracle stays on object products, independent of the products it checks
+def test_pair_takes_no_certificate_products(graph21, ctx21, monkeypatch):
+    # the oracle stays on its own object products, independent of the certificates it checks
     from jacktorus import tableaux, torusform
 
-    def refuse(a, b):
-        raise AssertionError("pair must not use int_matmul")
+    def refuse(*args):
+        raise AssertionError("pair must not use the certificate products")
 
-    monkeypatch.setattr(torusform, "int_matmul", refuse)
-    monkeypatch.setattr(tableaux, "int_matmul", refuse)
+    monkeypatch.setattr(torusform, "_gram_times", refuse)
+    monkeypatch.setattr(torusform, "failing_columns", refuse)
+    monkeypatch.setattr(tableaux, "failing_columns", refuse)
     f = graph21.nsjp_laurent((1, 0, 1), 1)
     assert pair(f, f, ctx21) == nsjp_norm((1, 0, 1), graph21.basis[1], graph21.kappa)
 
