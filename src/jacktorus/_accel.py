@@ -26,18 +26,21 @@ _TERMS = 128
 def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     """sum_k exp(i <gamma_k, theta>) mats[k], at one point or at a block of points.
 
-    mats is a real (K, d, d) stack, and gammas is an integer (K, N) array closed
-    under negation in reverse order (gammas[::-1] == -gammas, as enumerate_Z
-    lists an index set); anything else raises ValueError.  theta of shape (N,)
-    gives a (d, d) matrix; theta of shape (P, N) gives the (P, d, d) stack of
-    the sums at its rows.
+    mats is a real stack of K (d, d) matrices, and gammas is an integer (K, N)
+    array closed under negation in reverse order (gammas[::-1] == -gammas, as
+    enumerate_Z lists an index set); anything else raises ValueError.  theta of
+    shape (N,) gives a (d, d) matrix; theta of shape (P, N) gives the (P, d, d)
+    stack of the sums at its rows.  An empty index set sums to zero matrices.
 
     A phase is the product of N entries of the point's power table
-    x_j^m = exp(i m theta_j), |m| <= max |gamma|; the phase of -gamma is the
+    x_j^m = exp(i m theta_j), |m| <= max |gamma|; the phases of the first
+    (K + 1) // 2 terms are computed once per call, and that of -gamma is the
     conjugate of that of gamma.  The sum is one real GEMM per 128 terms of the
-    cosine and sine rows of 32 points against mats as (K, d*d), summed in order.
-    Every product has that shape, so a point's floats do not depend on the block
-    it is in or on the BLAS thread count.  With u = 2**-53, the real and the
+    cosine and sine rows of 32 points against mats as (K, d*d), summed in order;
+    each GEMM's operand is written into one reused buffer just before it runs,
+    so past the phases the working memory does not grow with K.  Every product
+    has that shape, so a point's floats do not depend on the block it is in or
+    on the BLAS thread count.  With u = 2**-53, the real and the
     imaginary part of entry (a, b) are each within
         u * sum_k |mats[k, a, b]| * (K + 6 N + sum_j |gamma_kj theta_j|)
     of the exact sum: a table entry is off by u (|m theta_j| + 3), each of the
@@ -52,6 +55,10 @@ def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     theta = np.asarray(theta, np.float64)
     block = np.atleast_2d(theta)
     k = len(g)
+    if len(mats) != k:
+        raise ValueError(f"phase_matrix_sum needs one matrix per index, got {len(mats)} matrices for {k} indices")
+    if not k:
+        return np.zeros(theta.shape[:-1] + mats.shape[1:], np.complex128)
     h = (k + 1) // 2
     # padded to whole groups of rows before any arithmetic: numpy's complex
     # product rounds a one-element array unlike a longer one
@@ -64,17 +71,18 @@ def phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
     for j in range(1, g.shape[1]):
         phases *= x[:, j, g[:h, j] + top]
     half = phases.reshape(-1, _ROWS, h)
-    # lhs[q, :32] are the cosines of group q's points, lhs[q, 32:] their sines;
-    # column h + j mirrors column k - h - 1 - j, the phase of its negation
-    lhs = np.empty((len(half), 2, _ROWS, k))
-    lhs[:, 0, :, :h], lhs[:, 1, :, :h] = half.real, half.imag
-    mirror = half[..., : k - h][..., ::-1]
-    lhs[:, 0, :, h:], lhs[:, 1, :, h:] = mirror.real, -mirror.imag
-    lhs = lhs.reshape(len(half), 2 * _ROWS, k)
+    # the operand of the GEMM of terms t..e-1: lhs[q, :32] the cosines of group q's points, lhs[q, 32:]
+    # their sines; term c >= h mirrors term k - 1 - c, the phase of its negation
+    lhs = np.empty((len(half), 2 * _ROWS, _TERMS))
     flat = mats.reshape(k, -1)
-    acc = lhs[..., :_TERMS] @ flat[:_TERMS]
-    for t in range(_TERMS, k, _TERMS):
-        acc += lhs[..., t : t + _TERMS] @ flat[t : t + _TERMS]
+    for t in range(0, k, _TERMS):
+        e = min(t + _TERMS, k)
+        own, mirror = half[..., t : min(e, h)], half[..., k - e : k - max(t, h)][..., ::-1]
+        m = own.shape[-1]
+        lhs[:, :_ROWS, :m], lhs[:, _ROWS:, :m] = own.real, own.imag
+        lhs[:, :_ROWS, m : e - t], lhs[:, _ROWS:, m : e - t] = mirror.real, -mirror.imag
+        part = lhs[..., : e - t] @ flat[t:e]
+        acc = part if t == 0 else np.add(acc, part, out=acc)
     out = acc[:, :_ROWS].astype(np.complex128).reshape((len(padded),) + mats.shape[1:])
     out.imag = acc[:, _ROWS:].reshape(out.shape)
     return out[: len(block)] if theta.ndim == 2 else out[0]

@@ -68,6 +68,9 @@ class FloatCoeffs:
     their matrices, in that order: gammas[::-1] == -gammas, which is what lets
     _accel.phase_matrix_sum take the phases of the -gamma half as the conjugates
     of the others, and sum the stack as real GEMMs against cosines and sines.
+    Each index keeps the rows of its canonical matrix and of its tau(w) in a table
+    of the grade's distinct ones, and the stack is written 128 indices at a time
+    from those rows: past the result, only the index lists grow with K.
     """
 
     def __init__(self, store: CoeffStore):
@@ -84,15 +87,21 @@ class FloatCoeffs:
     def grade_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         hit = self._grades.get(n)
         if hit is None:
-            canon = {g: self._ortho(m) for g, m in self.store.canonical_grade(n).items()}
+            canon = self.store.canonical_grade(n)
+            can_rows = {g: i for i, g in enumerate(canon)}
+            cans = np.array([self._ortho(m) for m in canon.values()])
             gammas = compositions.enumerate_Z(self.N, n)
-            cans, taus = [], []
+            c_rows, w_rows, ws = [], [], {}
             for g in gammas:
                 can, w = compositions.canonicalize(g)
-                cans.append(canon[can])
-                taus.append(self.rep_float(w))
-            taus = np.array(taus)
-            mats = np.swapaxes(taus, 1, 2) @ np.array(cans) @ taus
+                c_rows.append(can_rows[can])
+                w_rows.append(ws.setdefault(w, len(ws)))
+            taus = np.array([self.rep_float(w) for w in ws])
+            mats = np.empty((len(gammas),) + cans.shape[1:])
+            for t in range(0, len(gammas), _accel._TERMS):
+                chunk = slice(t, t + _accel._TERMS)
+                tw = taus[w_rows[chunk]]
+                np.matmul(np.swapaxes(tw, 1, 2) @ cans[c_rows[chunk]], tw, out=mats[chunk])
             hit = (np.array(gammas, dtype=np.int64), mats)
             self._grades[n] = hit
         return hit
@@ -240,8 +249,11 @@ def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelRepo
     fc = FloatCoeffs(store)
     thetas = _sample_angles(store.N, samples, seed)
     rng = DefaultRng(seed + 1)
-    # draws[o, p] = w - 1 for the permutation w of order orders[o] at point p
+    # draws[o, p] = w - 1 for the permutation w of order orders[o] at point p, tau(w) = taus[tau_rows[o, p]]
     draws = np.array([rng.permutations(store.N, samples) for _ in orders])
+    perms, tau_rows = np.unique(draws.reshape(-1, store.N), axis=0, return_inverse=True)
+    taus = np.array([fc.rep_float(tuple(w)) for w in (perms + 1).tolist()])
+    tau_rows = tau_rows.reshape(draws.shape[:2])
     worst = {n: np.inf for n in orders}
     herm_res = 0.0
     cov_res = 0.0
@@ -254,7 +266,7 @@ def psd_report(store: CoeffStore, orders, samples: int, seed: int) -> KernelRepo
             worst[n] = min(worst[n], min_eigenvalue(k))
             ws = draws[o, start : start + _BLOCK]
             hw = h_matrix(n, np.take_along_axis(block, ws, axis=1), fc)
-            tw = np.array([fc.rep_float(tuple(w + 1)) for w in ws])
+            tw = taus[tau_rows[o, start : start + _BLOCK]]
             cov_res = max(cov_res, float(np.max(np.abs(hw - np.swapaxes(tw, 1, 2) @ hs[n] @ tw))))
     return KernelReport(
         shape=store.shape.parts,

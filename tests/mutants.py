@@ -26,6 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # the perturbation tests on shape (3,2): N = 5, every kind of perturbation, degrees 0 to 2
 GRAM_CERTIFICATE = "tests/test_certificates.py::test_the_gram_certificate_fails_exactly_the_columns_the_full_product_fails[3,2]"
 EIGEN_CERTIFICATE = "tests/test_certificates.py::test_the_eigen_certificate_names_the_node_the_full_product_names[3,2]"
+# the oracles of the kernel scan: 257 terms end one past a chunk boundary, and the grades of (3,2) to 3
+# hold up to 340 indices of N = 5
+ONE_SHOT_PHASE_SUM = "tests/test_accel.py::test_phase_matrix_sum_is_the_one_shot_sum_bit_for_bit[257]"
+GRADE_STACK = "tests/test_kernels.py::test_grade_arrays_are_the_stack_built_one_index_at_a_time[3,2]"
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,27 @@ MUTANTS = (
         "failing_columns(lambda x: _gram_times(cmat, pmat, x), lambda x: w * x,",
         "failing_columns(lambda x: w * x, lambda x: w * x,",
         (GRAM_CERTIFICATE,),
+    ),
+    Mutant(
+        "phase sum leaves the mirrored sine rows unnegated",
+        "_accel.py",
+        "mirror.real, -mirror.imag",
+        "mirror.real, mirror.imag",
+        (ONE_SHOT_PHASE_SUM,),
+    ),
+    Mutant(
+        "phase sum skips the last partial chunk",
+        "_accel.py",
+        "for t in range(0, k, _TERMS):",
+        "for t in range(0, k - k % _TERMS or k, _TERMS):",
+        (ONE_SHOT_PHASE_SUM,),
+    ),
+    Mutant(
+        "grade stack takes the tau row from the canonical-matrix row",
+        "kernels.py",
+        "tw = taus[w_rows[chunk]]",
+        "tw = taus[c_rows[chunk]]",
+        (GRADE_STACK,),
     ),
 )
 

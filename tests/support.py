@@ -1,6 +1,7 @@
 """Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, the partition norm, E-factors,
 the affine rotation, termwise Laurent arithmetic, the termwise Dunkl and Cherednik-Dunkl operators,
-the termwise build of the Jack polynomials, the dense Gram matrix and the exact limb product of integer matrices.
+the termwise build of the Jack polynomials, the dense Gram matrix, the exact limb product of integer matrices,
+the one-shot phase sum and the grade stack built one index at a time.
 
 The package computes none of these; the tests use them to enumerate cases
 and as independent formulas to check the package against.
@@ -11,8 +12,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from jacktorus import perms, tableaux
-from jacktorus.compositions import Vec, _partitions, rank_perm, sort_desc
+from jacktorus import _accel, perms, tableaux
+from jacktorus.compositions import Vec, _partitions, canonicalize, enumerate_Z, rank_perm, sort_desc
 from jacktorus.errors import SpectralCollision
 from jacktorus.laurent import VVLaurent, group_action
 from jacktorus.scalars import KappaParam
@@ -259,3 +260,61 @@ def _limbs(m: np.ndarray, s: int) -> np.ndarray:
         out.append(np.where(neg, -limb, limb))
         mag = mag >> s
     return np.array(out, dtype=np.float64).reshape(len(out), *m.shape)
+
+
+def one_shot_phase_matrix_sum(gammas, mats, theta) -> np.ndarray:
+    """``_accel.phase_matrix_sum`` with its cosine and sine operand built for every term at once.
+
+    The (groups, 64, K) operand is filled before the first GEMM and each GEMM
+    reads 128 of its columns, in the same shapes and order as the package's
+    sum, so the two agree bit for bit; the operand grows with K.
+    """
+    g = np.asarray(gammas, np.int64)
+    mats = np.asarray(mats)
+    theta = np.asarray(theta, np.float64)
+    block = np.atleast_2d(theta)
+    rows, terms = _accel._ROWS, _accel._TERMS
+    k = len(g)
+    h = (k + 1) // 2
+    padded = np.zeros((-(-len(block) // rows) * rows, block.shape[1]))
+    padded[: len(block)] = block
+    top = int(np.abs(g).max(initial=0))
+    up = np.exp(1j * (np.arange(top + 1) * padded[:, :, None]))
+    x = np.concatenate([up[:, :, :0:-1].conj(), up], axis=2)
+    phases = x[:, 0, g[:h, 0] + top]
+    for j in range(1, g.shape[1]):
+        phases *= x[:, j, g[:h, j] + top]
+    half = phases.reshape(-1, rows, h)
+    lhs = np.empty((len(half), 2, rows, k))
+    lhs[:, 0, :, :h], lhs[:, 1, :, :h] = half.real, half.imag
+    mirror = half[..., : k - h][..., ::-1]
+    lhs[:, 0, :, h:], lhs[:, 1, :, h:] = mirror.real, -mirror.imag
+    lhs = lhs.reshape(len(half), 2 * rows, k)
+    flat = mats.reshape(k, -1)
+    acc = lhs[..., :terms] @ flat[:terms]
+    for t in range(terms, k, terms):
+        acc += lhs[..., t : t + terms] @ flat[t : t + terms]
+    out = acc[:, :rows].astype(np.complex128).reshape((len(padded),) + mats.shape[1:])
+    out.imag = acc[:, rows:].reshape(out.shape)
+    return out[: len(block)] if theta.ndim == 2 else out[0]
+
+
+def grade_stack(store, n: int) -> np.ndarray:
+    """The grade-n stack of ``kernels.FloatCoeffs``, one index of enumerate_Z at a time.
+
+    With D the diagonal of the store's norms, each canonical matrix and each
+    tau(w) is taken to the orthonormal convention D^{1/2} M D^{-1/2}, and
+    A_gamma = tau(w)^T A_can tau(w) for canonicalize(gamma) = (can, w).
+    """
+    sqrt_d = np.sqrt(np.array([float(x) for x in store.norms]))
+
+    def ortho(mat: Scaled) -> np.ndarray:
+        return sqrt_d[:, None] * mat.floats() / sqrt_d[None, :]
+
+    canon = store.canonical_grade(n)
+    out = []
+    for gamma in enumerate_Z(store.N, n):
+        can, w = canonicalize(gamma)
+        tau = ortho(tableaux.rep_matrix(store.shape, w))
+        out.append(tau.T @ ortho(canon[can]) @ tau)
+    return np.array(out)

@@ -9,6 +9,7 @@ import pytest
 from jacktorus import _accel, diffsystem
 from jacktorus.compositions import enumerate_Z
 from jacktorus.tableaux import Partition
+from support import one_shot_phase_matrix_sum
 
 
 def _phase(gamma, theta) -> complex:
@@ -128,6 +129,41 @@ def test_phase_matrix_sum_rejects_gammas_not_symmetric_in_reverse_order(change):
     mats = np.ones((len(gammas), 2, 2))
     with pytest.raises(ValueError, match="closed under negation"):
         _accel.phase_matrix_sum(gammas, mats, np.zeros(3))
+
+
+def _index_set(k: int, n_vars: int, rng) -> np.ndarray:
+    """k random integer vectors closed under negation in reverse order, a zero middle row when k is odd."""
+    r = rng.integers(-5, 6, size=(k // 2, n_vars))
+    return np.concatenate([r, np.zeros((k % 2, n_vars), np.int64), -r[::-1]])
+
+
+# the sum takes its GEMMs 128 terms at a time and computes the phases of the first h = (K + 1) // 2
+# terms: K = 127, 128 and 129 end before, on and after a chunk boundary, and so do h = 127, 128 and
+# 129 (K = 253, 255 and 257); 1500 is a grade-5 index set of N = 5
+@pytest.mark.parametrize("k", [1, 3, 127, 128, 129, 253, 255, 257, 1500])
+def test_phase_matrix_sum_is_the_one_shot_sum_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    gammas = _index_set(k, 4, rng)
+    mats = rng.normal(size=(k, 3, 3))
+    thetas = rng.uniform(-np.pi, np.pi, (33, 4))
+    for points in (thetas[0], thetas[:1], thetas[:32], thetas):
+        got = _accel.phase_matrix_sum(gammas, mats, points)
+        assert np.array_equal(got, one_shot_phase_matrix_sum(gammas, mats, points))
+
+
+def test_phase_matrix_sum_rejects_a_matrix_count_unlike_the_index_count():
+    gammas = np.array(enumerate_Z(3, 2), dtype=np.int64)
+    for count in (len(gammas) - 1, len(gammas) + 1):
+        with pytest.raises(ValueError, match=f"got {count} matrices for {len(gammas)} indices"):
+            _accel.phase_matrix_sum(gammas, np.ones((count, 2, 2)), np.zeros(3))
+
+
+def test_phase_matrix_sum_of_an_empty_index_set_is_zero():
+    gammas, mats = np.zeros((0, 3), np.int64), np.zeros((0, 2, 2))
+    at_point = _accel.phase_matrix_sum(gammas, mats, np.zeros(3))
+    on_block = _accel.phase_matrix_sum(gammas, mats, np.zeros((5, 3)))
+    assert at_point.dtype == on_block.dtype == np.complex128
+    assert np.array_equal(at_point, np.zeros((2, 2))) and np.array_equal(on_block, np.zeros((5, 2, 2)))
 
 
 def test_phase_sum_matches_explicit_sum():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from jacktorus import kernels
+from jacktorus import _accel, kernels
 from jacktorus._rng import DefaultRng
 from jacktorus.coeffs import CoeffStore
 from jacktorus.errors import PoleExcluded
@@ -23,7 +23,7 @@ from jacktorus.kernels import (
 from jacktorus.compositions import enumerate_Z
 from jacktorus.scalars import default_kappa, make_kappa
 from jacktorus.tableaux import Partition, Scaled
-from support import valid_shapes
+from support import grade_stack, valid_shapes
 
 
 def permuted(x: np.ndarray, w) -> np.ndarray:
@@ -175,6 +175,17 @@ def test_grade_arrays_match_the_exact_coefficients(parts):
             assert np.max(np.abs(mat - store.ortho_coeff_float(g))) < 1e-12, (parts, tuple(g))
 
 
+@pytest.mark.parametrize(
+    "parts", [s.parts for n in range(3, 6) for s in valid_shapes(n)], ids=lambda p: ",".join(map(str, p))
+)
+def test_grade_arrays_are_the_stack_built_one_index_at_a_time(parts):
+    # every index of every grade <= 3, bit for bit the conjugation one index at a time
+    store = CoeffStore(Partition(parts), default_kappa(parts))
+    fc = FloatCoeffs(store)
+    for n in range(4):
+        assert np.array_equal(fc.grade_arrays(n)[1], grade_stack(store, n)), (parts, n)
+
+
 def test_psd_report_matches_a_scan_per_order(fc21):
     # the parent formulation: orders outer, points inner, one permutation drawn per (order, point)
     store, orders, samples, seed = fc21.store, [1, 3, 4], 6, 5
@@ -322,6 +333,46 @@ def test_psd_report_memory_is_flat_in_the_sample_count():
 
     one, eight = peak(kernels._BLOCK), peak(8 * kernels._BLOCK)
     assert eight <= 1.5 * one, (one, eight)
+
+
+def test_grade_arrays_memory_is_flat_in_the_grade_size():
+    # (3,2,1) at grades 2 and 5: 240 and 7002 indices of 16x16 matrices.  Beyond its result a
+    # grade holds the table of the distinct tau(w) (at most 6! of them, 1.5 MB), three stacks of
+    # one 128-index chunk (0.8 MB) and its index lists (about 0.1 kB an index, 0.7 MB at grade 5)
+    store = CoeffStore(Partition((3, 2, 1)), make_kappa(1, 7, (3, 2, 1))).ensure_grade(5)
+    fc = FloatCoeffs(store)
+    for n in (2, 5):
+        fc.grade_arrays(n)  # converts every tau(w) the grades use
+
+    def excess(n):
+        del fc._grades[n]
+        tracemalloc.start()
+        try:
+            gammas, mats = fc.grade_arrays(n)
+            return tracemalloc.get_traced_memory()[1] - gammas.nbytes - mats.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert len(fc.grade_arrays(5)[0]) >= 3 * len(fc.grade_arrays(2)[0])
+    assert max(excess(2), excess(5)) <= 3.5e6, (excess(2), excess(5))
+
+
+def test_phase_matrix_sum_memory_is_flat_in_the_index_count():
+    # the half phases of 32 points, (32, h) complex, are the one array that grows with K; the
+    # power table, the (2, 32, 128) operand and the sums of 32 points take the fixed 0.5 MB
+    gammas = np.array(enumerate_Z(6, 5), dtype=np.int64)
+    rng = np.random.default_rng(5)
+    mats = rng.normal(size=(len(gammas), 2, 2))
+    thetas = rng.uniform(-np.pi, np.pi, (32, 6))
+    half = 32 * ((len(gammas) + 1) // 2) * 16
+    _accel.phase_matrix_sum(gammas, mats, thetas)
+    tracemalloc.start()
+    try:
+        _accel.phase_matrix_sum(gammas, mats, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * half + 0.5e6, (peak, half)
 
 
 WINDOW_SHAPES = [s.parts for n in range(3, 6) for s in valid_shapes(n)]
