@@ -41,14 +41,15 @@ from .errors import JackTorusError, VerificationFailed, WriteFailed
 from .kernels import _sample_angles, psd_report, sigma_identity_residual
 from .scalars import default_kappa, make_kappa
 from .tableaux import Partition, Scaled
-from .torusform import FormContext, gram, gram_rows
+from .torusform import FormContext, gram
 from .ybgraph import NsjpGraph
 
 
 # The session settings, each a config-file key and a top-level flag.
 _SESSION_KEYS = ("shape", "kappa", "max_grade", "seed", "out")
 
-# the most vectors `count` or `identity` lists, and the most edge-exponent
+# the most vectors `count` or `identity` lists, the most indices (count_Z summed
+# to the top grade) `kernel` scans or `coeffs` solves, and the most edge-exponent
 # pairs (path length times the exponents of the built degree) `nsjp` builds
 _COUNT_LIMIT = 10**6
 
@@ -280,11 +281,17 @@ def cmd_count(cfg, args) -> int:
 
 def cmd_coeffs(cfg, args) -> int:
     shape, kap = _validated(cfg)
+    grade = args.grade if args.grade is not None else cfg.max_grade
+    listed = sum(compositions.count_Z(shape.N, n) for n in range(grade + 1))
+    if listed > _COUNT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"coeffs to grade {grade} on N = {shape.N} would solve {listed} indices, more than {_COUNT_LIMIT}"
+        )
     if args.store and Path(args.store).exists():
         store = CoeffStore.load(args.store, kap)
     else:
         store = CoeffStore(shape, kap)
-    store.ensure_grade(args.grade if args.grade is not None else cfg.max_grade)
+    store.ensure_grade(grade)
     if args.store:
         store.save(args.store)
     sizes = {str(n): len(store.grades[n]) for n in sorted(store.grades)}
@@ -295,22 +302,11 @@ def cmd_coeffs(cfg, args) -> int:
     )
 
 
-def _gram_check(graph: NsjpGraph, store: CoeffStore, degree: int, seed: int):
-    """Degree-ordered (alpha, tableau index) labels to a degree, the nonzero entries of each row of their
-    Gram matrix, its number of nonzero off-diagonal entries and whether its diagonal is the closed-form norms."""
-    nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
-    blocks = gram(graph, degree, FormContext(store.ensure_grade(degree)), seed)
-    rows = gram_rows(blocks)
-    off = sum(len(row) - (i in row) for i, row in enumerate(rows))
-    norm_ok = all(blk.entry(j, j) == norm for blk in blocks for j, norm in enumerate(blk.norms))
-    return nodes, rows, off, norm_ok
-
-
 def cmd_gram(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    graph, store = NsjpGraph(shape, kap), CoeffStore(shape, kap)
-    nodes, rows, off, norm_ok = _gram_check(graph, store, args.max_degree, cfg.seed)
-    basis = [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes]
+    ctx = FormContext(CoeffStore(shape, kap))
+    labels, rows, off, norm_ok = gram(NsjpGraph(shape, kap), args.max_degree, ctx, cfg.seed)
+    basis = [{"alpha": list(a), "tableau_index": ti} for a, ti in labels]
     results = {"basis": basis, "matrix": lambda: rows, "offdiagonal_nonzero": off, "norms_match": norm_ok}
     return _emit("gram", cfg, results, code=0 if off == 0 and norm_ok else 1)
 
@@ -450,14 +446,12 @@ def cmd_verify(cfg, args) -> int:
         return "counts match enumeration for n <= 4"
 
     def eigen_suite():
-        total = graph.check_eigen(degree, cfg.seed)
-        graph.check_genericity(degree)
-        return f"{total} nodes eigen-checked to degree {degree}"
+        return f"{graph.check_eigen(degree, cfg.seed)} nodes eigen-checked to degree {degree}"
 
     def gram_suite():
-        nodes, _, off, norm_ok = _gram_check(graph, store, degree, cfg.seed)
+        labels, _, off, norm_ok = gram(graph, degree, FormContext(store), cfg.seed)
         _require(off == 0 and norm_ok, f"{off} nonzero off-diagonal entries, norms match: {norm_ok}")
-        return f"gram of {len(nodes)} polynomials exactly diagonal"
+        return f"gram of {len(labels)} polynomials exactly diagonal"
 
     def selfadjoint_suite():
         rng = random.Random(cfg.seed)

@@ -24,12 +24,12 @@ from ._rng import DefaultRng
 from .coeffs import CoeffStore
 from .errors import VerificationFailed
 
-# Sample points psd_report evaluates at once: one group of the 32 point rows that
+# Sample points psd_report evaluates at once: one group of the point rows that
 # every GEMM of _accel.phase_matrix_sum takes.  Any block size gives the same
-# floats, but a block that is not a multiple of 32 leaves rows of a GEMM unused,
-# and the working arrays (each grade's phases and H at every point of the block)
-# grow with the block.
-_BLOCK = 32
+# floats, but a block that is not a multiple of _accel._ROWS leaves rows of a
+# GEMM unused, and the working arrays (each grade's phases and H at every point
+# of the block) grow with the block.
+_BLOCK = _accel._ROWS
 
 
 def _sample_angles(n_vars: int, count: int, seed: int) -> np.ndarray:

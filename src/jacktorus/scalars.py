@@ -18,16 +18,10 @@ from .tableaux import Partition
 
 @dataclass(frozen=True)
 class KappaParam:
-    """A validated rational deformation parameter for a fixed shape.
-
-    `psd_range` records whether -1/h < value < 1/h where h is the maximal
-    hook length of the shape; inside that window the torus form is
-    positive-definite and the kernel approximants are PSD.
-    """
+    """A validated rational deformation parameter for a fixed shape."""
 
     value: Fraction
     shape: tuple[int, ...]
-    psd_range: bool
 
     def __str__(self) -> str:
         return str(self.value)
@@ -67,7 +61,7 @@ def make_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
     if witness is not None:
         m, c = witness
         raise PoleExcluded(value, m, c, context=f"shape {part.parts}")
-    return KappaParam(value, part.parts, psd_range=abs(value) < Fraction(1, part.max_hook))
+    return KappaParam(value, part.parts)
 
 
 def default_kappa(shape: tuple[int, ...]) -> KappaParam:

@@ -92,78 +92,65 @@ def pair(f, g, ctx: FormContext) -> Fraction:
     return sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class GramBlock:
-    """One degree's Gram block: its closed-form norms on the diagonal, but the failing columns ``computed`` in full."""
+def gram(graph: NsjpGraph, max_degree: int, ctx: FormContext, seed: int = 0) -> tuple[list, list, int, bool]:
+    """The Gram matrix of the Jack polynomials of degree <= max_degree, ctx.store sealed to max_degree first.
 
-    norms: list[Fraction]
-    computed: dict[int, dict[int, Fraction]]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.computed.get(j, {j: self.norms[j]}).get(i, Fraction(0))
-
-
-def gram(graph: NsjpGraph, max_degree: int, ctx: FormContext, seed: int = 0) -> list[GramBlock]:
-    """Gram matrix of the Jack polynomials of degree <= max_degree, as one block per degree.
-
-    The polynomials are the graph's nodes, degree by degree in ``build_degree``
-    order.  Terms of different degree pair to zero, so the matrix is block
-    diagonal, block d being C_d^T P_d C_d over lp dens_i dens_j: C_d is
-    ``graph.columns(d)``, dens its denominators and P_d the pairing blocks
-    G_{alpha-beta} between the exponents of its rows, scaled to Python ints
-    by one common lcm lp.  ``failing_columns`` certifies C^T (P (C r)) = w r,
-    w_k = ``nsjp_norm``_k lp dens_k^2, on vectors r drawn from
-    random.Random(seed), and computes the failing columns in full, so the
-    blocks do not depend on the seed.
+    Returns (labels, rows, offdiagonal_nonzero, norms_match): the (alpha,
+    tableau index) of each polynomial, the nonzero entries of each row as
+    {column: value}, the number of nonzero off-diagonal entries and whether
+    the diagonal is the closed-form norms.  The polynomials are the graph's
+    nodes, degree by degree in ``build_degree`` order.  Terms of different
+    degree pair to zero, so the matrix is block diagonal, block d being
+    C_d^T P_d C_d over lp dens_i dens_j: C_d is ``graph.columns(d)``, dens
+    its denominators and P_d the pairing blocks G_{alpha-beta} between the
+    exponents of its rows, scaled to Python ints by one common lcm lp.
+    ``_gram_block`` certifies the columns that are their ``nsjp_norm`` on the
+    diagonal, on vectors drawn from random.Random(seed), and computes the
+    others in full, so nothing returned depends on the seed.
 
     The pairwise ``pair``, on object products, is the oracle: the diagonal
     entry of the polynomial with the most terms in each block is recomputed
     with it, and a disagreement raises VerificationFailed.
     """
+    ctx.store.ensure_grade(max_degree)
     n, dim, rng = graph.shape.N, graph.shape.dim, random.Random(seed)
-    blocks = []
+    labels, rows, offdiagonal, norms_match = [], [], 0, True
     for d in range(max_degree + 1):
         nodes, cmat, dens = graph.columns(d)
         exps = exponents(n, d)
         pmat, lp = _pairing_block(exps, ctx)
         norms = [nsjp_norm(node.alpha, node.tableau, graph.kappa) for node in nodes]
-        blk = _gram_block(cmat, pmat, lp, dens, norms, rng)
-        rows = cmat.reshape(len(exps), dim, len(nodes))
-        k = int(np.argmax((rows != 0).any(axis=1).sum(axis=0)))  # the column with the most terms, the first one
-        f = VVLaurent.of_rows(graph.shape, graph.kappa, exps, rows[:, :, k], dens[k])
-        if pair(f, f, ctx) != blk.entry(k, k):
+        computed = _gram_block(cmat, pmat, lp, dens, norms, rng)
+        start = len(rows)
+        labels += [(node.alpha, node.t_index) for node in nodes]
+        rows += [{} for _ in nodes]
+        for j, norm in enumerate(norms):
+            col = computed.get(j, {j: norm} if norm else {})
+            for i, v in col.items():
+                rows[start + i][start + j] = v
+            offdiagonal += len(col) - (j in col)
+            norms_match = norms_match and col.get(j, 0) == norm
+        block = cmat.reshape(len(exps), dim, len(nodes))
+        k = int(np.argmax((block != 0).any(axis=1).sum(axis=0)))  # the column with the most terms, the first one
+        f = VVLaurent.of_rows(graph.shape, graph.kappa, exps, block[:, :, k], dens[k])
+        if pair(f, f, ctx) != rows[start + k].get(start + k, 0):
             raise VerificationFailed(
                 f"gram entry of {nodes[k].alpha}, tableau {nodes[k].t_index} differs from the pairwise form"
             )
-        blocks.append(blk)
-    return blocks
+    return labels, rows, offdiagonal, norms_match
 
 
-def _gram_block(cmat: np.ndarray, pmat: np.ndarray, lp: int, dens: list[int], norms: list[Fraction], rng) -> GramBlock:
-    """The block C^T P C / (lp dens_i dens_j): its norms, certified, and its failing columns, in full."""
+def _gram_block(cmat: np.ndarray, pmat: np.ndarray, lp: int, dens: list[int], norms: list[Fraction], rng) -> dict:
+    """The columns j of C^T P C / (lp dens_i dens_j) that are not norms[j] e_j, as {j: {i: nonzero entry}}."""
     w = np.array([norm * (lp * den * den) for norm, den in zip(norms, dens)], dtype=object)[:, None]
     bad = failing_columns(lambda x: _gram_times(cmat, pmat, x), lambda x: w * x, len(dens), rng)
     cols = _gram_times(cmat, pmat, np.eye(len(dens), dtype=object)[:, bad]).T if bad else []
-    full = {j: {i: Fraction(x, lp * dens[i] * dens[j]) for i, x in enumerate(col) if x} for j, col in zip(bad, cols)}
-    return GramBlock(norms, full)
+    return {j: {i: Fraction(x, lp * dens[i] * dens[j]) for i, x in enumerate(col) if x} for j, col in zip(bad, cols)}
 
 
 def _gram_times(cmat: np.ndarray, pmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """C^T (P (C x)): the block's integer Gram matrix times each column of x, by three mat-vec products."""
     return cmat.T @ (pmat @ (cmat @ x))
-
-
-def gram_rows(blocks: list[GramBlock]) -> list[dict[int, Fraction]]:
-    """The nonzero entries of each row of the block-diagonal matrix, as {column: value}, the blocks in order."""
-    rows: list[dict[int, Fraction]] = []
-    for blk in blocks:
-        start = len(rows)
-        rows += [{} for _ in blk.norms]
-        for j, norm in enumerate(blk.norms):
-            for i, v in blk.computed.get(j, {j: norm}).items():
-                if v:
-                    rows[start + i][start + j] = v
-    return rows
 
 
 def _pairing_block(exps: list[Vec], ctx: FormContext) -> tuple[np.ndarray, int]:

@@ -197,9 +197,11 @@ class NsjpGraph:
         Per degree d, U_i C = C diag(xi_i) for every i, C the ``columns`` of degree d (a scaled
         column is still an eigenvector) and U_i their ``laurent.cherednik_matrix``, certified by
         ``_eigen_failure`` on vectors drawn from random.Random(seed).  A failure names the first
-        failing node in ``build_degree`` order, with its smallest i.
+        failing node in ``build_degree`` order, with its smallest i.  Once every degree has passed,
+        two nodes that share a spectral vector raise SpectralCollision, the first repeat named.
         """
         n, count, rng = self.shape.N, 0, random.Random(seed)
+        seen, repeat = {}, None  # the first label of each spectral vector, the first repeat
         for d in range(max_degree + 1):
             nodes, cmat, _ = self.columns(d)
             us = [cherednik_matrix(self.shape, self.kappa, exponents(n, d), i) for i in range(1, n + 1)]
@@ -208,20 +210,14 @@ class NsjpGraph:
             if fail:
                 node = nodes[fail[0]]
                 raise VerificationFailed(f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{fail[1]}")
+            for node in nodes:
+                first = seen.setdefault(node.spectral, (node.alpha, node.t_index))
+                if repeat is None and first != (node.alpha, node.t_index):
+                    repeat = f"nodes {first} and {(node.alpha, node.t_index)} share a spectral vector"
             count += len(nodes)
+        if repeat:
+            raise SpectralCollision(repeat)
         return count
-
-    def check_genericity(self, max_degree: int) -> None:
-        """Distinct spectral vectors across all built nodes of degree <= max_degree."""
-        seen: dict[tuple, tuple] = {}
-        for d in range(max_degree + 1):
-            for node in self.build_degree(d):
-                key = node.spectral
-                if key in seen and seen[key] != (node.alpha, node.t_index):
-                    raise SpectralCollision(
-                        f"nodes {seen[key]} and {(node.alpha, node.t_index)} share a spectral vector"
-                    )
-                seen[key] = (node.alpha, node.t_index)
 
 
 def _eigen_failure(us: list[Scaled], cmat: np.ndarray, xi: Scaled, rng) -> tuple[int, int] | None:

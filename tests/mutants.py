@@ -30,6 +30,11 @@ EIGEN_CERTIFICATE = "tests/test_certificates.py::test_the_eigen_certificate_name
 # hold up to 340 indices of N = 5
 ONE_SHOT_PHASE_SUM = "tests/test_accel.py::test_phase_matrix_sum_is_the_one_shot_sum_bit_for_bit[257]"
 GRADE_STACK = "tests/test_kernels.py::test_grade_arrays_are_the_stack_built_one_index_at_a_time[3,2]"
+# the failing gram reports: two failing columns with nonzero off-diagonal entries, and a wrong diagonal entry
+# in a column that pair does not spot-check
+FAILING_OFF_DIAGONAL = "tests/test_cli.py::test_a_failing_gram_report_does_not_depend_on_the_seed[off-diagonal]"
+FAILING_DIAGONAL = "tests/test_cli.py::test_a_failing_gram_report_does_not_depend_on_the_seed[diagonal]"
+GENERICITY = "tests/test_ybgraph.py::test_check_eigen_names_a_shared_spectral_vector_once_every_degree_passes"
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,27 @@ MUTANTS = (
         "failing_columns(lambda x: _gram_times(cmat, pmat, x), lambda x: w * x,",
         "failing_columns(lambda x: w * x, lambda x: w * x,",
         (GRAM_CERTIFICATE,),
+    ),
+    Mutant(
+        "gram counts a failing column's diagonal entry as off the diagonal",
+        "torusform.py",
+        "offdiagonal += len(col) - (j in col)",
+        "offdiagonal += len(col) - (j in col and j not in computed)",
+        (FAILING_OFF_DIAGONAL,),
+    ),
+    Mutant(
+        "gram passes a failing column's diagonal entry without comparing it with the norm",
+        "torusform.py",
+        "norms_match = norms_match and col.get(j, 0) == norm",
+        "norms_match = norms_match",
+        (FAILING_DIAGONAL, "tests/test_cli.py::test_verify_fails_under_optimize"),
+    ),
+    Mutant(
+        "eigen check lets two nodes share a spectral vector",
+        "ybgraph.py",
+        "if repeat is None and first != (node.alpha, node.t_index):",
+        "if repeat is None and first is None:",
+        (GENERICITY,),
     ),
     Mutant(
         "phase sum leaves the mirrored sine rows unnegated",
@@ -101,7 +127,9 @@ def start(mutant: Mutant, workdir: Path) -> subprocess.Popen:
         raise ValueError(f"{mutant.name}: the snippet occurs {text.count(mutant.snippet)} times in {mutant.path}")
     target.write_text(text.replace(mutant.snippet, mutant.replacement))
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-profile=mutants"]
+    # a verdict is only pass or fail, so plain asserts: rewriting them would redo hypothesis's ~75 plugin
+    # modules in every child, which cannot cache the result without writing bytecode
+    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--assert=plain", "--hypothesis-profile=mutants"]
     argv += [str(ROOT / test) for test in mutant.tests]
     return subprocess.Popen(argv, cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
 

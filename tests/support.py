@@ -29,9 +29,7 @@ def valid_shapes(n: int) -> list[Partition]:
 
 def unchecked_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
     """Bypass the pole gate; used to demonstrate in-recurrence pole detection."""
-    part = Partition(shape)
-    value = Fraction(p, q)
-    return KappaParam(value, part.parts, psd_range=abs(value) < Fraction(1, part.max_hook))
+    return KappaParam(Fraction(p, q), Partition(shape).parts)
 
 
 def dominance_lt(alpha: Vec, beta: Vec) -> bool:
@@ -201,16 +199,12 @@ def termwise_nsjp(graph, alpha: Vec, t_index: int, memo: dict) -> VVLaurent:
     return memo[key]
 
 
-def dense_gram(blocks) -> np.ndarray:
-    """The block-diagonal Fraction matrix that ``torusform.gram``'s blocks make up, entry by entry."""
-    size = sum(len(blk.norms) for blk in blocks)
-    out = np.full((size, size), Fraction(0), dtype=object)
-    start = 0
-    for blk in blocks:
-        for i in range(len(blk.norms)):
-            for j in range(len(blk.norms)):
-                out[start + i, start + j] = blk.entry(i, j)
-        start += len(blk.norms)
+def dense_gram(rows) -> np.ndarray:
+    """The Fraction matrix whose rows ``torusform.gram`` returns as {column: value} of their nonzero entries."""
+    out = np.full((len(rows), len(rows)), Fraction(0), dtype=object)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i, j] = v
     return out
 
 

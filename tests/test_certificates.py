@@ -79,9 +79,7 @@ def test_the_gram_certificate_fails_exactly_the_columns_the_full_product_fails(p
     else:
         norms = list(norms)
         norms[data.draw(st.integers(0, len(norms) - 1), label="k")] += Fraction(delta, 7)
-    blk = _gram_block(cmat, pmat, lp, dens, norms, random.Random(seed))
-    assert blk.norms == norms
-    assert blk.computed == _gram_oracle(cmat, pmat, lp, dens, norms)
+    assert _gram_block(cmat, pmat, lp, dens, norms, random.Random(seed)) == _gram_oracle(cmat, pmat, lp, dens, norms)
 
 
 def _eigen_oracle(us, cmat, xi):

@@ -129,19 +129,33 @@ def test_gram_and_verify_do_not_depend_on_the_seed(capsys, args):
         assert texts[0] == texts[1] == texts[2]
 
 
-def test_a_failing_gram_report_does_not_depend_on_the_seed(perturb_gram_product, capsys):
-    # columns 1 and 2 of the degree-1 block fail their certificates; each seed must find and compute the same ones
+# the faults (row, column, delta) in the degree-1 block (6 columns, column 4 spot-checked by pair), the
+# verdicts, and the report's sha256, recorded before the Gram verdicts moved into torusform.gram
+FAILING_GRAM_CASES = {
+    # columns 1 and 2 fail their certificates with nonzero off-diagonal entries
+    "off-diagonal": ([(0, 1, 1), (5, 2, -3)], 2, True, "9561704087aea5f67c342e61c3597d3174a498e02c32e27193f55a1c3f44db47"),
+    # column 1's diagonal entry is wrong, off the spot check, so only the norm comparison can see it
+    "diagonal": ([(1, 1, 1)], 0, False, "1f9fe686be3bcc3f493aeca0874913d98339b9f8ffe252f2ea412c8968aeefed"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_GRAM_CASES))
+def test_a_failing_gram_report_does_not_depend_on_the_seed(perturb_gram_product, capsys, case):
+    # each seed must find and compute the same failing columns
+    faults, off, norms_match, digest = FAILING_GRAM_CASES[case]
+
     def bump(out):
         if len(out) == 6:
-            out[0, 1] += 1
-            out[5, 2] -= 3
+            for i, j, delta in faults:
+                out[i, j] += delta
 
     perturb_gram_product(bump)
     texts, codes = _reports_at_seeds(capsys, ("--shape", "2,1", "--kappa", "1/4", "gram", "--max-degree", "2"))
     assert codes == [1, 1, 1]
     assert texts[0] == texts[1] == texts[2]
     doc = json.loads(texts[0])
-    assert doc["results"]["offdiagonal_nonzero"] == 2 and doc["results"]["norms_match"] is True
+    assert doc["results"]["offdiagonal_nonzero"] == off and doc["results"]["norms_match"] is norms_match
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == digest
 
 
 def _dense_gram_report(parts, kappa, degree, out=None) -> str:
@@ -150,7 +164,7 @@ def _dense_gram_report(parts, kappa, degree, out=None) -> str:
     kap = make_kappa(kappa.numerator, kappa.denominator, parts) if kappa is not None else default_kappa(parts)
     graph = NsjpGraph(shape, kap)
     nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
-    mat = dense_gram(gram(graph, degree, FormContext(CoeffStore(shape, kap).ensure_grade(degree))))
+    mat = dense_gram(gram(graph, degree, FormContext(CoeffStore(shape, kap)))[1])
     results = {
         "basis": [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes],
         "matrix": [[str(x) for x in row] for row in mat],
@@ -193,6 +207,21 @@ def test_coeffs_persists_store(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["results"]["sealed_grade"] == 3
+
+
+@pytest.mark.parametrize("limit, code", [(19, 0), (18, 2)])
+def test_coeffs_solves_a_grade_up_to_the_index_limit(monkeypatch, capsys, limit, code):
+    # (2,1) to grade 2 spans count_Z(3, n) = 1, 6, 12 indices: 19 in all
+    from jacktorus import cli
+
+    monkeypatch.setattr(cli, "_COUNT_LIMIT", limit)
+    argv = ["--shape", "2,1", "coeffs", "--grade", "2"]
+    if code:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code and "would solve 19 indices, more than 18" in capsys.readouterr().err
+    else:
+        assert main(argv) == 0
 
 
 def test_pole_excluded_exit_code():
@@ -258,6 +287,12 @@ def test_usage_error_exit_code():
             None,
             "kernel --max-order 20 on N = 6 would list 7638259 indices, more than 1000000",
         ),
+        (
+            ["--shape", "2,1", "coeffs", "--grade", "1000"],
+            None,
+            "coeffs to grade 1000 on N = 3 would solve 3003001 indices, more than 1000000",
+        ),
+        (["coeffs"], '{"shape": "2,1", "max_grade": 1000}', "coeffs to grade 1000 on N = 3 would solve 3003001"),
         (["count", "--N", "2", "--n", "1"], '{"out": "report\\u0000.json"}', "out: expected a path"),
     ],
     ids=[
@@ -297,6 +332,8 @@ def test_usage_error_exit_code():
         "identity-too-many-vectors",
         "nsjp-too-many-edges",
         "kernel-too-many-indices",
+        "coeffs-too-many-indices",
+        "coeffs-max-grade-too-many-indices",
         "config-out-with-a-nul",
     ],
 )

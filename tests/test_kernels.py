@@ -390,7 +390,7 @@ def test_kernel_positivity_across_the_window(data):
         kap = make_kappa(p, q, parts)
     except PoleExcluded:
         reject()
-    assert kap.psd_range
+    assert abs(kap.value) < Fraction(1, h)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rep = psd_report(CoeffStore(Partition(parts), kap), range(1, 5), 30, seed)
     assert rep.worst["min_eigenvalue"] >= -1e-9, rep.worst

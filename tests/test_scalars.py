@@ -15,7 +15,6 @@ from support import unchecked_kappa, valid_shapes
 def test_admissible_quarter():
     kap = make_kappa(1, 4, (2, 1))
     assert kap.value == Fraction(1, 4)
-    assert kap.psd_range  # |1/4| < 1/3
 
 
 def test_negative_pole_branch():
@@ -38,16 +37,11 @@ def test_one_row_and_one_column_shapes_rejected():
         make_kappa(1, 4, (1, 1, 1))
 
 
-def test_psd_flag_tracks_hook_window():
-    assert not make_kappa(2, 5, (2, 1)).psd_range  # 2/5 > 1/3
-    assert make_kappa(-1, 5, (2, 1)).psd_range
-
-
 @pytest.mark.parametrize("n", range(3, 8))
 def test_default_kappa_always_valid_and_psd(n):
     for shape in valid_shapes(n):
         kap = default_kappa(shape.parts)
-        assert kap.psd_range
+        assert abs(kap.value) < Fraction(1, shape.max_hook)
         assert pole_witness(kap.value, shape.parts) is None
 
 

@@ -15,7 +15,6 @@ from jacktorus.torusform import (
     FormContext,
     _pairing_block,
     gram,
-    gram_rows,
     nsjp_norm,
     pair,
 )
@@ -203,18 +202,21 @@ def _nodes_to_degree(graph, degree):
 
 
 def _assert_matches_pairwise(graph, degree, ctx):
-    """gram's blocks are the all-pairs oracle on the graph's columns entry for entry, and gram_rows holds
-    exactly their nonzero entries; returns the dense matrix."""
-    blocks = gram(graph, degree, ctx)
-    mat = dense_gram(blocks)
-    polys = []
+    """gram's rows hold exactly the nonzero entries of the all-pairs oracle on the graph's columns, entry for
+    entry, and its verdicts are that matrix's; returns the dense matrix."""
+    labels, rows, off, norms_match = gram(graph, degree, ctx)
+    mat = dense_gram(rows)
+    polys, nodes = [], []
     for d in range(degree + 1):
-        nodes, cmat, dens = graph.columns(d)
-        rows = cmat.reshape(-1, graph.shape.dim, len(nodes))
-        polys += [VVLaurent.of_rows(graph.shape, graph.kappa, exponents(graph.shape.N, d), rows[:, :, k], dens[k]) for k in range(len(nodes))]
+        block_nodes, cmat, dens = graph.columns(d)
+        block = cmat.reshape(-1, graph.shape.dim, len(block_nodes))
+        polys += [VVLaurent.of_rows(graph.shape, graph.kappa, exponents(graph.shape.N, d), block[:, :, k], dens[k]) for k in range(len(block_nodes))]
+        nodes += block_nodes
     n = len(polys)
-    assert [len(blk.norms) for blk in blocks] == [len(graph.build_degree(d)) for d in range(degree + 1)]
-    assert gram_rows(blocks) == [{j: mat[i, j] for j in range(n) if mat[i, j]} for i in range(n)]
+    assert labels == [(node.alpha, node.t_index) for node in nodes]
+    assert all(0 not in row.values() for row in rows)
+    assert off == sum(1 for i in range(n) for j in range(n) if i != j and mat[i, j])
+    assert norms_match == all(mat[i, i] == nsjp_norm(node.alpha, node.tableau, graph.kappa) for i, node in enumerate(nodes))
     for i in range(n):
         for j in range(i, n):
             val = pair(polys[i], polys[j], ctx)
@@ -223,7 +225,7 @@ def _assert_matches_pairwise(graph, degree, ctx):
 
 
 def test_gram_degree_zero(graph21, ctx21, shape21):
-    mat = dense_gram(gram(graph21, 0, ctx21))
+    mat = dense_gram(gram(graph21, 0, ctx21)[1])
     basis = enumerate_rsyt(shape21)
     assert mat[0, 1] == 0 and mat[1, 0] == 0
     assert [mat[k, k] for k in range(2)] == [norm0(t) for t in basis]
@@ -232,9 +234,6 @@ def test_gram_degree_zero(graph21, ctx21, shape21):
 def test_gram_full_orthogonality_small(graph21, ctx21, kappa21):
     nodes = _nodes_to_degree(graph21, 3)
     mat = _assert_matches_pairwise(graph21, 3, ctx21)
-    # one block per degree, over the nodes of that degree only
-    blocks = gram(graph21, 3, ctx21)
-    assert [len(blk.norms) for blk in blocks] == [2, 6, 12, 20]
     for i, (alpha, ti) in enumerate(nodes):
         assert mat[i, i] == nsjp_norm(alpha, graph21.basis[ti], kappa21)
         assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)
@@ -363,7 +362,7 @@ def _setup(parts):
 def test_gram_is_diagonal_with_closed_form_norms(parts):
     """Every shape with N <= 6 at the default parameter, to degree 2."""
     graph, ctx, nodes = _setup(parts)
-    mat = dense_gram(gram(graph, 2, ctx))
+    mat = dense_gram(gram(graph, 2, ctx)[1])
     for i, (alpha, ti) in enumerate(nodes):
         assert mat[i, i] == nsjp_norm(alpha, graph.basis[ti], graph.kappa)
         assert all(mat[i, j] == 0 for j in range(len(nodes)) if j != i)

@@ -287,7 +287,7 @@ def test_laurent_shift_consistency(graph21):
 
 
 def test_genericity_guard_passes_for_admissible(graph21):
-    graph21.check_genericity(3)
+    assert graph21.check_eigen(3) == 40
 
 
 def test_spectral_collision_detected():
@@ -298,7 +298,7 @@ def test_spectral_collision_detected():
     with pytest.raises(SpectralCollision):
         for d in range(3):
             graph.build_degree(d)
-        graph.check_genericity(2)
+        graph.check_eigen(2)
 
 
 def test_eigen_properties_31(graph31):
@@ -360,6 +360,25 @@ def test_check_eigen_fails_on_one_eigenvalue_moved_by_a_seventh(monkeypatch, par
     with pytest.raises(VerificationFailed) as info:
         graph.check_eigen(3)
     assert str(info.value) == f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{i}"
+
+
+def test_check_eigen_names_a_shared_spectral_vector_once_every_degree_passes(monkeypatch):
+    # kappa = 0 is admissible, and there the spectral vector alpha + 1 forgets the tableau
+    graph = NsjpGraph(Partition((2, 1)), make_kappa(0, 1, (2, 1)))
+    with pytest.raises(SpectralCollision) as info:
+        graph.check_eigen(2)
+    assert str(info.value) == "nodes ((0, 0, 0), 0) and ((0, 0, 0), 1) share a spectral vector"
+    real = NsjpGraph.columns
+
+    def perturbed(self, d):
+        nodes, cmat, dens = real(self, d)
+        if d == 2:
+            cmat[0, 0] += 1
+        return nodes, cmat, dens
+
+    monkeypatch.setattr(NsjpGraph, "columns", perturbed)
+    with pytest.raises(VerificationFailed):  # a later degree's failing certificate is reported first
+        graph.check_eigen(2)
 
 
 def test_node_rejects_a_negative_entry(shape21, kappa21):
