@@ -282,7 +282,7 @@ def cmd_count(cfg, args) -> int:
 def cmd_coeffs(cfg, args) -> int:
     shape, kap = _validated(cfg)
     grade = args.grade if args.grade is not None else cfg.max_grade
-    listed = sum(compositions.count_Z(shape.N, n) for n in range(grade + 1))
+    listed = compositions.count_Z_to(shape.N, grade)
     if listed > _COUNT_LIMIT:
         raise argparse.ArgumentTypeError(
             f"coeffs to grade {grade} on N = {shape.N} would solve {listed} indices, more than {_COUNT_LIMIT}"
@@ -323,7 +323,7 @@ def _kernel_failures(rep) -> list[str]:
 
 def cmd_kernel(cfg, args) -> int:
     shape, kap = _validated(cfg)
-    listed = sum(compositions.count_Z(shape.N, n) for n in range(args.max_order + 1))
+    listed = compositions.count_Z_to(shape.N, args.max_order)
     if listed > _COUNT_LIMIT:
         raise argparse.ArgumentTypeError(
             f"kernel --max-order {args.max_order} on N = {shape.N} would list {listed} indices, more than {_COUNT_LIMIT}"
@@ -335,8 +335,8 @@ def cmd_kernel(cfg, args) -> int:
 
 
 def cmd_identity(cfg, args) -> int:
-    # each order n lists (and caches) its zero-sum indices and its degree-n monomials
-    listed = sum(compositions.count_Z(args.N, n) + math.comb(args.N + n - 1, n) for n in range(args.max_order + 1))
+    # each order n lists (and caches) its zero-sum indices and its degree-n monomials, C(N+g, g) of them to order g
+    listed = compositions.count_Z_to(args.N, args.max_order) + math.comb(args.N + args.max_order, args.max_order)
     if listed > _COUNT_LIMIT:
         raise argparse.ArgumentTypeError(
             f"identity --N {args.N} --max-order {args.max_order} would list {listed} vectors, "

@@ -80,6 +80,12 @@ def count_Z(N: int, n: int) -> int:
     )
 
 
+def count_Z_to(N: int, g: int) -> int:
+    """count_Z(N, n) summed over n <= g, for N >= 1: the Ehrhart polynomial of the type-A root polytope,
+    sum over k < N of C(N-1, k)^2 C(g+N-1-k, N-1) (Ardila, Beck, Hosten, Pfeifle and Seashore, 2011)."""
+    return sum(comb(N - 1, k) ** 2 * comb(g + N - 1 - k, N - 1) for k in range(N))
+
+
 def compositions_of(total: int, parts: int, minimum: int = 0):
     """All vectors of `parts` entries >= minimum summing to total, lexicographically."""
     if parts == 0:

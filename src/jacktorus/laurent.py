@@ -5,17 +5,18 @@ living in the tableau basis of the module and held as a reduced
 ``tableaux.Scaled``: Python ints over one positive denominator.  It is the
 form in which ``nsjp`` reports a Jack polynomial and ``torusform.pair``
 takes its inputs; the graph itself builds each polynomial as one integer
-column (``ybgraph``).  ``cherednik_matrix`` gives U_i as one integer matrix
-on the rows of such columns, a block of dim rows per exponent, so that
-``ybgraph.NsjpGraph.check_eigen`` can certify U_i C = C diag(xi_i) exactly
-by mat-vec products on random vectors.
+column (``ybgraph``).  ``cherednik_sum`` applies sum_i t_i U_i to such
+columns from the structure of the U_i, so that ``ybgraph.NsjpGraph.check_eigen``
+can certify every U_i C = C diag(xi_i) at once by mat-vecs on random vectors.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from . import perms, tableaux
+from . import diffsystem, perms, tableaux
 from .perms import Perm
 from .scalars import KappaParam
 from .tableaux import Partition, Scaled
@@ -63,33 +64,27 @@ def group_action(w: Perm, f: VVLaurent) -> VVLaurent:
     )
 
 
-def cherednik_matrix(shape: Partition, kappa: KappaParam, exps: list[Vec], i: int) -> Scaled:
-    """U_i = D_i x_i - kappa sum_{j<i} (i j) as one matrix on columns over exps, a block of dim rows per exponent.
+def cherednik_sum(shape: Partition, kappa: KappaParam, exps, t, y: np.ndarray) -> Scaled:
+    """sum_i t_i U_i y, U_i = D_i x_i - kappa sum_{j<i} (i j), y a block of dim rows per exponent of exps.
 
-    U_i must map exps into itself, as it does all compositions of one degree (a
-    target outside raises KeyError).  With a = alpha_i + 1 and b = alpha_j, the
-    column block of alpha is a I on its own row (from D_i x_i^a), kappa sigma(i j)
-    times (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j) = sgn(a - b) sum of
-    x_i^p x_j^(a+b-1-p) over min(a, b) <= p < max(a, b) for each j != i, and
-    -kappa sigma(i j) at (i j) alpha for j < i, over den = kappa.den lcm_j sigma(i j).den.
+    Unit weights t = e_i give U_i y.  With a = alpha_i + 1 and b = alpha_j, U_i x^alpha (x) v is a x^alpha (x) v,
+    plus kappa sigma(i j) v times (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j) = sgn(a - b) sum of x_i^p x_j^(a+b-1-p)
+    over min(a, b) <= p < max(a, b) for each j != i, plus -kappa sigma(i j) v at (i j) alpha for each j < i, so each
+    pair i < j needs one product sigma(i j) y (``diffsystem.sigma_stack``).  The result is over kappa.den times the
+    stack's den.  U_i must map exps into itself, as it does all compositions of one degree (else KeyError).
     """
-    dim, kap = shape.dim, kappa.value
-    js = [j for j in range(1, shape.N + 1) if j != i]
-    sigma = Scaled.stack([tableaux.transposition_matrix(shape, i, j) for j in js])
-    den = kap.denominator * sigma.den
-    blocks = dict(zip(js, sigma.num * kap.numerator))
-    row = {alpha: r * dim for r, alpha in enumerate(exps)}
-    out = np.diag(np.array([(alpha[i - 1] + 1) * den for alpha in exps for _ in range(dim)], dtype=object))
-    for alpha, c in row.items():
-        a = alpha[i - 1] + 1
-        for j, block in blocks.items():
-            b = alpha[j - 1]
-            target = list(alpha)
-            for p in range(min(a, b), max(a, b)):
-                target[i - 1], target[j - 1] = p, a + b - 1 - p
-                r = row[tuple(target)]
-                out[r : r + dim, c : c + dim] += block if a > b else -block
-            if j < i:
-                r = row[perms.act(perms.transposition(shape.N, i, j), alpha)]
-                out[r : r + dim, c : c + dim] -= block
-    return Scaled(out, den)
+    stack, dim, kap = diffsystem.sigma_stack(shape), shape.dim, kappa.value
+    den, row = kap.denominator * stack.den, {alpha: r for r, alpha in enumerate(exps)}
+    ys = y.reshape(len(exps), dim, -1)
+    out = ((np.array(exps) + 1) @ np.array(t, dtype=object) * den)[:, None, None] * ys  # the D_i x_i^a terms
+    for sigma, (i, j) in zip(stack.num[1:], itertools.combinations(range(shape.N), 2)):
+        if t[i] or t[j]:
+            for alpha, prod in zip(exps, (sigma.reshape(dim, dim) @ ys) * kap.numerator):
+                for mine, other in ((i, j), (j, i)):
+                    a, b, target, term = alpha[mine] + 1, alpha[other], list(alpha), prod * t[mine]
+                    for q in range(min(a, b), max(a, b)):
+                        target[mine], target[other] = q, a + b - 1 - q
+                        out[row[tuple(target)]] += term if a > b else -term
+                target[i], target[j] = alpha[j], alpha[i]
+                out[row[tuple(target)]] -= prod * t[j]  # the group term, in U_j, the pair's larger index
+    return Scaled(out.reshape(y.shape), den)

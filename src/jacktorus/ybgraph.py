@@ -20,14 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import compositions, perms, tableaux
 from .compositions import Vec
 from .errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFailed
-from .laurent import VVLaurent, cherednik_matrix
+from .laurent import VVLaurent, cherednik_sum
 from .perms import Perm
 from .scalars import KappaParam
 from .tableaux import RSYT, Partition, Scaled, failing_columns
@@ -194,19 +194,17 @@ class NsjpGraph:
     def check_eigen(self, max_degree: int, seed: int = 0) -> int:
         """The nodes of degree <= max_degree are eigenvectors of every U_i, eigenvalue xi_i; returns their number.
 
-        Per degree d, U_i C = C diag(xi_i) for every i, C the ``columns`` of degree d (a scaled
-        column is still an eigenvector) and U_i their ``laurent.cherednik_matrix``, certified by
-        ``_eigen_failure`` on vectors drawn from random.Random(seed).  A failure names the first
-        failing node in ``build_degree`` order, with its smallest i.  Once every degree has passed,
-        two nodes that share a spectral vector raise SpectralCollision, the first repeat named.
+        Per degree d, ``_eigen_failure`` certifies U_i C = C diag(xi_i) for every i, C the ``columns`` of degree d (a
+        scaled column is still an eigenvector), with ``laurent.cherednik_sum`` and random.Random(seed), and names the
+        first failing node in ``build_degree`` order, with its smallest i.  Once every degree has passed, two nodes
+        that share a spectral vector raise SpectralCollision, the first repeat named.
         """
         n, count, rng = self.shape.N, 0, random.Random(seed)
         seen, repeat = {}, None  # the first label of each spectral vector, the first repeat
         for d in range(max_degree + 1):
             nodes, cmat, _ = self.columns(d)
-            us = [cherednik_matrix(self.shape, self.kappa, exponents(n, d), i) for i in range(1, n + 1)]
             xi = Scaled.of([[node.spectral[i] for node in nodes] for i in range(n)])
-            fail = _eigen_failure(us, cmat, xi, rng)
+            fail = _eigen_failure(partial(cherednik_sum, self.shape, self.kappa, exponents(n, d)), cmat, xi, rng)
             if fail:
                 node = nodes[fail[0]]
                 raise VerificationFailed(f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{fail[1]}")
@@ -220,21 +218,21 @@ class NsjpGraph:
         return count
 
 
-def _eigen_failure(us: list[Scaled], cmat: np.ndarray, xi: Scaled, rng) -> tuple[int, int] | None:
+def _eigen_failure(times, cmat: np.ndarray, xi: Scaled, rng) -> tuple[int, int] | None:
     """The first column k of C, and its smallest i, at which U_i C e_k != xi_i[k] C e_k; None when there is none.
 
-    ``failing_columns`` certifies (D_i U_i)(C r) L == C (L xi_i r) D_i for every i, D_i and L the denominators.
+    times(t, y) is sum_i t_i U_i y, a ``Scaled`` whose den depends on neither.  With weights t drawn once, N words
+    uniform in [0, 2^64), ``failing_columns`` certifies times(t, C r) xi.den == C ((sum_i t_i xi_i) r) den: the
+    difference is bilinear in (t, r), so a wrong column passes with probability at most 2 * 2^-64.  Unit weights
+    then name the smallest failing i of the first failing column.
     """
-
-    def lhs(x):
-        y = cmat @ x
-        return np.stack([(u.num @ y) * xi.den for u in us])  # by i - 1, then row, then column of x
-
-    def rhs(x):
-        return np.stack([(cmat @ (v[:, None] * x)) * u.den for u, v in zip(us, xi.num)])
-
+    t = np.array([rng.getrandbits(64) for _ in xi.num], dtype=object)
+    den, weights = times(t, cmat[:, :0]).den, t @ xi.num  # the operator's den, and sum_i t_i xi_i over xi.den
+    lhs, rhs = (lambda x: times(t, cmat @ x).num * xi.den), (lambda x: cmat @ (weights[:, None] * x) * den)
     bad = failing_columns(lhs, rhs, cmat.shape[1], rng)
-    if bad:
-        unit = np.eye(cmat.shape[1], dtype=object)[:, bad[:1]]
-        return bad[0], int(np.argmax(np.any(lhs(unit) != rhs(unit), axis=(1, 2)))) + 1
-    return None
+    if not bad:
+        return None
+    k, units = bad[0], np.eye(len(t), dtype=object)
+    col = cmat[:, k : k + 1]
+    fails = (np.any(times(u, col).num * xi.den != col * (xi.num[i, k] * den)) for i, u in enumerate(units))
+    return k, next(i + 1 for i, fail in enumerate(fails) if fail)

@@ -35,6 +35,9 @@ GRADE_STACK = "tests/test_kernels.py::test_grade_arrays_are_the_stack_built_one_
 FAILING_OFF_DIAGONAL = "tests/test_cli.py::test_a_failing_gram_report_does_not_depend_on_the_seed[off-diagonal]"
 FAILING_DIAGONAL = "tests/test_cli.py::test_a_failing_gram_report_does_not_depend_on_the_seed[diagonal]"
 GENERICITY = "tests/test_ybgraph.py::test_check_eigen_names_a_shared_spectral_vector_once_every_degree_passes"
+# the operator U_i against the termwise oracle, and a verify run whose eigen check must pass
+TERMWISE_OPERATOR = "tests/test_laurent.py::test_cherednik_matrix_columns_are_the_termwise_operator[(2, 1)]"
+VERIFY_DIGEST = "tests/test_cli.py::test_stdout_matches_the_golden_digest[--shape 2,1 verify --max-degree 2]"
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,27 @@ MUTANTS = (
         (GENERICITY,),
     ),
     Mutant(
+        "eigen certificate weights t set to zero",
+        "ybgraph.py",
+        "t = np.array([rng.getrandbits(64) for _ in xi.num], dtype=object)",
+        "t = np.array([0 for _ in xi.num], dtype=object)",
+        (EIGEN_CERTIFICATE,),
+    ),
+    Mutant(
+        "Cherednik group term -kappa sigma(i j) with its sign flipped",
+        "laurent.py",
+        "out[row[tuple(target)]] -= prod * t[j]",
+        "out[row[tuple(target)]] += prod * t[j]",
+        (TERMWISE_OPERATOR, VERIFY_DIGEST),
+    ),
+    Mutant(
+        "Cherednik group term credited to U_i, the pair's smaller index",
+        "laurent.py",
+        "out[row[tuple(target)]] -= prod * t[j]",
+        "out[row[tuple(target)]] -= prod * t[i]",
+        (TERMWISE_OPERATOR, VERIFY_DIGEST),
+    ),
+    Mutant(
         "phase sum leaves the mirrored sine rows unnegated",
         "_accel.py",
         "mirror.real, -mirror.imag",
@@ -137,7 +161,7 @@ def start(mutant: Mutant, workdir: Path) -> subprocess.Popen:
 def survivors_of(mutant: Mutant, child: subprocess.Popen) -> list[str]:
     """The mutant's tests that did not fail in the finished child."""
     out, _ = child.communicate()
-    failed = set(re.findall(r"^FAILED \S*?::(\S+)", out, flags=re.M))
+    failed = set(re.findall(r"^FAILED \S*?::(.+?)(?: - .*)?$", out, flags=re.M))
     return [test for test in mutant.tests if test.split("::")[1] not in failed]
 
 

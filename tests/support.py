@@ -1,6 +1,6 @@
 """Helpers shared by the tests: shape lists, the triangular order, an ungated parameter, the partition norm, E-factors,
 the affine rotation, termwise Laurent arithmetic, the termwise Dunkl and Cherednik-Dunkl operators,
-the termwise build of the Jack polynomials, the dense Gram matrix, the exact limb product of integer matrices,
+the dense Cherednik-Dunkl matrices, the termwise build of the Jack polynomials, the dense Gram matrix, the exact limb product of integer matrices,
 the one-shot phase sum and the grade stack built one index at a time.
 
 The package computes none of these; the tests use them to enumerate cases
@@ -15,7 +15,7 @@ import numpy as np
 from jacktorus import _accel, perms, tableaux
 from jacktorus.compositions import Vec, _partitions, canonicalize, enumerate_Z, rank_perm, sort_desc
 from jacktorus.errors import SpectralCollision
-from jacktorus.laurent import VVLaurent, group_action
+from jacktorus.laurent import VVLaurent, cherednik_sum, group_action
 from jacktorus.scalars import KappaParam
 from jacktorus.tableaux import RSYT, Partition, Scaled, total
 from jacktorus.torusform import nsjp_norm
@@ -174,6 +174,17 @@ def cherednik(i: int, f: VVLaurent) -> VVLaurent:
     for j in range(1, i):
         out = poly_add(out, poly_scale(group_action(perms.transposition(n, i, j), f), -kap))
     return out
+
+
+def dense_cherednik(shape: Partition, kappa: KappaParam, exps, i: int) -> Scaled:
+    """U_i as one dense matrix on columns over exps: ``laurent.cherednik_sum`` at unit weights e_i on the identity."""
+    eye = np.eye(len(exps) * shape.dim, dtype=object)
+    return cherednik_sum(shape, kappa, exps, [int(k == i) for k in range(1, shape.N + 1)], eye)
+
+
+def dense_times(us: list[Scaled]):
+    """(t, y) -> sum_i t_i U_i y for dense U_i over one denominator: the operator ``ybgraph._eigen_failure`` takes."""
+    return lambda t, y: Scaled(sum(ti * (u.num @ y) for ti, u in zip(t, us)), us[0].den)
 
 
 def termwise_nsjp(graph, alpha: Vec, t_index: int, memo: dict) -> VVLaurent:

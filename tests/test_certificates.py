@@ -4,8 +4,10 @@ Each case perturbs one entry of C_d, P_d, the closed-form norms, U_i or xi
 (or none) on a shape with N <= 5, to degree 2, and requires the certificate's
 verdict to be the full product's, taken by ``support.int_matmul``: the same
 failing columns, the same full entries in them, the same first failing node
-and i.  ``tests/mutants.py`` breaks the certificates in three ways and
-requires these tests to see each break.
+and i.  U_i is perturbed in dense matrices built by ``support.dense_cherednik``,
+which ``support.dense_times`` hands to the eigen certificate as its operator.
+``tests/mutants.py`` breaks the certificates in four ways and requires these
+tests to see each break.
 """
 
 import random
@@ -17,12 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacktorus.coeffs import CoeffStore
-from jacktorus.laurent import cherednik_matrix
 from jacktorus.scalars import default_kappa
 from jacktorus.tableaux import Partition, Scaled, failing_columns
 from jacktorus.torusform import FormContext, _gram_block, _pairing_block, nsjp_norm
 from jacktorus.ybgraph import NsjpGraph, _eigen_failure, exponents
-from support import int_matmul, valid_shapes
+from support import dense_cherednik, dense_times, int_matmul, valid_shapes
 
 SHAPES_TO_5 = [s.parts for n in range(3, 6) for s in valid_shapes(n)]
 IDS = [",".join(map(str, p)) for p in SHAPES_TO_5]
@@ -44,7 +45,7 @@ def _degree(parts, d):
     nodes, cmat, dens = graph.columns(d)
     pmat, lp = _pairing_block(exponents(graph.shape.N, d), ctx)
     norms = [nsjp_norm(node.alpha, node.tableau, graph.kappa) for node in nodes]
-    us = [cherednik_matrix(graph.shape, graph.kappa, exponents(graph.shape.N, d), i) for i in range(1, graph.shape.N + 1)]
+    us = [dense_cherednik(graph.shape, graph.kappa, exponents(graph.shape.N, d), i) for i in range(1, graph.shape.N + 1)]
     xi = Scaled.of([[node.spectral[i] for node in nodes] for i in range(graph.shape.N)])
     return cmat, dens, pmat, lp, norms, us, xi
 
@@ -104,7 +105,7 @@ def test_the_eigen_certificate_names_the_node_the_full_product_names(parts, data
         us[i] = Scaled(_bumped(us[i].num, data, delta, "U"), us[i].den)
     else:
         xi = Scaled(_bumped(xi.num, data, delta, "xi"), xi.den)
-    assert _eigen_failure(us, cmat, xi, random.Random(seed)) == _eigen_oracle(us, cmat, xi)
+    assert _eigen_failure(dense_times(us), cmat, xi, random.Random(seed)) == _eigen_oracle(us, cmat, xi)
 
 
 @settings(max_examples=100, deadline=None)

@@ -293,6 +293,16 @@ def test_usage_error_exit_code():
             "coeffs to grade 1000 on N = 3 would solve 3003001 indices, more than 1000000",
         ),
         (["coeffs"], '{"shape": "2,1", "max_grade": 1000}', "coeffs to grade 1000 on N = 3 would solve 3003001"),
+        (
+            ["--shape", "2,1", "kernel", "--max-order", "1000000000"],
+            None,
+            "kernel --max-order 1000000000 on N = 3 would list 3000000003000000001 indices, more than 1000000",
+        ),
+        (
+            ["identity", "--N", "3", "--max-order", "1000000000"],
+            None,
+            "identity --N 3 --max-order 1000000000 would list 166666670666666671500000002 vectors, more than 1000000",
+        ),
         (["count", "--N", "2", "--n", "1"], '{"out": "report\\u0000.json"}', "out: expected a path"),
     ],
     ids=[
@@ -334,6 +344,8 @@ def test_usage_error_exit_code():
         "kernel-too-many-indices",
         "coeffs-too-many-indices",
         "coeffs-max-grade-too-many-indices",
+        "kernel-at-a-huge-order",
+        "identity-at-a-huge-order",
         "config-out-with-a-nul",
     ],
 )
@@ -435,6 +447,30 @@ def test_diffsys_on_more_variables_than_sample_values_is_a_usage_error():
         [*RUN, "--shape", "92,1", "diffsys", "--points", "0"], capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0 and json.loads(out.stdout)["results"]["points"] == 0
+
+
+def test_an_index_gate_rejects_a_huge_grade_at_once():
+    # the count is a closed form, so the rejection takes no time linear in the grade; the kernel and
+    # identity gates are cases of test_bad_input_is_a_usage_error
+    out = subprocess.run(
+        [*RUN, "--shape", "2,1", "coeffs", "--grade", "1000000000"], capture_output=True, text=True, timeout=30
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.endswith(
+        "jacktorus: error: coeffs to grade 1000000000 on N = 3 would solve 3000000003000000001 indices, "
+        "more than 1000000\n"
+    )
+
+
+def test_kappa_zero_fails_only_the_eigen_check_and_passes_gram(capsys):
+    # at kappa = 0 the spectral vector alpha + 1 forgets the tableau, a degenerate parameter that make_kappa admits
+    code = main(["--shape", "2,1", "--kappa", "0", "verify", "--max-degree", "1"])
+    failed = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["results"]["checks"] if not c["passed"]}
+    assert code == 1
+    assert failed == {"nsjp_eigen": "SpectralCollision: nodes ((0, 0, 0), 0) and ((0, 0, 0), 1) share a spectral vector"}
+    code = main(["--shape", "2,1", "--kappa", "0", "gram", "--max-degree", "1"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0 and results["offdiagonal_nonzero"] == 0 and results["norms_match"]
 
 
 def test_verify_reports_too_few_sample_values_as_the_diffsys_failure(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from jacktorus.compositions import (
     canonicalize,
     compositions_of,
     count_Z,
+    count_Z_to,
     enumerate_Z,
     grade,
     phi_inverse,
@@ -173,6 +174,11 @@ def test_count_closed_forms(N, n, expect):
 def test_count_matches_enumeration(N):
     for n in range(0, 6):
         assert count_Z(N, n) == len(enumerate_Z(N, n))
+
+
+@given(N=st.integers(1, 8), g=st.integers(0, 39))
+def test_count_to_a_grade_is_the_sum_over_the_grades(N, g):
+    assert count_Z_to(N, g) == sum(count_Z(N, n) for n in range(g + 1))
 
 
 def test_steps_count_examples():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacktorus.compositions import compositions_of, sort_desc
 from jacktorus.errors import SpectralCollision
-from jacktorus.laurent import VVLaurent, cherednik_matrix, group_action
+from jacktorus.laurent import VVLaurent, group_action
 from jacktorus.scalars import default_kappa, make_kappa
 from jacktorus.tableaux import RSYT, Scaled, enumerate_rsyt, norm0, t_zero
 from jacktorus.torusform import (
@@ -20,6 +20,7 @@ from jacktorus.torusform import (
 )
 from jacktorus.ybgraph import exponents
 from support import (
+    dense_cherednik,
     dense_gram,
     dunkl,
     e_factor,
@@ -375,7 +376,7 @@ def test_cherednik_matrices_are_self_adjoint_for_the_torus_form(parts, data):
     """P_d U_i = U_i^T P_d, P_d the pairing over all degree-d exponents, to degree 2."""
     graph, ctx, _ = _setup(parts)
     exps = list(compositions_of(data.draw(st.integers(0, 2), label="degree"), graph.shape.N))
-    u = cherednik_matrix(graph.shape, graph.kappa, exps, data.draw(st.integers(1, graph.shape.N), label="i"))
+    u = dense_cherednik(graph.shape, graph.kappa, exps, data.draw(st.integers(1, graph.shape.N), label="i"))
     pmat, _ = _pairing_block(exps, ctx)
     assert np.array_equal(int_matmul(pmat, u.num), int_matmul(u.num.T, pmat))
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -315,9 +316,23 @@ def test_check_eigen_counts_every_node_to_the_degree(graph21, graph31):
 
 
 def test_check_eigen_puts_the_operators_over_one_denominator():
-    # on (3,2) the U_i do not share a denominator: 360 for i = 1, 4, 5 and 180 for i = 2, 3
+    # on (3,2) the sigma(i j) do not share a denominator (1, 4, 9, 36 or 72), so sum_i t_i U_i is over their lcm
     graph = NsjpGraph(Partition((3, 2)), default_kappa((3, 2)))
     assert graph.check_eigen(2) == 5 * (1 + 5 + 15)
+
+
+def test_the_eigen_check_builds_no_dense_operator():
+    """check_eigen(2) at (3,2,1) traces about 1.1-1.4 MB once the graph is built, dense (n dim)^2 U_i about 7.6 MB."""
+    graph = NsjpGraph(Partition((3, 2, 1)), make_kappa(1, 7, (3, 2, 1)))
+    for d in range(3):
+        graph.columns(d)
+    tracemalloc.start()
+    try:
+        assert graph.check_eigen(2) == 16 * (1 + 6 + 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 @pytest.mark.parametrize("parts, degree, k, row", [((2, 1), 1, 2, 0), ((2, 1), 2, 5, 7), ((3, 1), 2, 20, 11), ((2, 1), 3, 0, 3)])
