@@ -17,7 +17,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,14 +39,10 @@ from .diffsystem import (
 )
 from .errors import JackTorusError, VerificationFailed, WriteFailed
 from .kernels import _sample_angles, psd_report, sigma_identity_residual
-from .scalars import default_kappa, make_kappa
-from .tableaux import Partition, Scaled
+from .scalars import KappaParam, default_kappa, make_kappa
+from .tableaux import Scaled
 from .torusform import FormContext, gram
 from .ybgraph import NsjpGraph
-
-
-# The session settings, each a config-file key and a top-level flag.
-_SESSION_KEYS = ("shape", "kappa", "max_grade", "seed", "out")
 
 # the most vectors `count` or `identity` lists, the most indices (count_Z summed
 # to the top grade) `kernel` scans or `coeffs` solves, and the most edge-exponent
@@ -74,6 +70,10 @@ class SessionConfig:
             "seed": self.seed,
             "out": self.out,
         }
+
+
+# The session settings, each a config-file key and a top-level flag.
+_SESSION_KEYS = tuple(f.name for f in fields(SessionConfig))
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -161,16 +161,13 @@ def _session(args) -> SessionConfig:
     )
 
 
-def _validated(cfg: SessionConfig):
+def _validated(cfg: SessionConfig) -> KappaParam:
+    """The session's kappa, validated against its shape (the shape's own checks first), or the shape's default."""
     if cfg.shape is None:
         raise argparse.ArgumentTypeError("a shape is required (--shape P1,P2,...)")
-    shape = Partition(cfg.shape)
-    value = cfg.kappa
-    if value is None:
-        kap = default_kappa(shape.parts)
-    else:
-        kap = make_kappa(value.numerator, value.denominator, shape.parts)
-    return shape, kap
+    if cfg.kappa is None:
+        return default_kappa(cfg.shape)
+    return make_kappa(cfg.kappa.numerator, cfg.kappa.denominator, cfg.shape)
 
 
 def _emit(command: str, cfg: SessionConfig, results, code: int = 0) -> int:
@@ -218,7 +215,7 @@ def _print(chunks) -> bool:
 
 
 def cmd_tableaux(cfg, args) -> int:
-    shape, _ = _validated(cfg)
+    shape = _validated(cfg).shape
     rows = [
         {
             "index": k,
@@ -233,7 +230,7 @@ def cmd_tableaux(cfg, args) -> int:
 
 
 def cmd_rep(cfg, args) -> int:
-    shape, _ = _validated(cfg)
+    shape = _validated(cfg).shape
     if sorted(args.word) != list(range(1, shape.N + 1)):
         raise argparse.ArgumentTypeError(f"--word must be a permutation of 1..{shape.N}, got {args.word}")
     mat = tableaux.rep_matrix(shape, args.word)
@@ -241,7 +238,8 @@ def cmd_rep(cfg, args) -> int:
 
 
 def cmd_nsjp(cfg, args) -> int:
-    shape, kap = _validated(cfg)
+    kap = _validated(cfg)
+    shape = kap.shape
     alpha = args.alpha
     if len(alpha) != shape.N:
         raise argparse.ArgumentTypeError(f"--alpha needs {shape.N} entries, got {len(alpha)}")
@@ -255,7 +253,7 @@ def cmd_nsjp(cfg, args) -> int:
         raise argparse.ArgumentTypeError(
             f"--alpha {','.join(map(str, alpha))} needs {work} edge-exponent pairs, more than {_COUNT_LIMIT}"
         )
-    graph = NsjpGraph(shape, kap)
+    graph = NsjpGraph(kap)
     node = graph.node(alpha, args.tableau) if min(alpha) >= 0 else None
     results = {
         "alpha": list(alpha),
@@ -280,17 +278,17 @@ def cmd_count(cfg, args) -> int:
 
 
 def cmd_coeffs(cfg, args) -> int:
-    shape, kap = _validated(cfg)
+    kap = _validated(cfg)
     grade = args.grade if args.grade is not None else cfg.max_grade
-    listed = compositions.count_Z_to(shape.N, grade)
+    listed = compositions.count_Z_to(kap.shape.N, grade)
     if listed > _COUNT_LIMIT:
         raise argparse.ArgumentTypeError(
-            f"coeffs to grade {grade} on N = {shape.N} would solve {listed} indices, more than {_COUNT_LIMIT}"
+            f"coeffs to grade {grade} on N = {kap.shape.N} would solve {listed} indices, more than {_COUNT_LIMIT}"
         )
     if args.store and Path(args.store).exists():
         store = CoeffStore.load(args.store, kap)
     else:
-        store = CoeffStore(shape, kap)
+        store = CoeffStore(kap)
     store.ensure_grade(grade)
     if args.store:
         store.save(args.store)
@@ -303,9 +301,9 @@ def cmd_coeffs(cfg, args) -> int:
 
 
 def cmd_gram(cfg, args) -> int:
-    shape, kap = _validated(cfg)
-    ctx = FormContext(CoeffStore(shape, kap))
-    labels, rows, off, norm_ok = gram(NsjpGraph(shape, kap), args.max_degree, ctx, cfg.seed)
+    kap = _validated(cfg)
+    ctx = FormContext(CoeffStore(kap))
+    labels, rows, off, norm_ok = gram(NsjpGraph(kap), args.max_degree, ctx, cfg.seed)
     basis = [{"alpha": list(a), "tableau_index": ti} for a, ti in labels]
     results = {"basis": basis, "matrix": lambda: rows, "offdiagonal_nonzero": off, "norms_match": norm_ok}
     return _emit("gram", cfg, results, code=0 if off == 0 and norm_ok else 1)
@@ -322,13 +320,13 @@ def _kernel_failures(rep) -> list[str]:
 
 
 def cmd_kernel(cfg, args) -> int:
-    shape, kap = _validated(cfg)
-    listed = compositions.count_Z_to(shape.N, args.max_order)
+    kap = _validated(cfg)
+    listed = compositions.count_Z_to(kap.shape.N, args.max_order)
     if listed > _COUNT_LIMIT:
         raise argparse.ArgumentTypeError(
-            f"kernel --max-order {args.max_order} on N = {shape.N} would list {listed} indices, more than {_COUNT_LIMIT}"
+            f"kernel --max-order {args.max_order} on N = {kap.shape.N} would list {listed} indices, more than {_COUNT_LIMIT}"
         )
-    store = CoeffStore(shape, kap)
+    store = CoeffStore(kap)
     rep = psd_report(store, range(1, args.max_order + 1), args.samples, cfg.seed)
     ok = not _kernel_failures(rep)
     return _emit("kernel", cfg, {"report": rep.to_dict(), "passed": ok}, code=0 if ok else 1)
@@ -356,8 +354,9 @@ def cmd_identity(cfg, args) -> int:
 
 
 def cmd_diffsys(cfg, args) -> int:
-    shape, kap = _validated(cfg)
-    exact_zero = _connection_exact(random.Random(cfg.seed), args.points, shape, kap) is None
+    kap = _validated(cfg)
+    shape = kap.shape
+    exact_zero = _connection_exact(random.Random(cfg.seed), args.points, kap) is None
     results = {
         "gamma": str(gamma_const(shape)),
         "points": args.points,
@@ -368,14 +367,14 @@ def cmd_diffsys(cfg, args) -> int:
         base = np.array([2 * np.pi * k / shape.N for k in range(shape.N)])
         e1, e2 = 0.2 * np.eye(shape.N)[:2]
         loop = [base, base + e1, base + e1 + e2, base + e2, base]
-        transported = integrate_loop(loop, args.loop_steps, shape, kap)
+        transported = integrate_loop(loop, args.loop_steps, kap)
         results["loop_defect"] = float(np.max(np.abs(transported - np.eye(shape.dim))))
         results["transported"] = [[[float(z.real), float(z.imag)] for z in row] for row in transported]
         exact_zero &= results["loop_defect"] < 1e-6
     return _emit("diffsys", cfg, results, code=0 if exact_zero else 1)
 
 
-def _connection_exact(rng: random.Random, points: int, shape, kap) -> str | None:
+def _connection_exact(rng: random.Random, points: int, kap: KappaParam) -> str | None:
     """The first nonzero exact residual at random regular rational points, or None.
 
     A point is N distinct values of _REGULAR_VALUES drawn by rng, so it has no
@@ -383,6 +382,7 @@ def _connection_exact(rng: random.Random, points: int, shape, kap) -> str | None
     error when there is a point to draw.  At each point: the Euler identity,
     then the integrability of every pair i < j.
     """
+    shape = kap.shape
     if points and shape.N > len(_REGULAR_VALUES):
         raise argparse.ArgumentTypeError(
             f"the exact connection check draws N = {shape.N} distinct coordinates from only "
@@ -407,10 +407,10 @@ def _require(ok, what: str) -> None:
 
 
 def cmd_verify(cfg, args) -> int:
-    shape, kap = _validated(cfg)
-    degree = args.max_degree
-    graph = NsjpGraph(shape, kap)
-    store = CoeffStore(shape, kap)
+    kap = _validated(cfg)
+    shape, degree = kap.shape, args.max_degree
+    graph = NsjpGraph(kap)
+    store = CoeffStore(kap)
     checks: list[dict] = []
 
     def check(name: str, fn) -> None:
@@ -471,7 +471,7 @@ def cmd_verify(cfg, args) -> int:
         return rep.worst
 
     def diffsys_suite():
-        failure = _connection_exact(random.Random(cfg.seed), 5, shape, kap)
+        failure = _connection_exact(random.Random(cfg.seed), 5, kap)
         _require(failure is None, failure)
         return "exact at 5 random rational points"
 

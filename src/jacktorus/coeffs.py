@@ -5,7 +5,8 @@ coefficient matrix at each zero-sum index from strictly lower data: indices
 are grouped by their negative part, processed triangular-ascending in the
 positive part, and the left operator is inverted exactly through its
 Jucys-Murphy diagonalization.  That inverse depends only on (gamma_1, m), m
-the multiplicity of gamma_1, and is built once per pair and kept.
+the multiplicity of gamma_1, and is built once per pair and kept.  A store
+is built from one validated ``KappaParam`` and reads the shape from it.
 
 Only non-increasing indices are stored; the matrix at any other zero-sum
 index delta is sigma(w)^{-1} cA_can sigma(w), can = w.delta its sorted
@@ -42,17 +43,15 @@ import numpy as np
 from . import compositions, perms, tableaux
 from .compositions import Vec
 from .errors import PoleExcluded, StoreCorrupt, WriteFailed
-from .scalars import KappaParam, make_kappa
+from .scalars import KappaParam
 from .tableaux import Partition, Scaled, total
 
 
 class CoeffStore:
-    """Grade-indexed store of coefficient matrices for one (shape, kappa)."""
+    """Grade-indexed store of coefficient matrices for one validated kappa and its shape."""
 
-    def __init__(self, shape: Partition, kappa: KappaParam):
-        if kappa.shape != shape.parts:
-            raise ValueError("kappa was validated against a different shape")
-        self.shape = shape
+    def __init__(self, kappa: KappaParam):
+        shape = self.shape = kappa.shape
         self.kappa = kappa
         self.basis = tableaux.enumerate_rsyt(shape)
         self.dim = shape.dim
@@ -267,7 +266,7 @@ class CoeffStore:
             tmp.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, path: str | Path, kappa: KappaParam | None = None) -> "CoeffStore":
+    def load(cls, path: str | Path, kappa: KappaParam) -> "CoeffStore":
         """Read a saved store; raises StoreCorrupt when it does not fit the request.
 
         The checks are structural (layout and types, N, parameter, shape,
@@ -276,11 +275,9 @@ class CoeffStore:
         them); stored entries are not recomputed.
         """
         shape, value, sealed, order, grades = _read_store(path)
-        if kappa is None:
-            kappa = make_kappa(value.numerator, value.denominator, shape.parts)
-        elif kappa.shape != shape.parts:
-            raise StoreCorrupt(f"store file was built for shape {shape.parts}, not {kappa.shape}")
-        store = cls(shape, kappa)
+        if kappa.shape != shape:
+            raise StoreCorrupt(f"store file was built for shape {shape.parts}, not {kappa.shape.parts}")
+        store = cls(kappa)
         if kappa.value != value:
             raise StoreCorrupt(f"store file was built with parameter {value}, not {kappa.value}")
         if order != [list(t.content) for t in store.basis]:

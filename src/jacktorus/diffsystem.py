@@ -135,7 +135,7 @@ def _pair_arrays(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mats, pi, pj
 
 
-def integrate_path(theta_start, theta_end, steps: int, shape: Partition, kappa: KappaParam):
+def integrate_path(theta_start, theta_end, steps: int, kappa: KappaParam):
     """Transport L (from the identity) along the straight angle-space segment.
 
     Fourth-order fixed-step integration of dL = kappa L sum_i M_i dx_i.
@@ -144,6 +144,7 @@ def integrate_path(theta_start, theta_end, steps: int, shape: Partition, kappa: 
     """
     theta_start = np.asarray(theta_start, dtype=np.float64)
     theta_end = np.asarray(theta_end, dtype=np.float64)
+    shape = kappa.shape
     mats, pi, pj = _pair_arrays(shape)
     t = np.linspace(0.0, 1.0, min(steps, 512) + 1)[:, None]
     x = np.exp(1j * ((1 - t) * theta_start + t * theta_end))
@@ -165,11 +166,11 @@ def integrate_path(theta_start, theta_end, steps: int, shape: Partition, kappa: 
     )
 
 
-def integrate_loop(waypoints, steps: int, shape: Partition, kappa: KappaParam):
+def integrate_loop(waypoints, steps: int, kappa: KappaParam):
     """Chain transport along a closed polyline of angle vectors."""
-    total = np.eye(shape.dim, dtype=np.complex128)
+    total = np.eye(kappa.shape.dim, dtype=np.complex128)
     legs = list(waypoints)
     per_leg = max(1, steps // max(1, len(legs) - 1))
     for a, b in zip(legs, legs[1:]):
-        total = total @ integrate_path(a, b, per_leg, shape, kappa)
+        total = total @ integrate_path(a, b, per_leg, kappa)
     return total

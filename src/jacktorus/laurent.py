@@ -19,18 +19,17 @@ import numpy as np
 from . import diffsystem, perms, tableaux
 from .perms import Perm
 from .scalars import KappaParam
-from .tableaux import Partition, Scaled
+from .tableaux import Scaled
 
 Vec = tuple[int, ...]
 
 
 class VVLaurent:
-    """Vector-valued Laurent polynomial over a fixed shape and parameter."""
+    """Vector-valued Laurent polynomial over a fixed parameter and its shape (``kappa.shape``)."""
 
-    __slots__ = ("shape", "kappa", "terms")
+    __slots__ = ("kappa", "terms")
 
-    def __init__(self, shape: Partition, kappa: KappaParam, terms=None):
-        self.shape = shape
+    def __init__(self, kappa: KappaParam, terms=None):
         self.kappa = kappa
         self.terms: dict[Vec, Scaled] = {}
         if terms:
@@ -39,9 +38,9 @@ class VVLaurent:
                     self.terms[tuple(alpha)] = v.reduced()
 
     @classmethod
-    def of_rows(cls, shape: Partition, kappa: KappaParam, exps, num: np.ndarray, den: int) -> "VVLaurent":
+    def of_rows(cls, kappa: KappaParam, exps, num: np.ndarray, den: int) -> "VVLaurent":
         """The polynomial sum_r x^exps[r] (x) num[r] / den, num a Python-int array with one row per exponent."""
-        return cls(shape, kappa, {alpha: Scaled(row, den) for alpha, row in zip(exps, num)})
+        return cls(kappa, {alpha: Scaled(row, den) for alpha, row in zip(exps, num)})
 
     def __repr__(self) -> str:
         parts = [f"x^{list(a)} (x){v.texts()}" for a, v in sorted(self.terms.items())]
@@ -56,15 +55,11 @@ class VVLaurent:
 
 def group_action(w: Perm, f: VVLaurent) -> VVLaurent:
     """x^a (x) v  ->  x^{w.a} (x) sigma(w) v."""
-    mat = tableaux.rep_matrix(f.shape, w)
-    return VVLaurent(
-        f.shape,
-        f.kappa,
-        {perms.act(w, alpha): mat @ v for alpha, v in f.terms.items()},
-    )
+    mat = tableaux.rep_matrix(f.kappa.shape, w)
+    return VVLaurent(f.kappa, {perms.act(w, alpha): mat @ v for alpha, v in f.terms.items()})
 
 
-def cherednik_sum(shape: Partition, kappa: KappaParam, exps, t, y: np.ndarray) -> Scaled:
+def cherednik_sum(kappa: KappaParam, exps, t, y: np.ndarray) -> Scaled:
     """sum_i t_i U_i y, U_i = D_i x_i - kappa sum_{j<i} (i j), y a block of dim rows per exponent of exps.
 
     Unit weights t = e_i give U_i y.  With a = alpha_i + 1 and b = alpha_j, U_i x^alpha (x) v is a x^alpha (x) v,
@@ -73,7 +68,8 @@ def cherednik_sum(shape: Partition, kappa: KappaParam, exps, t, y: np.ndarray) -
     pair i < j needs one product sigma(i j) y (``diffsystem.sigma_stack``).  The result is over kappa.den times the
     stack's den.  U_i must map exps into itself, as it does all compositions of one degree (else KeyError).
     """
-    stack, dim, kap = diffsystem.sigma_stack(shape), shape.dim, kappa.value
+    shape, kap = kappa.shape, kappa.value
+    stack, dim = diffsystem.sigma_stack(shape), shape.dim
     den, row = kap.denominator * stack.den, {alpha: r for r, alpha in enumerate(exps)}
     ys = y.reshape(len(exps), dim, -1)
     out = ((np.array(exps) + 1) @ np.array(t, dtype=object) * den)[:, None, None] * ys  # the D_i x_i^a terms

@@ -1,5 +1,8 @@
 """Exact scalars and the admissibility gate for the deformation parameter.
 
+A ``KappaParam`` is kappa validated against the pole set of one shape, and
+it carries that shape: every consumer takes the pair as this one value.
+
 Exact scalars are ``fractions.Fraction``: arbitrary-precision, always in
 lowest terms, positive denominator, no rounding; exact matrices and vectors
 are ``tableaux.Scaled``, Python ints over one denominator.  Complex floats
@@ -18,10 +21,10 @@ from .tableaux import Partition
 
 @dataclass(frozen=True)
 class KappaParam:
-    """A validated rational deformation parameter for a fixed shape."""
+    """A rational deformation parameter and the shape whose pole set it was validated against."""
 
     value: Fraction
-    shape: tuple[int, ...]
+    shape: Partition
 
     def __str__(self) -> str:
         return str(self.value)
@@ -61,7 +64,7 @@ def make_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
     if witness is not None:
         m, c = witness
         raise PoleExcluded(value, m, c, context=f"shape {part.parts}")
-    return KappaParam(value, part.parts)
+    return KappaParam(value, part)
 
 
 def default_kappa(shape: tuple[int, ...]) -> KappaParam:

@@ -107,17 +107,6 @@ class RSYT:
     def N(self) -> int:
         return len(self.content)
 
-    def swap_entries(self, i: int) -> "RSYT":
-        """Tableau with i and i+1 interchanged (valid when |c(i)-c(i+1)| >= 2)."""
-        rows = [list(r) for r in self.rows]
-        for row in rows:
-            for k, e in enumerate(row):
-                if e == i:
-                    row[k] = i + 1
-                elif e == i + 1:
-                    row[k] = i
-        return RSYT(tuple(tuple(r) for r in rows))
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
@@ -325,7 +314,8 @@ def simple_reflection(shape: Partition, i: int) -> Scaled:
             mat[k, k] = Fraction(-1)
         else:
             b = Fraction(1, diff)
-            k2 = index[t.swap_entries(i).content]
+            c = t.content  # with c(i), c(i+1) swapped it is the content vector of T with i, i+1 swapped
+            k2 = index[c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :]]
             if diff >= 2:
                 mat[k2, k] = Fraction(1)
                 mat[k, k] = b

@@ -132,7 +132,7 @@ def gram(graph: NsjpGraph, max_degree: int, ctx: FormContext, seed: int = 0) -> 
             norms_match = norms_match and col.get(j, 0) == norm
         block = cmat.reshape(len(exps), dim, len(nodes))
         k = int(np.argmax((block != 0).any(axis=1).sum(axis=0)))  # the column with the most terms, the first one
-        f = VVLaurent.of_rows(graph.shape, graph.kappa, exps, block[:, :, k], dens[k])
+        f = VVLaurent.of_rows(graph.kappa, exps, block[:, :, k], dens[k])
         if pair(f, f, ctx) != rows[start + k].get(start + k, 0):
             raise VerificationFailed(
                 f"gram entry of {nodes[k].alpha}, tableau {nodes[k].t_index} differs from the pairwise form"

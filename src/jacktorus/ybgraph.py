@@ -30,7 +30,7 @@ from .errors import BadSupport, NegativeEntry, SpectralCollision, VerificationFa
 from .laurent import VVLaurent, cherednik_sum
 from .perms import Perm
 from .scalars import KappaParam
-from .tableaux import RSYT, Partition, Scaled, failing_columns
+from .tableaux import RSYT, Scaled, failing_columns
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +69,7 @@ class GraphNode:
 
 
 class NsjpGraph:
-    """Memoized Yang-Baxter graph for one (shape, kappa) session.
+    """Memoized Yang-Baxter graph for one validated kappa and its shape.
 
     The degree-0 nodes x^0 (x) T are built at construction.  Every other
     node is built by ``node``: it walks back, one edge at a time, to the
@@ -79,10 +79,8 @@ class NsjpGraph:
     same polynomials (path independence).
     """
 
-    def __init__(self, shape: Partition, kappa: KappaParam):
-        if kappa.shape != shape.parts:
-            raise ValueError("kappa was validated against a different shape")
-        self.shape = shape
+    def __init__(self, kappa: KappaParam):
+        shape = self.shape = kappa.shape
         self.kappa = kappa
         self.basis = tableaux.enumerate_rsyt(shape)
         self._nodes: dict[tuple[Vec, int], GraphNode] = {}
@@ -168,7 +166,7 @@ class NsjpGraph:
         m = max(0, -min(alpha))
         node = self.node(tuple(a + m for a in alpha), t_index)
         exps = [tuple(a - m for a in beta) for beta in exponents(self.shape.N, sum(node.alpha))]
-        return VVLaurent.of_rows(self.shape, self.kappa, exps, node.num, node.den)
+        return VVLaurent.of_rows(self.kappa, exps, node.num, node.den)
 
     def build_degree(self, d: int) -> list[GraphNode]:
         """All nodes of degree exactly d, exponents visited triangular-ascending."""
@@ -204,7 +202,7 @@ class NsjpGraph:
         for d in range(max_degree + 1):
             nodes, cmat, _ = self.columns(d)
             xi = Scaled.of([[node.spectral[i] for node in nodes] for i in range(n)])
-            fail = _eigen_failure(partial(cherednik_sum, self.shape, self.kappa, exponents(n, d)), cmat, xi, rng)
+            fail = _eigen_failure(partial(cherednik_sum, self.kappa, exponents(n, d)), cmat, xi, rng)
             if fail:
                 node = nodes[fail[0]]
                 raise VerificationFailed(f"{node.alpha}, tableau {node.t_index} is not an eigenvector of xi_{fail[1]}")

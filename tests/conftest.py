@@ -34,23 +34,23 @@ def kappa31():
 
 
 @pytest.fixture(scope="session")
-def graph21(shape21, kappa21):
-    return NsjpGraph(shape21, kappa21)
+def graph21(kappa21):
+    return NsjpGraph(kappa21)
 
 
 @pytest.fixture(scope="session")
-def graph31(shape31, kappa31):
-    return NsjpGraph(shape31, kappa31)
+def graph31(kappa31):
+    return NsjpGraph(kappa31)
 
 
 @pytest.fixture(scope="session")
-def store21(shape21, kappa21):
-    return CoeffStore(shape21, kappa21).ensure_grade(3)
+def store21(kappa21):
+    return CoeffStore(kappa21).ensure_grade(3)
 
 
 @pytest.fixture(scope="session")
-def store31(shape31, kappa31):
-    return CoeffStore(shape31, kappa31).ensure_grade(2)
+def store31(kappa31):
+    return CoeffStore(kappa31).ensure_grade(2)
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,11 @@ GENERICITY = "tests/test_ybgraph.py::test_check_eigen_names_a_shared_spectral_ve
 # the operator U_i against the termwise oracle, and a verify run whose eigen check must pass
 TERMWISE_OPERATOR = "tests/test_laurent.py::test_cherednik_matrix_columns_are_the_termwise_operator[(2, 1)]"
 VERIFY_DIGEST = "tests/test_cli.py::test_stdout_matches_the_golden_digest[--shape 2,1 verify --max-degree 2]"
+# a store file of shape (2,1) loaded for (3,1): the error must name both shapes
+OTHER_SHAPE_STORE = "tests/test_cli.py::test_coeffs_rejects_bad_store[other-shape]"
+# the recurrence against closed forms: grade one of (2,1), and the displayed grade-two relations of (3,1)
+GRADE_ONE = "tests/test_coeffs.py::test_grade_one_closed_form"
+GRADE_TWO = "tests/test_coeffs.py::test_displayed_grade_two_relations"
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,27 @@ MUTANTS = (
         "out[row[tuple(target)]] -= prod * t[j]",
         "out[row[tuple(target)]] -= prod * t[i]",
         (TERMWISE_OPERATOR, VERIFY_DIGEST),
+    ),
+    Mutant(
+        "recurrence right side with the sign of kappa flipped",
+        "coeffs.py",
+        "rhs = total(terms) * -kap",
+        "rhs = total(terms) * kap",
+        (GRADE_ONE,),
+    ),
+    Mutant(
+        "left-operator inverse reads the content of entry 1, not of entry m",
+        "coeffs.py",
+        "p * t.content[m - 1] for t in self.basis",
+        "p * t.content[0] for t in self.basis",
+        (GRADE_TWO,),
+    ),
+    Mutant(
+        "store load skips the shape check",
+        "coeffs.py",
+        "if kappa.shape != shape:",
+        "if False:",
+        (OTHER_SHAPE_STORE,),
     ),
     Mutant(
         "phase sum leaves the mirrored sine rows unnegated",

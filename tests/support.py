@@ -29,7 +29,7 @@ def valid_shapes(n: int) -> list[Partition]:
 
 def unchecked_kappa(p: int, q: int, shape: tuple[int, ...]) -> KappaParam:
     """Bypass the pole gate; used to demonstrate in-recurrence pole detection."""
-    return KappaParam(Fraction(p, q), Partition(shape).parts)
+    return KappaParam(Fraction(p, q), Partition(shape))
 
 
 def dominance_lt(alpha: Vec, beta: Vec) -> bool:
@@ -88,21 +88,21 @@ def phi(alpha: Vec) -> Vec:
     return alpha[1:] + (alpha[0] + 1,)
 
 
-def monomial(shape: Partition, kappa: KappaParam, alpha, t_index: int) -> VVLaurent:
-    """x^alpha (x) T, T the t_index-th basis tableau."""
-    v = np.zeros(shape.dim, dtype=object)
+def monomial(kappa: KappaParam, alpha, t_index: int) -> VVLaurent:
+    """x^alpha (x) T, T the t_index-th basis tableau of kappa's shape."""
+    v = np.zeros(kappa.shape.dim, dtype=object)
     v[t_index] = 1
-    return VVLaurent(shape, kappa, {tuple(alpha): Scaled(v, 1)})
+    return VVLaurent(kappa, {tuple(alpha): Scaled(v, 1)})
 
 
 def monomial_mul(f: VVLaurent, beta) -> VVLaurent:
     """x^beta f."""
-    return VVLaurent(f.shape, f.kappa, {tuple(a + b for a, b in zip(alpha, beta)): v for alpha, v in f.terms.items()})
+    return VVLaurent(f.kappa, {tuple(a + b for a, b in zip(alpha, beta)): v for alpha, v in f.terms.items()})
 
 
 def e_shift(m: int, f: VVLaurent) -> VVLaurent:
     """Multiply by the m-th power of x_1 x_2 ... x_N (m may be negative); m = 0 returns f itself."""
-    return f if m == 0 else monomial_mul(f, (m,) * f.shape.N)
+    return f if m == 0 else monomial_mul(f, (m,) * f.kappa.shape.N)
 
 
 def add_term(terms: dict[Vec, Scaled], alpha: Vec, v: Scaled) -> None:
@@ -116,7 +116,7 @@ def add_term(terms: dict[Vec, Scaled], alpha: Vec, v: Scaled) -> None:
 
 
 def poly_add(f: VVLaurent, g: VVLaurent) -> VVLaurent:
-    out = VVLaurent(f.shape, f.kappa, f.terms)
+    out = VVLaurent(f.kappa, f.terms)
     for alpha, v in g.terms.items():
         add_term(out.terms, alpha, v)
     return out
@@ -124,7 +124,7 @@ def poly_add(f: VVLaurent, g: VVLaurent) -> VVLaurent:
 
 def poly_scale(f: VVLaurent, c) -> VVLaurent:
     c = Fraction(c)
-    return VVLaurent(f.shape, f.kappa, {a: v * c for a, v in f.terms.items()})
+    return VVLaurent(f.kappa, {a: v * c for a, v in f.terms.items()})
 
 
 def poly_sub(f: VVLaurent, g: VVLaurent) -> VVLaurent:
@@ -147,17 +147,17 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
 
     never by polynomial division, so exactness and sparsity are preserved.
     """
-    kap = f.kappa.value
-    out = VVLaurent(f.shape, f.kappa)
+    shape, kap = f.kappa.shape, f.kappa.value
+    out = VVLaurent(f.kappa)
     for alpha, v in f.terms.items():
         a_i = alpha[i - 1]
         if a_i > 0:
             add_term(out.terms, alpha[: i - 1] + (a_i - 1,) + alpha[i:], v * a_i)
-        for j in range(1, f.shape.N + 1):
+        for j in range(1, shape.N + 1):
             if j == i or alpha[j - 1] == a_i:
                 continue
             b = alpha[j - 1]
-            sv = (tableaux.transposition_matrix(f.shape, i, j) @ v) * (kap if a_i > b else -kap)
+            sv = (tableaux.transposition_matrix(shape, i, j) @ v) * (kap if a_i > b else -kap)
             base = list(alpha)
             for p in range(min(a_i, b), max(a_i, b)):
                 base[i - 1] = p
@@ -168,7 +168,7 @@ def dunkl(i: int, f: VVLaurent) -> VVLaurent:
 
 def cherednik(i: int, f: VVLaurent) -> VVLaurent:
     """Degree-preserving Cherednik-Dunkl operator U_i = D_i x_i - kappa sum_{j<i} (i j), term by term."""
-    n = f.shape.N
+    n = f.kappa.shape.N
     out = dunkl(i, monomial_mul(f, tuple(1 if k == i - 1 else 0 for k in range(n))))
     kap = f.kappa.value
     for j in range(1, i):
@@ -176,10 +176,10 @@ def cherednik(i: int, f: VVLaurent) -> VVLaurent:
     return out
 
 
-def dense_cherednik(shape: Partition, kappa: KappaParam, exps, i: int) -> Scaled:
+def dense_cherednik(kappa: KappaParam, exps, i: int) -> Scaled:
     """U_i as one dense matrix on columns over exps: ``laurent.cherednik_sum`` at unit weights e_i on the identity."""
-    eye = np.eye(len(exps) * shape.dim, dtype=object)
-    return cherednik_sum(shape, kappa, exps, [int(k == i) for k in range(1, shape.N + 1)], eye)
+    n, dim = kappa.shape.N, kappa.shape.dim
+    return cherednik_sum(kappa, exps, [int(k == i) for k in range(1, n + 1)], np.eye(len(exps) * dim, dtype=object))
 
 
 def dense_times(us: list[Scaled]):
@@ -197,7 +197,7 @@ def termwise_nsjp(graph, alpha: Vec, t_index: int, memo: dict) -> VVLaurent:
     if key not in memo:
         n = graph.shape.N
         if not any(alpha):
-            memo[key] = monomial(graph.shape, graph.kappa, alpha, t_index)
+            memo[key] = monomial(graph.kappa, alpha, t_index)
         else:
             beta, i = graph._parent(alpha)
             f = termwise_nsjp(graph, beta, t_index, memo)

@@ -61,8 +61,8 @@ def criterion(num, desc):
 def session21():
     shape = Partition((2, 1))
     kap = make_kappa(1, 4, (2, 1))
-    graph = NsjpGraph(shape, kap)
-    store = CoeffStore(shape, kap).ensure_grade(4)
+    graph = NsjpGraph(kap)
+    store = CoeffStore(kap).ensure_grade(4)
     return shape, kap, graph, store
 
 
@@ -70,8 +70,8 @@ def session21():
 def session31():
     shape = Partition((3, 1))
     kap = make_kappa(1, 4, (3, 1))
-    graph = NsjpGraph(shape, kap)
-    store = CoeffStore(shape, kap).ensure_grade(3)
+    graph = NsjpGraph(kap)
+    store = CoeffStore(kap).ensure_grade(3)
     return shape, kap, graph, store
 
 
@@ -238,7 +238,7 @@ def test_criterion_8_pole_detection():
         make_kappa(1, 1, (2, 1))
     assert (err.value.witness_m, err.value.witness_c) == (1, 1)
     # in-recurrence detection at the predicted (gamma_1, content) pair
-    store = CoeffStore(Partition((3, 1)), unchecked_kappa(-1, 2, (3, 1)))
+    store = CoeffStore(unchecked_kappa(-1, 2, (3, 1)))
     with pytest.raises(PoleExcluded) as err:
         store.solve_grade(1)
     assert (err.value.witness_m, err.value.witness_c) == (1, 2)
@@ -246,9 +246,8 @@ def test_criterion_8_pole_detection():
 
 @criterion(9, "kernel positivity, Hermiticity, and covariance for kappa = +-1/5")
 def test_criterion_9_kernel_positivity():
-    shape = Partition((2, 1))
     for p in (1, -1):
-        store = CoeffStore(shape, make_kappa(p, 5, (2, 1)))
+        store = CoeffStore(make_kappa(p, 5, (2, 1)))
         rep = psd_report(store, range(1, 9), samples=100, seed=424242)
         assert rep.worst["min_eigenvalue"] >= -1e-9, rep.worst
         assert rep.hermiticity_residual < 1e-10
@@ -301,5 +300,5 @@ def test_criterion_11_differential_system():
         base + np.array([0, sq, 0]),
         base,
     ]
-    defect = np.max(np.abs(integrate_loop(loop, 10_000, shape, kap) - np.eye(2)))
+    defect = np.max(np.abs(integrate_loop(loop, 10_000, kap) - np.eye(2)))
     assert defect < 1e-6, defect

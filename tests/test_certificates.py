@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacktorus.coeffs import CoeffStore
 from jacktorus.scalars import default_kappa
-from jacktorus.tableaux import Partition, Scaled, failing_columns
+from jacktorus.tableaux import Scaled, failing_columns
 from jacktorus.torusform import FormContext, _gram_block, _pairing_block, nsjp_norm
 from jacktorus.ybgraph import NsjpGraph, _eigen_failure, exponents
 from support import dense_cherednik, dense_times, int_matmul, valid_shapes
@@ -33,9 +33,8 @@ DELTAS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**80), 2**80))
 
 @lru_cache(maxsize=None)
 def _session(parts):
-    shape = Partition(parts)
     kappa = default_kappa(parts)
-    return NsjpGraph(shape, kappa), FormContext(CoeffStore(shape, kappa))
+    return NsjpGraph(kappa), FormContext(CoeffStore(kappa))
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +44,7 @@ def _degree(parts, d):
     nodes, cmat, dens = graph.columns(d)
     pmat, lp = _pairing_block(exponents(graph.shape.N, d), ctx)
     norms = [nsjp_norm(node.alpha, node.tableau, graph.kappa) for node in nodes]
-    us = [dense_cherednik(graph.shape, graph.kappa, exponents(graph.shape.N, d), i) for i in range(1, graph.shape.N + 1)]
+    us = [dense_cherednik(graph.kappa, exponents(graph.shape.N, d), i) for i in range(1, graph.shape.N + 1)]
     xi = Scaled.of([[node.spectral[i] for node in nodes] for i in range(graph.shape.N)])
     return cmat, dens, pmat, lp, norms, us, xi
 
@@ -133,7 +132,7 @@ def test_no_columns_draw_no_vector():
 def test_the_stacked_pairing_blocks_are_the_store_pairing_matrices(parts, degree):
     """Every G_{alpha-beta} that _pairing_block takes as sigma(w)^T G_can sigma(w) is the store's D cA, reduced."""
     graph, _ = _session(parts)
-    ctx = FormContext(CoeffStore(graph.shape, graph.kappa))
+    ctx = FormContext(CoeffStore(graph.kappa))
     exps = exponents(graph.shape.N, degree)
     pmat, lp = _pairing_block(exps, ctx)
     dim = graph.shape.dim

@@ -16,7 +16,7 @@ import jacktorus
 from jacktorus.cli import build_parser, main
 from jacktorus.coeffs import CoeffStore
 from jacktorus.scalars import default_kappa, make_kappa
-from jacktorus.tableaux import Partition, Scaled
+from jacktorus.tableaux import Scaled
 from jacktorus.torusform import FormContext, gram, nsjp_norm
 from jacktorus.ybgraph import NsjpGraph
 from support import dense_gram, valid_shapes
@@ -160,11 +160,10 @@ def test_a_failing_gram_report_does_not_depend_on_the_seed(perturb_gram_product,
 
 def _dense_gram_report(parts, kappa, degree, out=None) -> str:
     """The gram report as the stdlib encoder writes the whole document, its matrix built dense."""
-    shape = Partition(parts)
     kap = make_kappa(kappa.numerator, kappa.denominator, parts) if kappa is not None else default_kappa(parts)
-    graph = NsjpGraph(shape, kap)
+    graph = NsjpGraph(kap)
     nodes = [(node.alpha, node.t_index) for d in range(degree + 1) for node in graph.build_degree(d)]
-    mat = dense_gram(gram(graph, degree, FormContext(CoeffStore(shape, kap)))[1])
+    mat = dense_gram(gram(graph, degree, FormContext(CoeffStore(kap)))[1])
     results = {
         "basis": [{"alpha": list(a), "tableau_index": ti} for a, ti in nodes],
         "matrix": [[str(x) for x in row] for row in mat],
@@ -739,9 +738,9 @@ def test_verify_checks_every_pair_of_connection_matrices(monkeypatch, capsys):
 def test_connection_check_reports_euler_first_then_the_first_pair(monkeypatch):
     from jacktorus import cli
     from jacktorus.scalars import make_kappa
-    from jacktorus.tableaux import Partition, Scaled
+    from jacktorus.tableaux import Scaled
 
-    shape, kap = Partition((2, 1)), make_kappa(1, 4, (2, 1))
+    kap = make_kappa(1, 4, (2, 1))
     exact_euler, exact_pairs = cli.euler_residual, cli.integrability_residual
 
     def bump(out, index):
@@ -754,7 +753,7 @@ def test_connection_check_reports_euler_first_then_the_first_pair(monkeypatch):
         return bump(bump(exact_pairs(m, kappa), (1, 0, 0)), (2, 1, 1))
 
     def check():
-        return cli._connection_exact(random.Random(3), 2, shape, kap)
+        return cli._connection_exact(random.Random(3), 2, kap)
 
     monkeypatch.setattr(cli, "integrability_residual", two_pairs_fail)
     assert check().startswith("integrability residual of (1, 3) at")
@@ -926,6 +925,9 @@ def test_coeffs_rejects_bad_store(tmp_path, capsys, overrides, corrupt):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["error"]["type"] == "StoreCorrupt"
+    if overrides == {"--shape": "3,1"}:
+        # the shape check names both shapes by their parts, before the basis order could differ
+        assert doc["error"]["message"] == "store file was built for shape (2, 1), not (3, 1)"
 
 
 def _assert_a_closed_stdout_ends_quietly(tmp_path, args):
@@ -996,7 +998,7 @@ def test_store_entry_grammar(tmp_path, capsys, entry, value):
     assert code == 0
     rows = [[Fraction(x) for x in row] for row in entry_doc["matrix"]]
     expected = Scaled.of(rows)
-    loaded = CoeffStore.load(store).grades[1][tuple(entry_doc["gamma"])]
+    loaded = CoeffStore.load(store, make_kappa(1, 4, (2, 1))).grades[1][tuple(entry_doc["gamma"])]
     assert loaded.den == expected.den
     assert loaded.num.tolist() == expected.num.tolist()
     assert Fraction(loaded.num[1, 0], loaded.den) == value

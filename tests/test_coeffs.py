@@ -130,8 +130,8 @@ def test_conjugation_covariance(store21, shape21):
 class ShuffledStore(CoeffStore):
     """Solves each negative-part class in a random triangular-respecting order."""
 
-    def __init__(self, shape, kappa, seed):
-        super().__init__(shape, kappa)
+    def __init__(self, kappa, seed):
+        super().__init__(kappa)
         self._rng = random.Random(seed)
 
     def _class_order(self, block):
@@ -156,7 +156,7 @@ class ShuffledStore(CoeffStore):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_solve_order_independence(shape21, kappa21, store21, seed):
-    other = ShuffledStore(shape21, kappa21, seed)
+    other = ShuffledStore(kappa21, seed)
     other.ensure_grade(3)
     for n in range(4):
         assert set(other.grades[n]) == set(store21.grades[n])
@@ -193,7 +193,7 @@ def _rref_solve(columns, target):
     return sol
 
 
-def test_pairing_against_independent_jack_expansion(shape21, kappa21, store21, graph21):
+def test_pairing_against_independent_jack_expansion(kappa21, store21, graph21):
     """Dual-route check: expand monomials in the Jack basis, pair with the
     closed-form norms, and compare against the recurrence-built pairing."""
     for d in (1, 2):
@@ -231,9 +231,8 @@ def test_pairing_against_independent_jack_expansion(shape21, kappa21, store21, g
 
 
 def test_pole_raised_inside_recurrence():
-    shape = Partition((3, 1))
     bad = unchecked_kappa(-1, 2, (3, 1))
-    store = CoeffStore(shape, bad)
+    store = CoeffStore(bad)
     with pytest.raises(PoleExcluded) as err:
         store.solve_grade(1)
     # gamma_1 + kappa c = 0 at gamma_1 = 1, c = 2
@@ -271,7 +270,7 @@ def test_pole_gate_admits_only_kappas_the_recurrence_can_solve(data):
         kap = make_kappa(kappa.numerator, kappa.denominator, parts)
     except PoleExcluded:
         return
-    CoeffStore(Partition(parts), kap).ensure_grade(4)
+    CoeffStore(kap).ensure_grade(4)
 
 
 def test_selfadjoint_residuals(store21):
@@ -293,12 +292,12 @@ def test_selfadjoint_requires_equal_degree(store21):
         store21.verify_selfadjoint((1, 0, 0), (2, 0, 0), 1)
 
 
-def test_persistence_round_trip(tmp_path, shape21, kappa21):
-    store = CoeffStore(shape21, kappa21).ensure_grade(2)
+def test_persistence_round_trip(tmp_path, kappa21):
+    store = CoeffStore(kappa21).ensure_grade(2)
     path = tmp_path / "store.json"
     store.save(path)
     bytes_a = path.read_bytes()
-    loaded = CoeffStore.load(path)
+    loaded = CoeffStore.load(path, kappa21)
     assert loaded.sealed_grade == 2
     for n in range(3):
         for g, mat in store.grades[n].items():
@@ -312,9 +311,9 @@ def test_persistence_round_trip(tmp_path, shape21, kappa21):
     assert path.read_bytes() == bytes_a
 
 
-def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, shape21, kappa21):
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, kappa21):
     path = tmp_path / "store.json"
-    CoeffStore(shape21, kappa21).ensure_grade(1).save(path)
+    CoeffStore(kappa21).ensure_grade(1).save(path)
     before = path.read_bytes()
     real_write = Path.write_text
 
@@ -324,15 +323,15 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, shape21, kap
 
     monkeypatch.setattr(Path, "write_text", half_then_fail)
     with pytest.raises(OSError):
-        CoeffStore(shape21, kappa21).ensure_grade(2).save(path)
+        CoeffStore(kappa21).ensure_grade(2).save(path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert CoeffStore.load(path, kappa21).sealed_grade == 1
     assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
 
-def test_load_rejects_wrong_kappa(tmp_path, shape21, kappa21):
-    store = CoeffStore(shape21, kappa21).ensure_grade(1)
+def test_load_rejects_wrong_kappa(tmp_path, kappa21):
+    store = CoeffStore(kappa21).ensure_grade(1)
     path = tmp_path / "store.json"
     store.save(path)
     other = make_kappa(1, 5, (2, 1))
@@ -375,14 +374,14 @@ def _kappa(parts, pq):
 @pytest.mark.parametrize("parts, pq, grade", list(STORE_DIGESTS), ids=str)
 def test_store_bytes_match_the_golden_digest(tmp_path, parts, pq, grade):
     path = tmp_path / "store.json"
-    CoeffStore(Partition(parts), _kappa(parts, pq)).ensure_grade(grade).save(path)
+    CoeffStore(_kappa(parts, pq)).ensure_grade(grade).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == STORE_DIGESTS[(parts, pq, grade)]
 
 
 @pytest.fixture(scope="module")
 def stores_to_grade_4():
     return [
-        CoeffStore(shape, default_kappa(shape.parts)).ensure_grade(4)
+        CoeffStore(default_kappa(shape.parts)).ensure_grade(4)
         for n in range(3, 6)
         for shape in valid_shapes(n)
     ]
@@ -407,7 +406,7 @@ def test_selfadjoint_at_every_stored_index(stores_to_grade_4):
 
 @pytest.mark.parametrize("parts, pq", [((2, 1), (-3, 2)), ((3, 1), (3, 2)), ((2, 2), (-3, 2))], ids=str)
 def test_selfadjoint_outside_the_window(parts, pq):
-    store = CoeffStore(Partition(parts), _kappa(parts, pq)).ensure_grade(3)
+    store = CoeffStore(_kappa(parts, pq)).ensure_grade(3)
     assert _selfadjoint_everywhere(store, 3) > 20
 
 
@@ -432,9 +431,9 @@ def test_carriers_are_canonical(stores_to_grade_4, graph21, graph31):
 @pytest.mark.parametrize("parts, pq, grade", list(STORE_DIGESTS), ids=str)
 def test_saved_store_loads_to_the_solved_carriers(tmp_path, parts, pq, grade):
     path = tmp_path / "store.json"
-    store = CoeffStore(Partition(parts), _kappa(parts, pq)).ensure_grade(grade)
+    store = CoeffStore(_kappa(parts, pq)).ensure_grade(grade)
     store.save(path)
-    loaded = CoeffStore.load(path)
+    loaded = CoeffStore.load(path, store.kappa)
     assert loaded.sealed_grade == grade
     assert loaded.grades.keys() == store.grades.keys()
     for n, grade_mats in store.grades.items():
@@ -465,8 +464,8 @@ def test_memoized_moved_carriers_match_a_direct_conjugation(tmp_path_factory, ca
     shape, top = case
     kappa = default_kappa(shape.parts)
     path = tmp_path_factory.mktemp("memo") / "store.json"
-    CoeffStore(shape, kappa).ensure_grade(top - 1).save(path)
-    fresh = CoeffStore(shape, kappa)
+    CoeffStore(kappa).ensure_grade(top - 1).save(path)
+    fresh = CoeffStore(kappa)
     extended = CoeffStore.load(path, kappa)
     extended.ensure_grade(top)
     for store in (fresh, extended):
@@ -483,8 +482,8 @@ def test_memoized_moved_carriers_match_a_direct_conjugation(tmp_path_factory, ca
     assert all(extended.grades[n] == fresh.grades[n] for n in range(top + 1))
 
 
-def test_a_replaced_stored_matrix_reaches_every_moved_index(shape21, kappa21):
-    store = CoeffStore(shape21, kappa21).ensure_grade(2)
+def test_a_replaced_stored_matrix_reaches_every_moved_index(kappa21):
+    store = CoeffStore(kappa21).ensure_grade(2)
     moved = [d for d in enumerate_Z(3, 2) if canonicalize(d)[0] == (2, -1, -1)]
     before = {d: store.coeff(d) for d in moved}  # now held in the memo
     store.grades[2][(2, -1, -1)] = store.grades[2][(2, -1, -1)] * 2
@@ -496,7 +495,7 @@ def test_a_replaced_stored_matrix_reaches_every_moved_index(shape21, kappa21):
 @pytest.mark.parametrize("parts, top", [((2, 1), 3), ((2, 2, 1), 2)])
 def test_lookups_keep_no_per_index_state(parts, top):
     shape = Partition(parts)
-    store = CoeffStore(shape, default_kappa(parts)).ensure_grade(top)
+    store = CoeffStore(default_kappa(parts)).ensure_grade(top)
 
     def sizes():
         attrs = {name: len(val) for name, val in vars(store).items() if isinstance(val, dict)}
@@ -514,7 +513,7 @@ def test_one_ensure_grade_call_canonicalizes_each_index_at_most_once(tmp_path, m
     shape = Partition((3, 1, 1))
     kappa = default_kappa(shape.parts)
     path = tmp_path / "store.json"
-    CoeffStore(shape, kappa).ensure_grade(2).save(path)
+    CoeffStore(kappa).ensure_grade(2).save(path)
     calls = Counter()
 
     def counting(delta):
@@ -522,7 +521,7 @@ def test_one_ensure_grade_call_canonicalizes_each_index_at_most_once(tmp_path, m
         return canonicalize(delta)
 
     monkeypatch.setattr(coeffs.compositions, "canonicalize", counting)
-    for store in (CoeffStore(shape, kappa), CoeffStore.load(path, kappa)):
+    for store in (CoeffStore(kappa), CoeffStore.load(path, kappa)):
         calls.clear()
         store.ensure_grade(4)
         assert calls and max(calls.values()) == 1, calls.most_common(3)

@@ -183,13 +183,13 @@ def test_integrability_exact_31(shape31, kappa31):
     assert not euler_residual(x, m).num.any()
 
 
-def test_zero_length_path(shape21, kappa21):
+def test_zero_length_path(kappa21):
     base = np.array([0.3, 1.7, 4.0])
-    out = integrate_path(base, base, 100, shape21, kappa21)
+    out = integrate_path(base, base, 100, kappa21)
     assert np.allclose(out, np.eye(2))
 
 
-def test_closed_loop_is_flat(shape21, kappa21):
+def test_closed_loop_is_flat(kappa21):
     base = np.array([0.1, 2.0, 4.2])
     sq = 0.25
     loop = [
@@ -199,29 +199,29 @@ def test_closed_loop_is_flat(shape21, kappa21):
         base + np.array([0, sq, 0]),
         base,
     ]
-    out = integrate_loop(loop, 10_000, shape21, kappa21)
+    out = integrate_loop(loop, 10_000, kappa21)
     assert np.max(np.abs(out - np.eye(2))) < 1e-6
 
 
-def test_homogeneity_path(shape21, kappa21):
+def test_homogeneity_path(kappa21):
     # x -> u x stays inside one component and transports trivially
     base = np.array([0.2, 2.1, 4.3])
-    out = integrate_path(base, base + 0.9, 5000, shape21, kappa21)
+    out = integrate_path(base, base + 0.9, 5000, kappa21)
     assert np.max(np.abs(out - np.eye(2))) < 1e-6
 
 
-def test_fourth_order_convergence(shape21, kappa21):
+def test_fourth_order_convergence(kappa21):
     # halving the step size cuts the defect of an open-segment comparison ~16x
     base = np.array([0.1, 2.0, 4.2])
     end = base + np.array([0.6, -0.3, 0.2])
-    fine = integrate_path(base, end, 4000, shape21, kappa21)
-    d1 = np.max(np.abs(integrate_path(base, end, 50, shape21, kappa21) - fine))
-    d2 = np.max(np.abs(integrate_path(base, end, 100, shape21, kappa21) - fine))
+    fine = integrate_path(base, end, 4000, kappa21)
+    d1 = np.max(np.abs(integrate_path(base, end, 50, kappa21) - fine))
+    d2 = np.max(np.abs(integrate_path(base, end, 100, kappa21) - fine))
     ratio = d1 / d2
     assert 8 < ratio < 32  # 16x within a factor-of-2 band
 
 
-def test_path_clearance_guard(shape21, kappa21):
+def test_path_clearance_guard(kappa21):
     theta = np.array([0.0, 0.01, 3.0])
     with pytest.raises(PathNearSingular):
-        integrate_path(theta, theta + 0.2, 100, shape21, kappa21)
+        integrate_path(theta, theta + 0.2, 100, kappa21)

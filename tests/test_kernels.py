@@ -38,8 +38,7 @@ def scaled(x: np.ndarray, phase: float) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def fc21():
-    shape = Partition((2, 1))
-    store = CoeffStore(shape, make_kappa(1, 5, (2, 1))).ensure_grade(6)
+    store = CoeffStore(make_kappa(1, 5, (2, 1))).ensure_grade(6)
     return FloatCoeffs(store)
 
 
@@ -156,8 +155,7 @@ def test_psd_report_structure(fc21):
 def test_report_sensitive_outside_window():
     # |kappa| above 1/h is reported (not asserted) as a sensitivity probe;
     # just check the scan runs and returns finite numbers there
-    shape = Partition((2, 1))
-    store = CoeffStore(shape, make_kappa(2, 5, (2, 1)))  # 2/5 > 1/3
+    store = CoeffStore(make_kappa(2, 5, (2, 1)))  # 2/5 > 1/3
     rep = psd_report(store, [1, 2, 3], samples=10, seed=9)
     assert np.isfinite(rep.worst["min_eigenvalue"])
 
@@ -166,7 +164,7 @@ def test_report_sensitive_outside_window():
 def test_grade_arrays_match_the_exact_coefficients(parts):
     # every index of every grade <= 3, canonical, orbit and sign-reversed orbit,
     # against the index-by-index exact conjugation
-    store = CoeffStore(Partition(parts), default_kappa(parts))
+    store = CoeffStore(default_kappa(parts))
     fc = FloatCoeffs(store)
     for n in range(4):
         gammas, mats = fc.grade_arrays(n)
@@ -180,7 +178,7 @@ def test_grade_arrays_match_the_exact_coefficients(parts):
 )
 def test_grade_arrays_are_the_stack_built_one_index_at_a_time(parts):
     # every index of every grade <= 3, bit for bit the conjugation one index at a time
-    store = CoeffStore(Partition(parts), default_kappa(parts))
+    store = CoeffStore(default_kappa(parts))
     fc = FloatCoeffs(store)
     for n in range(4):
         assert np.array_equal(fc.grade_arrays(n)[1], grade_stack(store, n)), (parts, n)
@@ -256,8 +254,7 @@ def test_psd_report_rejects_an_empty_scan(fc21, orders, samples):
 def test_hermiticity_residual_sees_a_wrong_stored_matrix():
     # A_{-gamma} is built from its own sorted representative, not as A_gamma^T,
     # so the Hermiticity gate checks the stored matrices against each other
-    shape = Partition((2, 1))
-    store = CoeffStore(shape, make_kappa(1, 5, (2, 1))).ensure_grade(2)
+    store = CoeffStore(make_kappa(1, 5, (2, 1))).ensure_grade(2)
     good = psd_report(store, [2], samples=4, seed=1)
     # the same +1/100 on every entry, written on the carrier: num/den + 1/100
     mat = store.grades[2][(2, -1, -1)]
@@ -293,7 +290,7 @@ def _scan_per_order(fc, orders, samples, seed):
 
 @pytest.fixture(scope="module")
 def fc32():
-    store = CoeffStore(Partition((3, 2)), make_kappa(1, 5, (3, 2))).ensure_grade(5)
+    store = CoeffStore(make_kappa(1, 5, (3, 2))).ensure_grade(5)
     return FloatCoeffs(store)
 
 
@@ -319,7 +316,7 @@ def test_psd_report_does_not_depend_on_the_block_size(fc32, monkeypatch, block):
 def test_psd_report_memory_is_flat_in_the_sample_count():
     # the scan holds one block of points at a time, so eight blocks of samples
     # peak about where one block does
-    store = CoeffStore(Partition((3, 1)), make_kappa(1, 5, (3, 1))).ensure_grade(4)
+    store = CoeffStore(make_kappa(1, 5, (3, 1))).ensure_grade(4)
     orders = [1, 2, 3, 4]
     psd_report(store, orders, 1, seed=2)  # one-time caches and lazy imports
 
@@ -339,7 +336,7 @@ def test_grade_arrays_memory_is_flat_in_the_grade_size():
     # (3,2,1) at grades 2 and 5: 240 and 7002 indices of 16x16 matrices.  Beyond its result a
     # grade holds the table of the distinct tau(w) (at most 6! of them, 1.5 MB), three stacks of
     # one 128-index chunk (0.8 MB) and its index lists (about 0.1 kB an index, 0.7 MB at grade 5)
-    store = CoeffStore(Partition((3, 2, 1)), make_kappa(1, 7, (3, 2, 1))).ensure_grade(5)
+    store = CoeffStore(make_kappa(1, 7, (3, 2, 1))).ensure_grade(5)
     fc = FloatCoeffs(store)
     for n in (2, 5):
         fc.grade_arrays(n)  # converts every tau(w) the grades use
@@ -392,5 +389,5 @@ def test_kernel_positivity_across_the_window(data):
         reject()
     assert abs(kap.value) < Fraction(1, h)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    rep = psd_report(CoeffStore(Partition(parts), kap), range(1, 5), 30, seed)
+    rep = psd_report(CoeffStore(kap), range(1, 5), 30, seed)
     assert rep.worst["min_eigenvalue"] >= -1e-9, rep.worst

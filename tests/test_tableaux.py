@@ -176,14 +176,18 @@ def test_representation_suite(n):
 
 
 def test_norm_relation_under_entry_swap():
-    # <T', T'>_0 = (1 - b^2) <T, T>_0 for the seminormal pair with 0 < b <= 1/2
+    # <T', T'>_0 = (1 - b^2) <T, T>_0 for the seminormal pair with 0 < b <= 1/2; T' has i, i+1 swapped,
+    # and so has its content vector, by which simple_reflection finds T'
     for shape in valid_shapes(5):
         for t in enumerate_rsyt(shape):
+            c = t.content
             for i in range(1, shape.N):
-                diff = t.content[i - 1] - t.content[i]
+                diff = c[i - 1] - c[i]
                 if diff >= 2:
                     b = Fraction(1, diff)
-                    assert norm0(t.swap_entries(i)) == (1 - b * b) * norm0(t)
+                    swapped = RSYT(tuple(tuple({i: i + 1, i + 1: i}.get(e, e) for e in row) for row in t.rows))
+                    assert swapped.content == c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :]
+                    assert norm0(swapped) == (1 - b * b) * norm0(t)
 
 
 def test_rep_matrix_table_is_built_by_right_multiplication():

@@ -97,13 +97,11 @@ def test_nsjp_norm_finite_on_positivity_boundary():
     the actual pairing."""
     from jacktorus.coeffs import CoeffStore
     from jacktorus.scalars import make_kappa
-    from jacktorus.tableaux import Partition
     from jacktorus.ybgraph import NsjpGraph
 
-    shape = Partition((3, 1))
     kap = make_kappa(1, 4, (3, 1))
-    graph = NsjpGraph(shape, kap)
-    ctx = FormContext(CoeffStore(shape, kap))
+    graph = NsjpGraph(kap)
+    ctx = FormContext(CoeffStore(kap))
     t3 = graph.basis[2]
     assert t3.content == (-1, 2, 1, 0)
     alpha = (0, 1, 0, 0)
@@ -147,8 +145,8 @@ def test_covariant_ratio(shape21, kappa21):
 def test_pairing_of_constants(shape21, kappa21, ctx21):
     for ti in range(2):
         for tj in range(2):
-            f = monomial(shape21, kappa21, (0, 0, 0), ti)
-            g = monomial(shape21, kappa21, (0, 0, 0), tj)
+            f = monomial(kappa21, (0, 0, 0), ti)
+            g = monomial(kappa21, (0, 0, 0), tj)
             expect = norm0(enumerate_rsyt(shape21)[ti]) if ti == tj else 0
             assert pair(f, g, ctx21) == expect
 
@@ -186,9 +184,9 @@ def test_euler_dunkl_selfadjoint(shape21, kappa21, ctx21):
             assert lhs == rhs
 
 
-def test_homogeneous_orthogonality(shape21, kappa21, ctx21):
-    f = monomial(shape21, kappa21, (1, 0, 0), 0)
-    g = monomial(shape21, kappa21, (1, 1, 0), 0)
+def test_homogeneous_orthogonality(kappa21, ctx21):
+    f = monomial(kappa21, (1, 0, 0), 0)
+    g = monomial(kappa21, (1, 1, 0), 0)
     assert pair(f, g, ctx21) == 0
 
 
@@ -211,7 +209,7 @@ def _assert_matches_pairwise(graph, degree, ctx):
     for d in range(degree + 1):
         block_nodes, cmat, dens = graph.columns(d)
         block = cmat.reshape(-1, graph.shape.dim, len(block_nodes))
-        polys += [VVLaurent.of_rows(graph.shape, graph.kappa, exponents(graph.shape.N, d), block[:, :, k], dens[k]) for k in range(len(block_nodes))]
+        polys += [VVLaurent.of_rows(graph.kappa, exponents(graph.shape.N, d), block[:, :, k], dens[k]) for k in range(len(block_nodes))]
         nodes += block_nodes
     n = len(polys)
     assert labels == [(node.alpha, node.t_index) for node in nodes]
@@ -252,13 +250,11 @@ def test_jump_isometry(graph21, ctx21, kappa21):
 def test_gram_orthogonality_other_shapes(parts):
     from jacktorus.coeffs import CoeffStore
     from jacktorus.scalars import default_kappa
-    from jacktorus.tableaux import Partition
     from jacktorus.ybgraph import NsjpGraph
 
-    shape = Partition(parts)
     kap = default_kappa(parts)
-    graph = NsjpGraph(shape, kap)
-    ctx = FormContext(CoeffStore(shape, kap))
+    graph = NsjpGraph(kap)
+    ctx = FormContext(CoeffStore(kap))
     nodes = _nodes_to_degree(graph, 2)
     mat = _assert_matches_pairwise(graph, 2, ctx)
     for i, (alpha, ti) in enumerate(nodes):
@@ -350,13 +346,11 @@ SHAPES_TO_6 = [s.parts for n in range(3, 7) for s in valid_shapes(n)]
 def _setup(parts):
     from jacktorus.coeffs import CoeffStore
     from jacktorus.scalars import default_kappa
-    from jacktorus.tableaux import Partition
     from jacktorus.ybgraph import NsjpGraph
 
-    shape = Partition(parts)
     kap = default_kappa(parts)
-    graph = NsjpGraph(shape, kap)
-    return graph, FormContext(CoeffStore(shape, kap)), _nodes_to_degree(graph, 2)
+    graph = NsjpGraph(kap)
+    return graph, FormContext(CoeffStore(kap)), _nodes_to_degree(graph, 2)
 
 
 @pytest.mark.parametrize("parts", SHAPES_TO_6, ids=[",".join(map(str, p)) for p in SHAPES_TO_6])
@@ -376,17 +370,17 @@ def test_cherednik_matrices_are_self_adjoint_for_the_torus_form(parts, data):
     """P_d U_i = U_i^T P_d, P_d the pairing over all degree-d exponents, to degree 2."""
     graph, ctx, _ = _setup(parts)
     exps = list(compositions_of(data.draw(st.integers(0, 2), label="degree"), graph.shape.N))
-    u = dense_cherednik(graph.shape, graph.kappa, exps, data.draw(st.integers(1, graph.shape.N), label="i"))
+    u = dense_cherednik(graph.kappa, exps, data.draw(st.integers(1, graph.shape.N), label="i"))
     pmat, _ = _pairing_block(exps, ctx)
     assert np.array_equal(int_matmul(pmat, u.num), int_matmul(u.num.T, pmat))
 
 
 def _random_poly(shape, kappa, rng, nterms=3, max_exp=1):
-    f = VVLaurent(shape, kappa)
+    f = VVLaurent(kappa)
     for _ in range(nterms):
         alpha = tuple(rng.randrange(max_exp + 1) for _ in range(shape.N))
         v = np.array([rng.randrange(-3, 4) for _ in range(shape.dim)], dtype=object)
-        f = poly_add(f, VVLaurent(shape, kappa, {alpha: Scaled(v, 1)}))
+        f = poly_add(f, VVLaurent(kappa, {alpha: Scaled(v, 1)}))
     return f
 
 
@@ -426,11 +420,11 @@ def test_norm_partition_is_the_explicit_product(n):
 
 def _random_rational_laurent(shape, kappa, rng, nterms=6):
     # exponents in {-1, 0}: every alpha - beta lies in grades the session stores already hold
-    f = VVLaurent(shape, kappa)
+    f = VVLaurent(kappa)
     for _ in range(nterms):
         alpha = tuple(rng.randrange(-1, 1) for _ in range(shape.N))
         v = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 8)) for _ in range(shape.dim)]
-        f = poly_add(f, VVLaurent(shape, kappa, {alpha: Scaled.of(v)}))
+        f = poly_add(f, VVLaurent(kappa, {alpha: Scaled.of(v)}))
     return f
 
 
